@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import DomainError, Inconclusive
 from .fields import DifferentiableField
-from .numerics import MonteCarloConfig, QuadratureConfig, spawn_rngs
+from .numerics import (MonteCarloConfig, QuadratureConfig, spawn_rngs,
+                       substreams)
 from .qtm import QtmParams, qtm_quadrature
 
 
@@ -35,42 +36,15 @@ class BesselSimConfig:
             raise DomainError("dt must be small against t0^2")
 
 
-def simulate_hitting_paths(cfg: BesselSimConfig, rng, n_paths: int):
-    """Absorption times for a batch of paths.
-
-    Returns (times, hit): ``times`` holds the absorption time where ``hit``
-    is True and ``max_time`` elsewhere.  Non-hits are data, not errors.
-    """
-    y = np.full(n_paths, cfg.t0)
-    s = np.zeros(n_paths)
-    times = np.full(n_paths, cfg.max_time)
-    hit = np.zeros(n_paths, dtype=bool)
-    active = np.arange(n_paths)
-    drift_c = 1.0 - cfg.m
-    while active.size:
-        ya = y[active]
-        dt = cfg.dt * np.minimum(1.0, ya * ya)
-        dw = rng.standard_normal(active.size)
-        ya = ya + drift_c / ya * dt + np.sqrt(2.0 * dt) * dw
-        sa = s[active] + dt
-        absorbed = ya <= cfg.absorption_eps
-        expired = sa >= cfg.max_time
-        idx = active[absorbed]
-        times[idx] = sa[absorbed]
-        hit[idx] = True
-        keep = ~(absorbed | expired)
-        y[active] = ya
-        s[active] = sa
-        active = active[keep]
-    return times, hit
-
-
 def simulate_joint_paths(cfg: BesselSimConfig, rng, n_paths: int, d: int, x):
     """Joint simulation of the spatial component up to the hitting time.
 
     The spatial part is an independent sqrt(2)-Brownian motion accumulated
     with the same (state-dependent) steps as the radial path; returns
-    (X_S, times, hit).
+    (X_S, times, hit).  ``times`` holds the absorption time where ``hit``
+    is True and ``max_time`` elsewhere; non-hits are data, not errors.
+    With d = 0 only the radial path is simulated: the (n, 0) spatial draws
+    do not advance ``rng``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.full(n_paths, cfg.t0)
@@ -102,18 +76,9 @@ def simulate_joint_paths(cfg: BesselSimConfig, rng, n_paths: int, d: int, x):
 
 def empirical_hitting_times(cfg: BesselSimConfig, mc: MonteCarloConfig):
     """Hitting times pooled over reproducible substreams."""
-    rngs = spawn_rngs(mc.seed, mc.n_streams)
-    per = mc.n_samples // mc.n_streams
-    counts = [per + (1 if i < mc.n_samples % mc.n_streams else 0)
-              for i in range(mc.n_streams)]
-    times, hits = [], []
-    for rng, n in zip(rngs, counts):
-        if n == 0:
-            continue
-        t, h = simulate_hitting_paths(cfg, rng, n)
-        times.append(t)
-        hits.append(h)
-    return np.concatenate(times), np.concatenate(hits)
+    runs = [simulate_joint_paths(cfg, rng, n, 0, ())[1:]
+            for rng, n in substreams(mc)]
+    return np.concatenate([t for t, _ in runs]), np.concatenate([h for _, h in runs])
 
 
 def dynkin_check(f: DifferentiableField, cfg: BesselSimConfig, n_paths: int,

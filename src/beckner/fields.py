@@ -38,6 +38,7 @@ class DifferentiableField:
         self.domain = domain
         self.positive = positive
         self._fns = {}
+        self._grad_norm_squared = None
 
     # -- evaluation ---------------------------------------------------------
     def _fn(self, alpha):
@@ -113,9 +114,6 @@ class DifferentiableField:
 
     __rmul__ = __mul__
 
-    def scale(self, c):
-        return self * c
-
     def power(self, beta):
         """f^beta; non-integer or negative beta requires a positive field."""
         if (beta != int(beta) or beta < 0) and not self.positive:
@@ -128,9 +126,14 @@ class DifferentiableField:
         return self._like(profile_expr.subs(var, self.expr), positive=False)
 
     def grad_norm_squared(self):
-        """The field |grad f|^2, used as the energy density Gamma(f)."""
-        e = sum(sp.diff(self.expr, s) ** 2 for s in self.syms)
-        return self._like(e, positive=False)
+        """The field |grad f|^2, used as the energy density Gamma(f).
+
+        Built once per field, so its compiled partials are reused.
+        """
+        if self._grad_norm_squared is None:
+            e = sum(sp.diff(self.expr, s) ** 2 for s in self.syms)
+            self._grad_norm_squared = self._like(e, positive=False)
+        return self._grad_norm_squared
 
 
 def affine_precompose(f: DifferentiableField, t: float, x) -> DifferentiableField:

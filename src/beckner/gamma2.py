@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -77,6 +78,7 @@ class DiffusionOperator:
         return self._xx(np.atleast_1d(np.asarray(point, dtype=float)))
 
 
+@lru_cache(maxsize=None)
 def euclidean(d: int) -> DiffusionOperator:
     y = coords(d)
     one = DifferentiableField(sp.Integer(1), y, positive=True)
@@ -109,6 +111,7 @@ def halfspace_m(d: int, m: float) -> DiffusionOperator:
                              ric=ric, xx=xx)
 
 
+@lru_cache(maxsize=None)
 def sphere_stereo(d: int) -> DiffusionOperator:
     """Laplace-Beltrami of the d-sphere in the stereographic chart."""
     if d < 2:

@@ -16,7 +16,7 @@ from scipy.special import gammaln
 
 from .errors import DomainError
 from .numerics import (Estimate, MonteCarloConfig, QuadratureConfig,
-                       integrate_radial, integrate_rd, spawn_rngs)
+                       integrate_radial, integrate_rd, substreams)
 
 
 def log_norm_const(m: float, d: int) -> float:
@@ -185,35 +185,35 @@ def sample_gamma(rng, shape: float, n: int):
     return rng.standard_gamma(shape, size=n)
 
 
+def draw_tkernel(rng, n: int, d: int, m: float, t: float, x):
+    """n draws of x + t Z / sqrt(2 G) from one generator: Z first, then G."""
+    z = rng.standard_normal((n, d))
+    g = sample_gamma(rng, m / 2.0, n)
+    return x + t * z / np.sqrt(2.0 * g)[:, None]
+
+
+def draw_coupled(rng, n: int, d: int, m: float, t: float, x):
+    """n coupled pairs (S, x + sqrt(2 S) Z) from one generator.
+
+    G is drawn first and S = t^2 / (4 G), then Z.  With d = 0 the (n, 0)
+    normal draw does not advance the generator, so S alone is drawn.
+    """
+    g = sample_gamma(rng, m / 2.0, n)
+    s = t ** 2 / (4.0 * g)
+    z = rng.standard_normal((n, d))
+    return s, x + np.sqrt(2.0 * s)[:, None] * z
+
+
 def sample_tkernel(k: TKernel, cfg: MonteCarloConfig):
     """Exact draws from q_t(x, .): x + t Z / sqrt(2 G), G ~ Gamma(m/2)."""
-    rngs = spawn_rngs(cfg.seed, cfg.n_streams)
-    per = cfg.n_samples // cfg.n_streams
-    counts = [per + (1 if i < cfg.n_samples % cfg.n_streams else 0)
-              for i in range(cfg.n_streams)]
-    chunks = []
-    for rng, n in zip(rngs, counts):
-        if n == 0:
-            continue
-        z = rng.standard_normal((n, k.d))
-        g = sample_gamma(rng, k.m / 2.0, n)
-        chunks.append(k.center + k.t * z / np.sqrt(2.0 * g)[:, None])
-    return np.concatenate(chunks, axis=0)
+    return np.concatenate([draw_tkernel(rng, n, k.d, k.m, k.t, k.center)
+                           for rng, n in substreams(cfg)], axis=0)
 
 
 def sample_hitting(h: HittingTimeLaw, cfg: MonteCarloConfig):
     """Exact draws of the hitting time: S = t^2 / (4 G), G ~ Gamma(m/2)."""
-    rngs = spawn_rngs(cfg.seed, cfg.n_streams)
-    per = cfg.n_samples // cfg.n_streams
-    counts = [per + (1 if i < cfg.n_samples % cfg.n_streams else 0)
-              for i in range(cfg.n_streams)]
-    chunks = []
-    for rng, n in zip(rngs, counts):
-        if n == 0:
-            continue
-        g = sample_gamma(rng, h.m / 2.0, n)
-        chunks.append(h.t ** 2 / (4.0 * g))
-    return np.concatenate(chunks)
+    return np.concatenate([draw_coupled(rng, n, 0, h.m, h.t, 0.0)[0]
+                           for rng, n in substreams(cfg)])
 
 
 def sample_coupled(d: int, m: float, t: float, x, cfg: MonteCarloConfig):
@@ -223,17 +223,6 @@ def sample_coupled(d: int, m: float, t: float, x, cfg: MonteCarloConfig):
     the subordination identity.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    rngs = spawn_rngs(cfg.seed, cfg.n_streams)
-    per = cfg.n_samples // cfg.n_streams
-    counts = [per + (1 if i < cfg.n_samples % cfg.n_streams else 0)
-              for i in range(cfg.n_streams)]
-    s_chunks, x_chunks = [], []
-    for rng, n in zip(rngs, counts):
-        if n == 0:
-            continue
-        g = sample_gamma(rng, m / 2.0, n)
-        s = t ** 2 / (4.0 * g)
-        z = rng.standard_normal((n, d))
-        s_chunks.append(s)
-        x_chunks.append(x + np.sqrt(2.0 * s)[:, None] * z)
-    return np.concatenate(s_chunks), np.concatenate(x_chunks, axis=0)
+    draws = [draw_coupled(rng, n, d, m, t, x) for rng, n in substreams(cfg)]
+    return (np.concatenate([s for s, _ in draws]),
+            np.concatenate([xs for _, xs in draws], axis=0))

@@ -200,23 +200,6 @@ def integrate_rd(g, d: int, config: QuadratureConfig, cutoff: float | None = Non
     return Estimate(est.value, est.error_bound, est.n_evals * len(w))
 
 
-def fixed_radial_nodes(config: QuadratureConfig, cutoff: float, panels: int = 12):
-    """Non-adaptive G-K nodes/weights for [0, cutoff] under the r=s/(1-s) map.
-
-    Used when many integrands share one set of abscissae (kernel-derivative
-    batches); returns (r_nodes, weights).
-    """
-    s_max = cutoff / (1.0 + cutoff)
-    edges = np.linspace(0.0, s_max, panels + 1)
-    rs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        h = 0.5 * (hi - lo)
-        s = lo + (_GK_X + 1.0) * h
-        rs.append(s / (1.0 - s))
-        ws.append(h * _GK_WK / (1.0 - s) ** 2)
-    return np.concatenate(rs), np.concatenate(ws)
-
-
 def _as_point(point, dim=None):
     p = np.atleast_1d(np.asarray(point, dtype=float))
     if dim is not None and p.shape != (dim,):
@@ -279,16 +262,24 @@ def pairwise_sum(values) -> float:
     return vals[0]
 
 
+def substreams(cfg: MonteCarloConfig):
+    """Yield ``(rng, n)`` for each substream that gets samples.
+
+    ``cfg.n_samples`` is split as evenly as possible over ``cfg.n_streams``
+    generators spawned from ``cfg.seed``, the first streams taking one extra
+    sample each; a stream with no samples is skipped.
+    """
+    per, extra = divmod(cfg.n_samples, cfg.n_streams)
+    for i, rng in enumerate(spawn_rngs(cfg.seed, cfg.n_streams)):
+        n = per + (i < extra)
+        if n:
+            yield rng, n
+
+
 def mc_estimate(sample_fn, cfg: MonteCarloConfig) -> Estimate:
     """Monte Carlo mean of ``sample_fn(rng, n) -> array`` over all substreams."""
-    rngs = spawn_rngs(cfg.seed, cfg.n_streams)
-    per = cfg.n_samples // cfg.n_streams
-    counts = [per + (1 if i < cfg.n_samples % cfg.n_streams else 0)
-              for i in range(cfg.n_streams)]
     sums, sq_sums, n_tot = [], [], 0
-    for rng, n in zip(rngs, counts):
-        if n == 0:
-            continue
+    for rng, n in substreams(cfg):
         x = np.asarray(sample_fn(rng, n), dtype=float)
         sums.append(float(np.sum(x)))
         sq_sums.append(float(np.sum(x * x)))

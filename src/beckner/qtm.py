@@ -17,10 +17,10 @@ from scipy.special import gammaln, roots_genlaguerre, roots_hermite
 
 from .errors import DegenerateFit, DomainError, NonConvergence
 from .fields import DifferentiableField, multi_indices
-from .measures import (heavy_tail_cutoff, log_norm_const, norm_const,
-                       sample_gamma, surface_area)
+from .measures import (draw_coupled, draw_tkernel, heavy_tail_cutoff,
+                       log_norm_const)
 from .numerics import (Estimate, MonteCarloConfig, QuadratureConfig,
-                       fd_derivative, integrate_rd, mc_estimate, spawn_rngs)
+                       fd_derivative, integrate_rd, mc_estimate)
 
 
 @dataclass(frozen=True)
@@ -156,9 +156,7 @@ def qtm_mc(f: DifferentiableField, p: QtmParams,
     x, t, d, m = p.center, p.t, p.d, p.m
 
     def sample(rng, n):
-        z = rng.standard_normal((n, d))
-        g = sample_gamma(rng, m / 2.0, n)
-        return f.value(x + t * z / np.sqrt(2.0 * g)[:, None])
+        return f.value(draw_tkernel(rng, n, d, m, t, x))
 
     return mc_estimate(sample, cfg)
 
@@ -307,10 +305,7 @@ def moment_identity_gap(g: DifferentiableField, p_exp: float, params: QtmParams,
     lhs_quad = (t ** (2 * p_exp) / 4.0 ** p_exp) * float(np.dot(w, heat))
 
     def sample(rng, n):
-        gam = sample_gamma(rng, m / 2.0, n)
-        s = t ** 2 / (4.0 * gam)
-        z = rng.standard_normal((n, d))
-        xs = x + np.sqrt(2.0 * s)[:, None] * z
+        s, xs = draw_coupled(rng, n, d, m, t, x)
         return s ** p_exp * g.value(xs)
 
     est = mc_estimate(sample, mc)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import sympy as sp
@@ -68,11 +69,28 @@ def gamma_s(f: DifferentiableField, points):
     return vals if vals.size > 1 else float(vals[0])
 
 
+@lru_cache(maxsize=None)
 def eigenfunction_u(d: int) -> DifferentiableField:
     """u(x) = (1-|x|^2)/(1+|x|^2), the chart form of the degree-1 eigenfunction."""
     y = coords(d)
     r2 = sum(s ** 2 for s in y)
     return DifferentiableField((1 - r2) / (1 + r2), y)
+
+
+@lru_cache(maxsize=None)
+def _log_rho(d: int) -> DifferentiableField:
+    """log rho = log(1+|x|^2)/2, the log of the chart's conformal factor."""
+    y = coords(d)
+    r2 = sum(s ** 2 for s in y)
+    return DifferentiableField(sp.log(1 + r2) / 2, y)
+
+
+def _log_rho_terms(d: int, x):
+    """(u(x), Delta_S log rho, Gamma_S log rho) at a chart point."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    log_rho = _log_rho(d)
+    uv = float(eigenfunction_u(d).value(x))
+    return uv, op_L(sphere_stereo(d), log_rho, x), gamma_s(log_rho, x)
 
 
 def eigenfunction_residuals(d: int, x):
@@ -88,15 +106,9 @@ def eigenfunction_residuals(d: int, x):
 
 def log_rho_identities(d: int, x):
     """Residuals of the closed forms for Delta_S log rho and Gamma_S log rho."""
-    y = coords(d)
-    r2 = sum(s ** 2 for s in y)
-    log_rho = DifferentiableField(sp.log(1 + r2) / 2, y)
-    op = sphere_stereo(d)
-    u = eigenfunction_u(d)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    uv = float(u.value(x))
-    lap_res = abs(op_L(op, log_rho, x) - (1.0 + uv * (d - 1.0)) / (2.0 * (1.0 + uv)))
-    gam_res = abs(gamma_s(log_rho, x) - (1.0 - uv) / (4.0 * (1.0 + uv)))
+    uv, lap, gam = _log_rho_terms(d, x)
+    lap_res = abs(lap - (1.0 + uv * (d - 1.0)) / (2.0 * (1.0 + uv)))
+    gam_res = abs(gam - (1.0 - uv) / (4.0 * (1.0 + uv)))
     return lap_res, gam_res
 
 
@@ -111,15 +123,7 @@ def constant_R(m: float, d: int, x) -> float:
     """
     if m <= d:
         raise DomainError("need m > d")
-    y = coords(d)
-    r2 = sum(s ** 2 for s in y)
-    log_rho = DifferentiableField(sp.log(1 + r2) / 2, y)
-    op = sphere_stereo(d)
-    u = eigenfunction_u(d)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    uv = float(u.value(x))
-    lap = op_L(op, log_rho, x)
-    gam = gamma_s(log_rho, x)
+    uv, lap, gam = _log_rho_terms(d, x)
     K = (m - d) ** 2 * (2.0 * lap / (d - m - 2.0) + gam)
     ratio = math.exp(log_norm_const(d, d) - log_norm_const(m, d))
     return ratio * (2.0 / (1.0 + uv)

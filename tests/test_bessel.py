@@ -3,7 +3,7 @@ import pytest
 
 from beckner.bessel import (BesselSimConfig, dynkin_check,
                             empirical_hitting_times, richardson_hitting_mean,
-                            simulate_hitting_paths, simulate_joint_paths)
+                            simulate_joint_paths)
 from beckner.errors import DomainError, Inconclusive
 from beckner.fields import positive_bump
 from beckner.measures import HittingTimeLaw
@@ -22,7 +22,7 @@ def test_config_validation():
 def test_paths_absorb_for_large_m():
     cfg = BesselSimConfig(m=6.0, t0=0.5, dt=5e-4)
     rng = spawn_rngs(0, 1)[0]
-    times, hit = simulate_hitting_paths(cfg, rng, 2000)
+    _, times, hit = simulate_joint_paths(cfg, rng, 2000, 0, ())
     assert hit.mean() > 0.999
     assert np.all(times[hit] < cfg.max_time)
 

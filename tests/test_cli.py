@@ -63,8 +63,6 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         run_suite(small_cfg(suite="qtm", d=[2], m=[3.0]))
     with pytest.raises(ConfigError):
-        run_suite(small_cfg(tol=-1.0))
-    with pytest.raises(ConfigError):
         run_suite(small_cfg(format="xml"))
 
 
@@ -129,7 +127,7 @@ def test_config_file_and_override(tmp_path, capsys):
 
 def test_parser_defaults_do_not_mask_config():
     args = build_parser().parse_args(["run"])
-    for key in ("suite", "d", "b", "m", "p", "t", "seed", "tol", "out", "format"):
+    for key in ("suite", "d", "b", "m", "p", "t", "seed", "out", "format"):
         assert getattr(args, key) is None
 
 

@@ -112,6 +112,14 @@ def test_coupled_sampler_marginals():
     assert np.var(xs[:, 0]) == pytest.approx(1.0 / 4.0, rel=0.03)
 
 
+@pytest.mark.parametrize("n_samples,n_streams", [(1001, 4), (3, 5)])
+def test_hitting_sampler_is_coupled_time(n_samples, n_streams):
+    cfg = MonteCarloConfig(n_samples, seed=11, n_streams=n_streams)
+    s = sample_hitting(HittingTimeLaw(7.0, 0.8), cfg)
+    s_coupled, _ = sample_coupled(2, 7.0, 0.8, [0.1, -0.3], cfg)
+    assert np.array_equal(s, s_coupled)
+
+
 def test_sampler_reproducibility():
     k = TKernel(2, 5.0, 1.0, (0.0, 0.0))
     a = sample_tkernel(k, MonteCarloConfig(1000, seed=9))

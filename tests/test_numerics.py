@@ -8,7 +8,7 @@ from beckner.errors import DomainError, NonConvergence
 from beckner.numerics import (Estimate, MonteCarloConfig, QuadratureConfig,
                               angular_rule, fd_derivative, integrate_interval,
                               integrate_radial, integrate_rd, mc_estimate,
-                              pairwise_sum, spawn_rngs)
+                              pairwise_sum, spawn_rngs, substreams)
 
 
 def test_config_validation():
@@ -96,6 +96,18 @@ def test_spawn_rngs_reproducible():
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
     assert not np.array_equal(a[0], a[1])
+
+
+@pytest.mark.parametrize("n_samples,n_streams", [(10, 4), (12, 4), (3, 5), (1, 1)])
+def test_substreams_split(n_samples, n_streams):
+    cfg = MonteCarloConfig(n_samples=n_samples, seed=5, n_streams=n_streams)
+    counts = [n for _, n in substreams(cfg)]
+    assert sum(counts) == n_samples
+    assert len(counts) == min(n_samples, n_streams)  # empty streams skipped
+    assert max(counts) - min(counts) <= 1
+    # each yielded generator is the matching spawned stream
+    for (rng, _), ref in zip(substreams(cfg), spawn_rngs(5, n_streams)):
+        assert rng.standard_normal() == ref.standard_normal()
 
 
 @given(st.lists(st.floats(-1e6, 1e6), max_size=200))

@@ -6,6 +6,7 @@ import pytest
 from beckner.errors import DomainError
 from beckner.fields import (constant, gaussian_bump, positive_bump, quadratic,
                             standard_library, trig)
+from beckner.measures import TKernel, sample_tkernel
 from beckner.numerics import MonteCarloConfig, QuadratureConfig, fd_derivative
 from beckner.qtm import (QtmField, QtmParams, biharmonic,
                          half_space_operator_fd, harmonicity_residual,
@@ -43,6 +44,15 @@ def test_quadratic_extension_all_paths(m, d, t, x):
     assert s.value == pytest.approx(exact, abs=max(1e-8, 10 * s.error_bound))
     mc = qtm_mc(f, p, MonteCarloConfig(n_samples=200_000, seed=1))
     assert abs(mc.value - exact) < 4.0 * mc.error_bound
+
+
+def test_mc_path_averages_kernel_draws():
+    f = gaussian_bump(1.0, [0.3, 0.0], 2)
+    p = QtmParams(6.0, 2, 0.7, (0.1, -0.2))
+    cfg = MonteCarloConfig(n_samples=5001, seed=3)
+    draws = sample_tkernel(TKernel(p.d, p.m, p.t, p.x), cfg)
+    assert qtm_mc(f, p, cfg).value == pytest.approx(np.mean(f.value(draws)),
+                                                     rel=1e-12)
 
 
 def test_crosspath_agreement_bump():
