@@ -5,6 +5,13 @@ threshold instead of an exact zero hit; near the origin the step size is
 scaled down by min(1, Y^2) so the singular drift stays bounded per step.
 Paths are vectorized over a whole batch and advanced until every path is
 absorbed or the time horizon is reached.
+
+The exit point of the joint process is x + B_S for a sqrt(2)-Brownian motion
+B in R^d independent of Y, stopped at the hitting time S of Y.  Only Y is
+stepped: conditionally on S, B_S is exactly N(0, 2 S I_d), so the exit point
+is drawn once per path after the loop instead of being accumulated step by
+step.  The draw is exact in law whatever the radial step, because the
+stopping rule depends on the radial path alone.
 """
 from __future__ import annotations
 
@@ -37,40 +44,41 @@ class BesselSimConfig:
 
 
 def simulate_joint_paths(cfg: BesselSimConfig, rng, n_paths: int, d: int, x):
-    """Joint simulation of the spatial component up to the hitting time.
+    """Exit points, hitting times and hit flags of ``n_paths`` joint paths.
 
-    The spatial part is an independent sqrt(2)-Brownian motion accumulated
-    with the same (state-dependent) steps as the radial path; returns
-    (X_S, times, hit).  ``times`` holds the absorption time where ``hit``
-    is True and ``max_time`` elsewhere; non-hits are data, not errors.
-    With d = 0 only the radial path is simulated: the (n, 0) spatial draws
-    do not advance ``rng``.
+    Only the radial path is stepped.  A path's stopping time ``stop`` is its
+    hitting time S, or for a non-hit the accumulated time at the first step
+    that reaches ``max_time``; the exit point is then drawn once as
+    x + sqrt(2 stop) Z with Z ~ N(0, I_d), exact in law given ``stop`` (see
+    the module docstring).  Returns (X_S, times, hit); ``times`` holds S
+    where ``hit`` is True and ``max_time`` elsewhere, and non-hits are data,
+    not errors.  ``times`` and ``hit`` do not depend on ``d``: the radial
+    draws come first, and with d = 0 the final (n, 0) draw does not advance
+    ``rng``.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if x.shape != (d,):
+        raise DomainError(f"x must have shape ({d},), got {x.shape}")
     y = np.full(n_paths, cfg.t0)
     s = np.zeros(n_paths)
-    pos = np.tile(x, (n_paths, 1))
-    times = np.full(n_paths, cfg.max_time)
+    idx = np.arange(n_paths)
+    stop = np.empty(n_paths)
     hit = np.zeros(n_paths, dtype=bool)
-    active = np.arange(n_paths)
     drift_c = 1.0 - cfg.m
-    while active.size:
-        ya = y[active]
-        dt = cfg.dt * np.minimum(1.0, ya * ya)
-        dw = rng.standard_normal(active.size)
-        dx = rng.standard_normal((active.size, d))
-        ya = ya + drift_c / ya * dt + np.sqrt(2.0 * dt) * dw
-        pos[active] += np.sqrt(2.0 * dt)[:, None] * dx
-        sa = s[active] + dt
-        absorbed = ya <= cfg.absorption_eps
-        expired = sa >= cfg.max_time
-        idx = active[absorbed]
-        times[idx] = sa[absorbed]
-        hit[idx] = True
-        keep = ~(absorbed | expired)
-        y[active] = ya
-        s[active] = sa
-        active = active[keep]
+    while idx.size:
+        dt = cfg.dt * np.minimum(1.0, y * y)
+        dw = rng.standard_normal(idx.size)
+        y = y + drift_c / y * dt + np.sqrt(2.0 * dt) * dw
+        s = s + dt
+        absorbed = y <= cfg.absorption_eps
+        done = absorbed | (s >= cfg.max_time)
+        if done.any():
+            hit[idx[absorbed]] = True
+            stop[idx[done]] = s[done]
+            keep = ~done
+            y, s, idx = y[keep], s[keep], idx[keep]
+    times = np.where(hit, stop, cfg.max_time)
+    pos = x + np.sqrt(2.0 * stop)[:, None] * rng.standard_normal((n_paths, d))
     return pos, times, hit
 
 

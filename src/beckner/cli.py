@@ -19,8 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NonConvergence, UnknownCheck
-from .fields import (constant, coordinate, make_power_of_rho, positive_bump,
-                     standard_library)
+from .fields import coordinate, make_power_of_rho, standard_library
 from .numerics import MonteCarloConfig, QuadratureConfig
 from .measures import (CauchyMeasure, HittingTimeLaw, log_norm_const,
                        sample_hitting, second_moment)
@@ -237,7 +236,7 @@ def _suite_cauchy(cfg: SuiteConfig):
             t0 = time.perf_counter()
             rep = poincare_cauchy_deficit(coordinate(0, dd), bb, dd)
             out.append(_deficit_record("poincare-cauchy", rep, t0))
-            f = positive_bump(1.0, [0.3] * dd, dd)
+            f = standard_library(dd)["positive_bump"]
             for pp in cfg.p:
                 if not (1.0 + 1.0 / (bb - dd) <= pp <= 2.0):
                     continue
@@ -286,7 +285,7 @@ def _suite_sphere(cfg: SuiteConfig):
             rep = sphere_beckner_deficit(f, par)
             out.append(_deficit_record("sphere-beckner", rep, t0))
             t0 = time.perf_counter()
-            rep = sphere_beckner_deficit(positive_bump(1.0, [0.3] * dd, dd), par)
+            rep = sphere_beckner_deficit(standard_library(dd)["positive_bump"], par)
             out.append(_deficit_record("sphere-beckner", rep, t0))
     return out
 

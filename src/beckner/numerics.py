@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -151,16 +152,20 @@ def integrate_radial(integrand, config: QuadratureConfig) -> Estimate:
     return integrate_interval(mapped, 0.0, s_max, config)
 
 
+@lru_cache(maxsize=None)
 def angular_rule(d: int, order: int):
-    """Nodes on S^{d-1} (shape (n, d)) and weights summing to its surface area."""
+    """Nodes on S^{d-1} (shape (n, d)) and weights summing to its surface area.
+
+    Built once per (d, order) and shared by every caller, so both arrays are
+    read-only.
+    """
     if d == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if d == 2:
+        nodes, w = np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    elif d == 2:
         theta = 2.0 * np.pi * np.arange(order) / order
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         w = np.full(order, 2.0 * np.pi / order)
-        return nodes, w
-    if d == 3:
+    elif d == 3:
         n_pol = max(order // 2, 4)
         n_az = max(order, 8)
         c, wc = leggauss(n_pol)
@@ -174,8 +179,11 @@ def angular_rule(d: int, order: int):
                 nodes[k] = (s[i] * np.cos(phi[j]), s[i] * np.sin(phi[j]), c[i])
                 w[k] = wc[i] * 2.0 * np.pi / n_az
                 k += 1
-        return nodes, w
-    raise DomainError(f"deterministic cubature supports d <= 3, got d={d}")
+    else:
+        raise DomainError(f"deterministic cubature supports d <= 3, got d={d}")
+    nodes.setflags(write=False)
+    w.setflags(write=False)
+    return nodes, w
 
 
 def integrate_rd(g, d: int, config: QuadratureConfig, cutoff: float | None = None) -> Estimate:

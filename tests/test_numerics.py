@@ -57,6 +57,10 @@ def test_angular_rule_weights(d, area):
     nodes, w = angular_rule(d, 48)
     assert abs(w.sum() - area) < 1e-12
     assert np.allclose(np.linalg.norm(nodes, axis=1), 1.0)
+    # built once per (d, order) and shared, so callers cannot mutate it
+    again = angular_rule(d, 48)
+    assert again[0] is nodes and again[1] is w
+    assert not nodes.flags.writeable and not w.flags.writeable
 
 
 def test_angular_rule_d4_unsupported():
