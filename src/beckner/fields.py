@@ -39,6 +39,7 @@ class DifferentiableField:
         self.positive = positive
         self._fns = {}
         self._grad_norm_squared = None
+        self._powers = {}
 
     # -- evaluation ---------------------------------------------------------
     def _fn(self, alpha):
@@ -115,11 +116,18 @@ class DifferentiableField:
     __rmul__ = __mul__
 
     def power(self, beta):
-        """f^beta; non-integer or negative beta requires a positive field."""
+        """f^beta; non-integer or negative beta requires a positive field.
+
+        Built once per (field, beta), so its compiled partials are reused.
+        """
         if (beta != int(beta) or beta < 0) and not self.positive:
             raise DomainError(
                 "non-integer/negative powers require a strictly positive field")
-        return self._like(self.expr ** sp.nsimplify(beta), positive=self.positive)
+        g = self._powers.get(beta)
+        if g is None:
+            g = self._like(self.expr ** sp.nsimplify(beta), positive=self.positive)
+            self._powers[beta] = g
+        return g
 
     def compose_scalar(self, profile_expr, var):
         """profile(f) for a 1-D sympy expression ``profile_expr`` in ``var``."""

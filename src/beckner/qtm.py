@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, roots_genlaguerre, roots_hermite
@@ -83,8 +84,13 @@ _HERMITE_ORDER = {1: 48, 2: 32, 3: 18}
 _HERMITE_ORDER_LO = {1: 32, 2: 22, 3: 12}
 
 
-def _heat_value(f, x, s_values, d, order):
-    """P_s f(x) for an array of times s, by a Gauss-Hermite product rule."""
+@lru_cache(maxsize=None)
+def _heat_rule(d: int, order: int):
+    """Gauss-Hermite product rule for the Gaussian average E g(2 sqrt(s) Z).
+
+    Nodes of shape (order^d, d) and weights summing to 1.  Built once per
+    (d, order) and shared by every caller, so both arrays are read-only.
+    """
     h, w = roots_hermite(order)
     if d == 1:
         nodes = h[:, None]
@@ -99,11 +105,23 @@ def _heat_value(f, x, s_values, d, order):
     else:
         raise DomainError("heat semigroup rule supports d <= 3")
     weights = weights / math.pi ** (d / 2.0)
-    out = np.empty(len(s_values))
-    for i, s in enumerate(s_values):
-        pts = x[None, :] + 2.0 * math.sqrt(s) * nodes
-        out[i] = float(np.dot(weights, f.value(pts)))
-    return out
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _heat_value(f, x, s_values, d, order):
+    """P_s f(x) for an array of times s, by a Gauss-Hermite product rule.
+
+    Every (s, node) point is evaluated once, in one ``f.value`` call on a
+    (len(s) * n_nodes, d) batch, and reduced by one matrix-vector product.
+    """
+    nodes, weights = _heat_rule(d, order)
+    scale = 2.0 * np.sqrt(np.asarray(s_values, dtype=float))
+    pts = np.multiply(scale[:, None, None], nodes)
+    pts += x
+    vals = f.value(pts.reshape(-1, d)).reshape(len(scale), -1)
+    return vals @ weights
 
 
 def _subordinated_value(f, p: QtmParams, cfg: QuadratureConfig, n_her):
@@ -254,15 +272,23 @@ def half_space_operator_fd(G, d: int, m: float, point, step: float = 1e-2) -> fl
 def harmonicity_residual(f: DifferentiableField, p: QtmParams,
                          step: float = 5e-3,
                          cfg: QuadratureConfig | None = None) -> float:
-    """|Delta^(m) Q_t f| at (x, t) via finite differences of the quadrature path."""
+    """|Delta^(m) Q_t f| at (x, t) via finite differences of the quadrature path.
+
+    The nested central stencils revisit points (the centre alone 2(d+1)
+    times), so G is memoised on the exact point: each distinct point is
+    integrated once, and the residual is the same as without the memo.
+    """
     if p.t <= 0:
         raise DomainError("harmonicity is checked at t > 0")
     cfg = cfg or QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
+    memo = {}
 
     def G(pt):
-        pt = np.atleast_1d(pt)
-        params = QtmParams(p.m, p.d, float(pt[-1]), tuple(pt[:-1]))
-        return qtm_quadrature(f, params, cfg).value
+        key = tuple(np.atleast_1d(pt).tolist())
+        if key not in memo:
+            params = QtmParams(p.m, p.d, key[-1], key[:-1])
+            memo[key] = qtm_quadrature(f, params, cfg).value
+        return memo[key]
 
     return abs(half_space_operator_fd(G, p.d, p.m, np.append(p.center, p.t), step=step))
 

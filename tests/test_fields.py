@@ -49,6 +49,22 @@ def test_power_requires_positivity():
     assert g.value([0.0]) == pytest.approx(2.0 ** -0.5)
 
 
+def test_power_is_built_once_per_beta():
+    f = positive_bump(1.0, [0.3, 0.0], 2)
+    pts = np.array([[0.0, 0.0], [0.5, -1.0], [2.0, 0.3]])
+    for beta in (2, 2.0 / 3.0, -0.5):
+        g = f.power(beta)
+        assert f.power(beta) is g
+        fresh = DifferentiableField(f.expr ** sp.nsimplify(beta), f.syms,
+                                    positive=True)
+        assert np.array_equal(g.value(pts), fresh.value(pts))
+        assert np.array_equal(g.partial((1, 1), pts), fresh.partial((1, 1), pts))
+    with pytest.raises(DomainError):
+        trig([1.0, 0.0], 2).power(0.5)
+    with pytest.raises(DomainError):
+        (f * -1.0).power(0.5)
+
+
 def test_combinators_track_positivity():
     f = positive_bump(1.0, [0.0], 1)
     assert (f + f).positive

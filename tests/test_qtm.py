@@ -8,6 +8,7 @@ from beckner.fields import (constant, gaussian_bump, positive_bump, quadratic,
                             standard_library, trig)
 from beckner.measures import TKernel, sample_tkernel
 from beckner.numerics import MonteCarloConfig, QuadratureConfig, fd_derivative
+from beckner import qtm
 from beckner.qtm import (QtmField, QtmParams, biharmonic,
                          half_space_operator_fd, harmonicity_residual,
                          moment_identity_gap, qtm_mc, qtm_quadrature,
@@ -106,6 +107,63 @@ def test_harmonicity_analytic_extension():
 
     res = half_space_operator_fd(F, d, m, np.array([0.3, -0.2, 1.0]))
     assert abs(res) < 1e-12
+
+
+@pytest.mark.parametrize("d,t", [(1, 0.7), (2, 0.7), (3, 0.7), (2, 1.0)])
+def test_harmonicity_integrates_each_point_once(monkeypatch, d, t):
+    f = standard_library(d)["positive_bump"]
+    p = QtmParams(6.0, d, t, (0.1,) * d)
+    cfg = QuadratureConfig(1e-8, 1e-8)
+    step = 5e-3
+    visited = []
+
+    def G(pt):  # the un-memoised reference: one quadrature per stencil call
+        pt = np.atleast_1d(pt)
+        visited.append(tuple(pt.tolist()))
+        return qtm_quadrature(f, QtmParams(p.m, d, float(pt[-1]),
+                                           tuple(pt[:-1])), cfg).value
+
+    ref = abs(half_space_operator_fd(G, d, p.m, np.append(p.center, p.t),
+                                     step=step))
+    calls = []
+
+    def counted(f, params, cfg=None):
+        calls.append(params.x + (params.t,))
+        return qtm_quadrature(f, params, cfg)
+
+    monkeypatch.setattr(qtm, "qtm_quadrature", counted)
+    assert harmonicity_residual(f, p, step=step, cfg=cfg) == ref
+    assert len(visited) == 4 * d + 6
+    assert sorted(calls) == sorted(set(visited))
+    # 2d+5 points in exact arithmetic; at t = 1 the two stencil routes to the
+    # centre, (t+h)-h and (t-h)+h, round to different floats
+    assert len(calls) <= 2 * d + 5 + (t == 1.0)
+
+
+def _heat_value_per_s(f, x, s_values, d, order):
+    """The per-s loop that the broadcast heat rule replaced."""
+    nodes, weights = qtm._heat_rule(d, order)
+    out = np.empty(len(s_values))
+    for i, s in enumerate(s_values):
+        pts = x[None, :] + 2.0 * math.sqrt(s) * nodes
+        out[i] = float(np.dot(weights, f.value(pts)))
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_heat_rule_broadcast_matches_loop(d):
+    f = standard_library(d)["positive_bump"]
+    x = np.linspace(-0.2, 0.3, d)
+    s = np.geomspace(1e-3, 20.0, 15)
+    order = qtm._HERMITE_ORDER[d]
+    np.testing.assert_allclose(qtm._heat_value(f, x, s, d, order),
+                               _heat_value_per_s(f, x, s, d, order),
+                               rtol=1e-14, atol=0.0)
+    nodes, weights = qtm._heat_rule(d, order)
+    assert qtm._heat_rule(d, order) is qtm._heat_rule(d, order)
+    assert nodes.shape == (order ** d, d)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    assert math.fsum(weights) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_moment_identity():
