@@ -336,7 +336,12 @@ _EXPLANATIONS = {
                       "integrated density CDF with a 1%-level KS statistic.",
     "bessel-dynkin": "Pathwise check: the mean of f at the simulated exit "
                      "position equals the extension operator value at the "
-                     "start point.",
+                     "start point.  The radial path is Euler-stepped from "
+                     "t0 down to the switch level t0/2 and finished exactly "
+                     "there: the time left from level y is y^2/(4G), "
+                     "G ~ Gamma(m/2), the law hitting-law-ks tests.  The "
+                     "Euler segment above the switch level is the pathwise "
+                     "part under test.",
     "qm-halfspace": "For the half-space operator with drift (1-m)/t the "
                     "tensor identity (n - D) Ric(L) = X (x) X holds exactly "
                     "with n = d - m + 2 and D = d + 1.",

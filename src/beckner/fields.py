@@ -16,10 +16,6 @@ import sympy as sp
 
 from .errors import DomainError
 
-FULL_SPACE = "full_space"
-HALF_SPACE = "half_space"
-
-
 def coords(d: int):
     return sp.symbols(f"y0:{d}", real=True)
 
@@ -31,11 +27,10 @@ class DifferentiableField:
     precondition for negative powers.
     """
 
-    def __init__(self, expr, syms, domain: str = FULL_SPACE, positive: bool = False):
+    def __init__(self, expr, syms, positive: bool = False):
         self.syms = tuple(syms)
         self.dim = len(self.syms)
         self.expr = sp.sympify(expr)
-        self.domain = domain
         self.positive = positive
         self._fns = {}
         self._grad_norm_squared = None
@@ -90,14 +85,9 @@ class DifferentiableField:
             acc = term if acc is None else acc + term
         return acc
 
-    def in_domain(self, point) -> bool:
-        if self.domain == HALF_SPACE:
-            return float(np.atleast_1d(point)[-1]) > 0.0
-        return True
-
     # -- combinators --------------------------------------------------------
     def _like(self, expr, positive=None):
-        return DifferentiableField(expr, self.syms, domain=self.domain,
+        return DifferentiableField(expr, self.syms,
                                    positive=self.positive if positive is None else positive)
 
     def __add__(self, other):
@@ -153,7 +143,7 @@ def affine_precompose(f: DifferentiableField, t: float, x) -> DifferentiableFiel
         raise DomainError("shift has wrong dimension")
     sub = {s: sp.Float(t) * s + sp.Float(xi) for s, xi in zip(f.syms, x)}
     return DifferentiableField(f.expr.subs(sub, simultaneous=True), f.syms,
-                               domain=f.domain, positive=f.positive)
+                               positive=f.positive)
 
 
 # -- library --------------------------------------------------------------

@@ -94,7 +94,7 @@ def halfspace_m(d: int, m: float) -> DiffusionOperator:
     t = y[-1]
     one = DifferentiableField(sp.Integer(1), y, positive=True)
     xs = [DifferentiableField(sp.Integer(0), y) for _ in range(d)]
-    xs.append(DifferentiableField((1 - sp.nsimplify(m)) / t, y, domain="half_space"))
+    xs.append(DifferentiableField((1 - sp.nsimplify(m)) / t, y))
 
     def ric(p):
         out = np.zeros((dim, dim))

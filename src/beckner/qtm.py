@@ -200,9 +200,6 @@ class QtmField:
         self._log_c = log_norm_const(self.m, self.d)
         self._cache = {}
 
-    def in_domain(self, point) -> bool:
-        return float(np.atleast_1d(point)[-1]) > 0.0
-
     def value(self, point):
         return self.partial((0,) * self.dim, point)
 

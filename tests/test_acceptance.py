@@ -21,7 +21,7 @@ from beckner.inequalities import (PhiEntropySpec, admissibility_check,
                                   phi_entropy_deficit, poincare_cauchy_deficit)
 from beckner.measures import (CauchyMeasure, HittingTimeLaw, log_norm_const,
                               sample_hitting, second_moment)
-from beckner.bessel import richardson_hitting_mean
+from beckner.bessel import BesselSimConfig, empirical_hitting_times
 from beckner.numerics import MonteCarloConfig, QuadratureConfig
 from beckner.qtm import (QtmField, QtmParams, half_space_operator_fd,
                          harmonicity_residual, moment_identity_gap, qtm_mc,
@@ -131,14 +131,17 @@ def test_05_hitting_time_law():
     i = np.arange(1, n + 1)
     ks = float(max(np.max(np.abs(cdf - i / n)), np.max(np.abs(cdf - (i - 1) / n))))
     crit = 1.628 / math.sqrt(n)  # asymptotic 1% critical value
-    extrap, se = richardson_hitting_mean(6.0, 1.0, MonteCarloConfig(6000, seed=4),
-                                         dt=2e-4, eps_pair=(5e-2, 5e-3))
+    times, hit = empirical_hitting_times(BesselSimConfig(m=6.0, t0=1.0, dt=2e-4),
+                                         MonteCarloConfig(6000, seed=4))
+    finished = times[hit]
+    mean = float(np.mean(finished))
+    se = float(np.std(finished, ddof=1) / np.sqrt(len(finished)))
     exact = law.mean()  # = 1/(2(m-2)) at t=1
-    mean_ok = abs(extrap - exact) < 3.0 * se + 0.005
+    mean_ok = abs(mean - exact) < 3.0 * se + 0.005
     ok = ks < crit and mean_ok
     _line(5, "hitting-time law", ok,
-          f"KS {ks:.4f} (<{crit:.4f} at 1%, n=1e5), Euler+Richardson mean "
-          f"{extrap:.5f} vs exact {exact:.5f} (+-{3 * se + 0.005:.4f})")
+          f"KS {ks:.4f} (<{crit:.4f} at 1%, n=1e5), Euler+exact-finish mean "
+          f"{mean:.5f} vs exact {exact:.5f} (+-{3 * se + 0.005:.4f})")
 
 
 def test_06_taylor_remainder():

@@ -3,8 +3,7 @@ import pytest
 from scipy import stats
 
 from beckner.bessel import (BesselSimConfig, dynkin_check,
-                            empirical_hitting_times, richardson_hitting_mean,
-                            simulate_joint_paths)
+                            empirical_hitting_times, simulate_joint_paths)
 from beckner.errors import DomainError, Inconclusive
 from beckner.fields import positive_bump
 from beckner.measures import HittingTimeLaw
@@ -14,8 +13,9 @@ from beckner.numerics import MonteCarloConfig, spawn_rngs
 def test_config_validation():
     with pytest.raises(DomainError):
         BesselSimConfig(m=-1.0, t0=1.0)
-    with pytest.raises(DomainError):
-        BesselSimConfig(m=6.0, t0=1.0, absorption_eps=2.0)
+    for switch in (0.0, 1.0):
+        with pytest.raises(DomainError):
+            BesselSimConfig(m=6.0, t0=1.0, switch=switch)
     with pytest.raises(DomainError):
         BesselSimConfig(m=6.0, t0=0.01, dt=1.0)
 
@@ -30,12 +30,13 @@ def test_paths_absorb_for_large_m():
 
 def test_radial_paths_pinned():
     # the radial stream at a fixed seed, with hits and non-hits; it fixes the
-    # hitting-time samples that empirical_hitting_times pools
-    cfg = BesselSimConfig(m=3.0, t0=0.5, dt=5e-4, max_time=0.1)
+    # hitting-time samples that empirical_hitting_times pools.  The switch
+    # level sits at 1e-3, so each hit is finished by a tail of ~1e-7
+    cfg = BesselSimConfig(m=3.0, t0=0.5, dt=5e-4, max_time=0.1, switch=2e-3)
     _, times, hit = simulate_joint_paths(cfg, spawn_rngs(7, 1)[0], 500, 0, ())
-    assert times[:6].tolist() == [0.04316018408094401, 0.1, 0.1,
-                                  0.04546047401598205, 0.03518976937538922,
-                                  0.007899858986513205]
+    assert times[:6].tolist() == [0.04316029370537421, 0.1, 0.1,
+                                  0.04546054806709722, 0.03518986045168622,
+                                  0.00790014909312537]
     assert hit[:6].tolist() == [True, False, False, True, True, True]
     assert int(hit.sum()) == 376
 
@@ -76,16 +77,20 @@ def test_empirical_mean_near_exact():
     mean = times[hit].mean()
     exact = HittingTimeLaw(6.0, 1.0).mean()
     se = times[hit].std(ddof=1) / np.sqrt(hit.sum())
-    # absorption at eps > 0 biases the time downward; allow bias + noise
+    # the Euler segment above the switch level is biased; allow bias + noise
     assert abs(mean - exact) < 4 * se + 0.01
 
 
-def test_richardson_reduces_bias():
-    extrap, se = richardson_hitting_mean(6.0, 1.0,
-                                         MonteCarloConfig(6000, seed=4),
-                                         dt=2e-4, eps_pair=(5e-2, 5e-3))
-    exact = HittingTimeLaw(6.0, 1.0).mean()
-    assert abs(extrap - exact) < 4 * se + 0.005
+@pytest.mark.parametrize("m,dt", [(8.0, 2e-4), (3.0, 1e-3)])
+def test_finished_times_follow_hitting_law(m, dt):
+    # Euler steps down to the switch level, then the exact Gamma finish; the
+    # pooled times must follow the law of the first zero from t0.  At m = 3
+    # the heavy tail leaves a few paths stepping for tens of time units, so
+    # a coarser dt keeps the test fast
+    cfg = BesselSimConfig(m=m, t0=0.5, dt=dt)
+    _, times, _ = simulate_joint_paths(cfg, spawn_rngs(0, 1)[0], 20_000, 0, ())
+    law = HittingTimeLaw(m, 0.5)
+    assert stats.kstest(times, law.cdf).pvalue > 0.01
 
 
 def test_joint_paths_spatial_spread():

@@ -25,6 +25,12 @@ def test_run_suite_measures():
         assert r["deficit"] == r["rhs"] - r["lhs"]
 
 
+def test_run_suite_bessel():
+    report = run_suite(small_cfg(suite="bessel", d=[1], m=[8.0], seed=0))
+    verdicts = {r["check_id"]: r["verdict"] for r in report["checks"]}
+    assert verdicts == {"hitting-law-ks": "pass", "bessel-dynkin": "pass"}
+
+
 def test_deterministic_reports_are_identical():
     a = json.dumps(run_suite(small_cfg()), sort_keys=True)
     b = json.dumps(run_suite(small_cfg()), sort_keys=True)
