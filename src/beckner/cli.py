@@ -29,13 +29,79 @@ from .bessel import BesselSimConfig, dynkin_check
 from .gamma2 import (cd1_residual, phi_conditions, power_surface, qm_residual,
                      halfspace_m, reinforced_cd_residual)
 from .inequalities import (DeficitReport, beckner_cauchy_deficit,
-                           optimal_constant_rayleigh, p_grid,
-                           poincare_cauchy_deficit)
-from .sphere import (SphereBecknerParams, SphereGeometry, constant_R,
-                     constant_R_closed_form, eigenfunction_residuals,
-                     log_rho_identities, sphere_beckner_deficit)
+                           optimal_constant_rayleigh, poincare_cauchy_deficit)
+from .sphere import (SphereBecknerParams, constant_R, constant_R_closed_form,
+                     eigenfunction_residuals, log_rho_identities,
+                     sphere_beckner_deficit)
 
-SUITES = ("measures", "qtm", "bessel", "gamma2", "cauchy", "sphere", "all")
+
+@dataclass(frozen=True)
+class Check:
+    """A check the CLI emits: its suite, what it certifies and, for a
+    residual check, the bound that |residual| must stay below."""
+    suite: str
+    explanation: str
+    tol: float | None = None
+
+
+CHECKS = {
+    "measure-mass": Check("measures", "The normalized density (1+|y|^2)^{-b} "
+        "/ c(2b-d,d) must integrate to 1 on R^d.  Parameters: dimension d, "
+        "index b.", 1e-9),
+    "measure-second-moment": Check("measures", "The second moment of the "
+        "Cauchy-type measure equals d/(2b-2-d) whenever 2b-2-d > 0.", 1e-6),
+    "norm-const-ratio": Check("measures", "Ratio identity c(m,d)/c(m-2,d) = "
+        "(m-2)/(m-2+d) for the normalization constants.", 1e-13),
+    "qtm-crosspath": Check("qtm", "The extension operator evaluated by direct "
+        "quadrature and by heat-kernel subordination must agree within the "
+        "summed error bounds."),
+    "qtm-mc": Check("qtm", "Monte Carlo evaluation of the extension operator "
+        "through the exact kernel sampler must sit within 3 standard errors "
+        "of the quadrature value."),
+    "qtm-harmonic": Check("qtm", "The extension G(x,t) of f satisfies "
+        "(Laplacian_x + d^2/dt^2 + ((1-m)/t) d/dt) G = 0; the "
+        "finite-difference residual is compared to 1e-4 x scale.", 1e-4),
+    "hitting-law-ks": Check("bessel", "The exact hitting-time sampler S = "
+        "t^2/(4G), G ~ Gamma(m/2), is tested against the numerically "
+        "integrated density CDF with a 1%-level KS statistic."),
+    "bessel-dynkin": Check("bessel", "Pathwise check: the mean of f at the "
+        "simulated exit position equals the extension operator value at the "
+        "start point.  The radial path is Euler-stepped from t0 down to the "
+        "switch level t0/2 and finished exactly there: the time left from "
+        "level y is y^2/(4G), G ~ Gamma(m/2), the law hitting-law-ks tests.  "
+        "The Euler segment above the switch level is the pathwise part under "
+        "test."),
+    "qm-halfspace": Check("gamma2", "For the half-space operator with drift "
+        "(1-m)/t the tensor identity (n - D) Ric(L) = X (x) X holds exactly "
+        "with n = d - m + 2 and D = d + 1.", 1e-12),
+    "phi-conditions": Check("gamma2", "The sub-harmonicity condition set for "
+        "the surface Phi(y,z) = y^beta z holds exactly on beta in [n/(2-n), "
+        "0] and fails below."),
+    "cd-pointwise": Check("gamma2", "Pointwise curvature-dimension "
+        "consequences: the beta-weighted residual and the reinforced CD(0,d) "
+        "residual are nonnegative up to roundoff.", 1e-9),
+    "poincare-cauchy": Check("cauchy", "Var(f) <= (1/(2(b-1))) Int |grad f|^2 "
+        "(1+|y|^2) dnu_b; coordinate functions saturate it."),
+    "beckner-cauchy": Check("cauchy", "(p/(p-1))[Int f^2 dnu_b - (Int f^{2/p} "
+        "dnu_b)^p] <= (1/(b-1)) Int |grad f|^2 (1+|y|^2) dnu_b for b >= d+1 "
+        "and p in [1+1/(b-d), 2]."),
+    "rayleigh-high-b": Check("cauchy", "Independent Rayleigh-quotient "
+        "estimate of the best Poincare constant; for d=1, b >= 3/2 it equals "
+        "1/(2(b-1)).", 1e-2),
+    "rayleigh-low-b": Check("cauchy", "For d=1, 1/2 < b <= 3/2 the best "
+        "Poincare constant switches regime to 4/(2b-1)^2.", 2e-2),
+    "sphere-identities": Check("sphere", "Chart identities for u = "
+        "(1-|x|^2)/(1+|x|^2): Delta_S u = -d u, Gamma_S(u) = 1-u^2, and the "
+        "closed forms of Delta_S log rho, Gamma_S log rho.", 1e-10),
+    "sphere-r-constant": Check("sphere", "The chart function R collapses to "
+        "the constant (c(d,d)/c(m,d)) (3d+m-2)/(d+m-2).", 1e-9),
+    "sphere-beckner": Check("sphere", "Int f^2 dmu_S <= A (Int f^{2/p} "
+        "dmu_S)^p + 16/((m+2-d)(3d-2+m)) Int Gamma_S(f) dmu_S with p = "
+        "1+2/(m-d); saturated by f = rho^{(d-m-2)/2}."),
+}
+
+# Suites in table order; the runner of suite s is `_suite_<s>`.
+SUITES = tuple(dict.fromkeys(c.suite for c in CHECKS.values())) + ("all",)
 
 
 @dataclass
@@ -56,7 +122,7 @@ class SuiteConfig:
             raise ConfigError(f"unknown suite {self.suite!r}; choose from {SUITES}")
         if self.format not in ("json", "csv"):
             raise ConfigError("format must be json or csv")
-        if any(int(dd) < 1 or int(dd) > 3 for dd in self.d):
+        if any(dd not in (1, 2, 3) for dd in self.d):
             raise ConfigError("d grid must lie in {1,2,3}")
         if self.suite in ("cauchy", "all"):
             for dd in self.d:
@@ -64,7 +130,7 @@ class SuiteConfig:
                     if bb < dd + 1:
                         raise ConfigError(
                             f"cauchy suite needs b >= d+1, got b={bb}, d={dd}")
-        if self.suite in ("qtm", "bessel", "sphere", "all"):
+        if self.suite in ("qtm", "bessel", "gamma2", "sphere", "all"):
             for dd in self.d:
                 for mm in self.m:
                     if mm < dd + 2:
@@ -72,138 +138,105 @@ class SuiteConfig:
                             f"suite {self.suite} needs m >= d+2, got m={mm}, d={dd}")
 
 
-def _record(check_id, params, lhs, lhs_err, rhs, rhs_err, verdict, seconds):
+def _record(check_id, params, lhs, lhs_err, rhs, rhs_err, verdict):
     return {"check_id": check_id, "params": params,
             "lhs": float(lhs), "lhs_err": float(lhs_err),
             "rhs": float(rhs), "rhs_err": float(rhs_err),
-            "deficit": float(rhs) - float(lhs), "verdict": verdict,
-            "seconds": seconds}
+            "deficit": float(rhs) - float(lhs), "verdict": verdict}
 
 
-def _residual_record(check_id, params, residual, tol, t0):
+def _residual_record(check_id, params, residual):
+    tol = CHECKS[check_id].tol
     verdict = "pass" if abs(residual) < tol else "fail"
-    return _record(check_id, params, abs(residual), 0.0, tol, 0.0,
-                   verdict, time.perf_counter() - t0)
+    return _record(check_id, params, abs(residual), 0.0, tol, 0.0, verdict)
 
 
-def _deficit_record(check_id, rep: DeficitReport, t0):
-    return _record(check_id, rep.params,
-                   rep.lhs.value, rep.lhs.error_bound,
-                   rep.rhs.value, rep.rhs.error_bound,
-                   rep.verdict, time.perf_counter() - t0)
+def _deficit_record(check_id, rep: DeficitReport):
+    return _record(check_id, rep.params, rep.lhs.value, rep.lhs.error_bound,
+                   rep.rhs.value, rep.rhs.error_bound, rep.verdict)
 
 
 def _suite_measures(cfg: SuiteConfig):
-    out = []
     for dd in cfg.d:
         dd = int(dd)
         for bb in cfg.b:
             if bb <= dd / 2.0:
                 continue
-            t0 = time.perf_counter()
             nu = CauchyMeasure(dd, bb)
             mass = nu.integrate(lambda pts: np.ones(len(pts)), QuadratureConfig())
-            out.append(_residual_record("measure-mass", {"d": dd, "b": bb},
-                                        mass.value - 1.0, 1e-9, t0))
+            yield _residual_record("measure-mass", {"d": dd, "b": bb},
+                                   mass.value - 1.0)
             if 2.0 * bb - 2.0 - dd > 0:
-                t0 = time.perf_counter()
                 mom = nu.integrate(
                     lambda pts: np.sum(np.atleast_2d(pts) ** 2, axis=1),
                     QuadratureConfig(), growth=2.0)
                 exact = second_moment(bb, dd)
-                out.append(_residual_record(
-                    "measure-second-moment", {"d": dd, "b": bb},
-                    (mom.value - exact) / exact, 1e-6, t0))
-        t0 = time.perf_counter()
+                yield _residual_record("measure-second-moment", {"d": dd, "b": bb},
+                                       (mom.value - exact) / exact)
         worst = 0.0
         for mm in range(3, 21):
             lhs = log_norm_const(mm, dd) - log_norm_const(mm - 2, dd)
             rhs = np.log((mm - 2.0) / (mm - 2.0 + dd))
             worst = max(worst, abs(np.expm1(lhs - rhs)))
-        out.append(_residual_record("norm-const-ratio", {"d": dd}, worst, 1e-13, t0))
-    return out
+        yield _residual_record("norm-const-ratio", {"d": dd}, worst)
 
 
 def _suite_qtm(cfg: SuiteConfig):
-    out = []
     for dd in cfg.d:
         dd = int(dd)
-        lib = standard_library(dd)
-        f = lib["positive_bump"]
+        f = standard_library(dd)["positive_bump"]
         for mm in cfg.m:
             for tt in cfg.t:
                 params = QtmParams(mm, dd, tt, (0.0,) * dd)
-                t0 = time.perf_counter()
                 q = qtm_quadrature(f, params)
                 s = qtm_subordinated(f, params)
                 gap = abs(q.value - s.value)
                 budget = q.error_bound + s.error_bound
-                out.append(_record("qtm-crosspath",
-                                   {"d": dd, "m": mm, "t": tt, "field": "positive_bump"},
-                                   gap, 0.0, budget, 0.0,
-                                   "pass" if gap <= budget else "fail",
-                                   time.perf_counter() - t0))
-                t0 = time.perf_counter()
+                yield _record("qtm-crosspath",
+                              {"d": dd, "m": mm, "t": tt, "field": "positive_bump"},
+                              gap, 0.0, budget, 0.0, "pass" if gap <= budget else "fail")
                 mc = qtm_mc(f, params, MonteCarloConfig(100_000, cfg.seed))
                 z = abs(mc.value - q.value) / max(mc.error_bound, 1e-300)
-                out.append(_record("qtm-mc", {"d": dd, "m": mm, "t": tt, "sigma": z},
-                                   abs(mc.value - q.value), mc.error_bound,
-                                   3.0 * mc.error_bound, 0.0,
-                                   "pass" if z <= 3.0 else "inconclusive",
-                                   time.perf_counter() - t0))
-                t0 = time.perf_counter()
+                yield _record("qtm-mc", {"d": dd, "m": mm, "t": tt, "sigma": z},
+                              abs(mc.value - q.value), mc.error_bound,
+                              3.0 * mc.error_bound, 0.0,
+                              "pass" if z <= 3.0 else "inconclusive")
                 res = harmonicity_residual(f, params)
                 scale = max(abs(q.value), 1.0)
-                out.append(_residual_record("qtm-harmonic",
-                                            {"d": dd, "m": mm, "t": tt},
-                                            res / scale, 1e-4, t0))
-    return out
+                yield _residual_record("qtm-harmonic", {"d": dd, "m": mm, "t": tt},
+                                       res / scale)
 
 
 def _suite_bessel(cfg: SuiteConfig):
-    out = []
     for mm in cfg.m:
-        t0 = time.perf_counter()
         law = HittingTimeLaw(mm, 1.0)
-        samples = sample_hitting(law, MonteCarloConfig(20_000, cfg.seed))
-        samples = np.sort(samples)
+        samples = np.sort(sample_hitting(law, MonteCarloConfig(20_000, cfg.seed)))
         grid = samples[:: max(len(samples) // 200, 1)]
         cdf = np.atleast_1d(law.cdf(grid))
         emp = np.searchsorted(samples, grid, side="right") / len(samples)
         ks = float(np.max(np.abs(cdf - emp)))
         crit = 1.63 / np.sqrt(len(samples))  # 1% asymptotic KS critical value
-        out.append(_record("hitting-law-ks", {"m": mm, "t": 1.0, "n": len(samples)},
-                           ks, 0.0, crit, 0.0, "pass" if ks < crit else "fail",
-                           time.perf_counter() - t0))
-        t0 = time.perf_counter()
+        yield _record("hitting-law-ks", {"m": mm, "t": 1.0, "n": len(samples)},
+                      ks, 0.0, crit, 0.0, "pass" if ks < crit else "fail")
         dd = int(cfg.d[0])
         gap = dynkin_check(standard_library(dd)["positive_bump"],
                            BesselSimConfig(m=mm, t0=0.5, dt=2e-4),
                            20_000, seed=cfg.seed)
-        out.append(_record("bessel-dynkin", {"m": mm, "d": dd, "t0": 0.5},
-                           gap, 0.0, 0.02, 0.0,
-                           "pass" if gap < 0.02 else "inconclusive",
-                           time.perf_counter() - t0))
-    return out
+        yield _record("bessel-dynkin", {"m": mm, "d": dd, "t0": 0.5},
+                      gap, 0.0, 0.02, 0.0, "pass" if gap < 0.02 else "inconclusive")
 
 
 def _suite_gamma2(cfg: SuiteConfig):
-    out = []
     rng = np.random.default_rng(cfg.seed)
     for dd in cfg.d:
         dd = int(dd)
         for mm in cfg.m:
-            if mm < dd + 2:
-                continue
-            t0 = time.perf_counter()
             op = halfspace_m(dd, mm)
             worst = 0.0
             for _ in range(10):
                 x = np.append(rng.uniform(-2, 2, dd), rng.uniform(0.2, 2.0))
                 worst = max(worst, qm_residual(op, x))
-            out.append(_residual_record("qm-halfspace", {"d": dd, "m": mm},
-                                        worst, 1e-12, t0))
-            t0 = time.perf_counter()
+            yield _residual_record("qm-halfspace", {"d": dd, "m": mm}, worst)
             n = dd - mm + 2.0
             beta_star = n / (2.0 - n)
             grid = [(y, z) for y in np.linspace(0.5, 3.0, 8)
@@ -211,96 +244,76 @@ def _suite_gamma2(cfg: SuiteConfig):
             ok, _ = phi_conditions(power_surface(beta_star), n, dd, grid)
             bad, _ = phi_conditions(power_surface(beta_star - 0.1), n, dd, grid)
             verdict = "pass" if (ok and not bad) else "fail"
-            out.append(_record("phi-conditions", {"d": dd, "m": mm, "beta": beta_star},
-                               float(not ok), 0.0, float(not bad), 0.0, verdict,
-                               time.perf_counter() - t0))
+            yield _record("phi-conditions", {"d": dd, "m": mm, "beta": beta_star},
+                          float(not ok), 0.0, float(not bad), 0.0, verdict)
         if dd >= 2:
-            t0 = time.perf_counter()
-            lib = standard_library(dd)
-            f = lib["positive_bump"]
+            f = standard_library(dd)["positive_bump"]
             worst = 0.0
             for _ in range(20):
                 x = rng.uniform(-1.5, 1.5, dd)
                 worst = min(worst, cd1_residual(f, -0.5, dd, x))
                 worst = min(worst, reinforced_cd_residual(f, dd, x))
-            out.append(_residual_record("cd-pointwise", {"d": dd},
-                                        min(worst, 0.0), 1e-9, t0))
-    return out
+            yield _residual_record("cd-pointwise", {"d": dd}, min(worst, 0.0))
 
 
 def _suite_cauchy(cfg: SuiteConfig):
-    out = []
     for dd in cfg.d:
         dd = int(dd)
         for bb in cfg.b:
-            t0 = time.perf_counter()
             rep = poincare_cauchy_deficit(coordinate(0, dd), bb, dd)
-            out.append(_deficit_record("poincare-cauchy", rep, t0))
+            yield _deficit_record("poincare-cauchy", rep)
             f = standard_library(dd)["positive_bump"]
             for pp in cfg.p:
                 if not (1.0 + 1.0 / (bb - dd) <= pp <= 2.0):
                     continue
-                t0 = time.perf_counter()
                 rep = beckner_cauchy_deficit(f, bb, pp, dd)
-                out.append(_deficit_record("beckner-cauchy", rep, t0))
-        t0 = time.perf_counter()
+                yield _deficit_record("beckner-cauchy", rep)
         if dd == 1:
-            est = optimal_constant_rayleigh(2.0, 1)
-            out.append(_residual_record("rayleigh-high-b", {"d": 1, "b": 2.0},
-                                        est / 0.5 - 1.0, 1e-2, t0))
-            t0 = time.perf_counter()
-            est = optimal_constant_rayleigh(1.0, 1)
-            out.append(_residual_record("rayleigh-low-b", {"d": 1, "b": 1.0},
-                                        est / 4.0 - 1.0, 2e-2, t0))
-    return out
+            yield _residual_record("rayleigh-high-b", {"d": 1, "b": 2.0},
+                                   optimal_constant_rayleigh(2.0, 1) / 0.5 - 1.0)
+            yield _residual_record("rayleigh-low-b", {"d": 1, "b": 1.0},
+                                   optimal_constant_rayleigh(1.0, 1) / 4.0 - 1.0)
 
 
 def _suite_sphere(cfg: SuiteConfig):
-    out = []
     rng = np.random.default_rng(cfg.seed)
     for dd in cfg.d:
         dd = int(dd)
         if dd < 2:
             continue
-        t0 = time.perf_counter()
         worst = 0.0
         for _ in range(20):
             x = rng.uniform(-2, 2, dd)
             _, r1, r2 = eigenfunction_residuals(dd, x)
             r3, r4 = log_rho_identities(dd, x)
             worst = max(worst, r1, r2, r3, r4)
-        out.append(_residual_record("sphere-identities", {"d": dd}, worst, 1e-10, t0))
+        yield _residual_record("sphere-identities", {"d": dd}, worst)
         for mm in cfg.m:
-            t0 = time.perf_counter()
             vals = np.array([constant_R(mm, dd, rng.uniform(-3, 3, dd))
                              for _ in range(50)])
             spread = float(np.std(vals) / np.mean(vals))
             closed = constant_R_closed_form(mm, dd)
             res = max(spread, abs(vals[0] / closed - 1.0))
-            out.append(_residual_record("sphere-r-constant", {"d": dd, "m": mm},
-                                        res, 1e-9, t0))
-            t0 = time.perf_counter()
+            yield _residual_record("sphere-r-constant", {"d": dd, "m": mm}, res)
             par = SphereBecknerParams(mm, dd)
-            f = make_power_of_rho((dd - mm - 2.0) / 2.0, dd)
-            rep = sphere_beckner_deficit(f, par)
-            out.append(_deficit_record("sphere-beckner", rep, t0))
-            t0 = time.perf_counter()
-            rep = sphere_beckner_deficit(standard_library(dd)["positive_bump"], par)
-            out.append(_deficit_record("sphere-beckner", rep, t0))
-    return out
-
-
-_RUNNERS = {"measures": _suite_measures, "qtm": _suite_qtm,
-            "bessel": _suite_bessel, "gamma2": _suite_gamma2,
-            "cauchy": _suite_cauchy, "sphere": _suite_sphere}
+            for f in (make_power_of_rho((dd - mm - 2.0) / 2.0, dd),
+                      standard_library(dd)["positive_bump"]):
+                yield _deficit_record("sphere-beckner", sphere_beckner_deficit(f, par))
 
 
 def run_suite(cfg: SuiteConfig) -> dict:
+    """Run the configured suites; each record's `seconds` is the time since
+    the previous record of its suite (or since the suite started)."""
     cfg.validate()
-    names = list(_RUNNERS) if cfg.suite == "all" else [cfg.suite]
+    names = SUITES[:-1] if cfg.suite == "all" else (cfg.suite,)
     checks = []
     for name in names:
-        checks.extend(_RUNNERS[name](cfg))
+        t = time.perf_counter()
+        for rec in globals()[f"_suite_{name}"](cfg):
+            now = time.perf_counter()
+            rec["seconds"] = now - t
+            checks.append(rec)
+            t = now
     checks.sort(key=lambda r: (r["check_id"], json.dumps(r["params"], sort_keys=True)))
     if cfg.deterministic_timestamps:
         for r in checks:
@@ -315,77 +328,11 @@ def run_suite(cfg: SuiteConfig) -> dict:
             "version": __version__, "timestamp": stamp}
 
 
-_EXPLANATIONS = {
-    "measure-mass": "The normalized density (1+|y|^2)^{-b} / c(2b-d,d) must "
-                    "integrate to 1 on R^d.  Parameters: dimension d, index b.",
-    "measure-second-moment": "The second moment of the Cauchy-type measure "
-                             "equals d/(2b-2-d) whenever 2b-2-d > 0.",
-    "norm-const-ratio": "Ratio identity c(m,d)/c(m-2,d) = (m-2)/(m-2+d) for "
-                        "the normalization constants.",
-    "qtm-crosspath": "The extension operator evaluated by direct quadrature "
-                     "and by heat-kernel subordination must agree within the "
-                     "summed error bounds.",
-    "qtm-mc": "Monte Carlo evaluation of the extension operator through the "
-              "exact kernel sampler must sit within 3 standard errors of the "
-              "quadrature value.",
-    "qtm-harmonic": "The extension G(x,t) of f satisfies "
-                    "(Laplacian_x + d^2/dt^2 + ((1-m)/t) d/dt) G = 0; the "
-                    "finite-difference residual is compared to 1e-4 x scale.",
-    "hitting-law-ks": "The exact hitting-time sampler S = t^2/(4G), "
-                      "G ~ Gamma(m/2), is tested against the numerically "
-                      "integrated density CDF with a 1%-level KS statistic.",
-    "bessel-dynkin": "Pathwise check: the mean of f at the simulated exit "
-                     "position equals the extension operator value at the "
-                     "start point.  The radial path is Euler-stepped from "
-                     "t0 down to the switch level t0/2 and finished exactly "
-                     "there: the time left from level y is y^2/(4G), "
-                     "G ~ Gamma(m/2), the law hitting-law-ks tests.  The "
-                     "Euler segment above the switch level is the pathwise "
-                     "part under test.",
-    "qm-halfspace": "For the half-space operator with drift (1-m)/t the "
-                    "tensor identity (n - D) Ric(L) = X (x) X holds exactly "
-                    "with n = d - m + 2 and D = d + 1.",
-    "phi-conditions": "The sub-harmonicity condition set for the surface "
-                      "Phi(y,z) = y^beta z holds exactly on "
-                      "beta in [n/(2-n), 0] and fails below.",
-    "cd-pointwise": "Pointwise curvature-dimension consequences: the "
-                    "beta-weighted residual and the reinforced CD(0,d) "
-                    "residual are nonnegative up to roundoff.",
-    "poincare-cauchy": "Var(f) <= (1/(2(b-1))) Int |grad f|^2 (1+|y|^2) dnu_b; "
-                       "coordinate functions saturate it.",
-    "beckner-cauchy": "(p/(p-1))[Int f^2 dnu_b - (Int f^{2/p} dnu_b)^p] <= "
-                      "(1/(b-1)) Int |grad f|^2 (1+|y|^2) dnu_b for b >= d+1 "
-                      "and p in [1+1/(b-d), 2].",
-    "beckner-qt": "(p/(p-1))(Q_t^m(f^2) - Q_t^m(f^{2/p})^p) <= "
-                  "(2t^2/(m-2)) Q_t^{m-2}(|grad f|^2), the extension-operator "
-                  "form of the interpolation inequality.",
-    "phi-entropy": "Q_t^m(Phi(f)) - Phi(Q_t^m f) <= (t^2/(2(m-2))) "
-                   "Q_t^{m-2}(Phi''(f) |grad f|^2) for admissible Phi.",
-    "rayleigh-high-b": "Independent Rayleigh-quotient estimate of the best "
-                       "Poincare constant; for d=1, b >= 3/2 it equals "
-                       "1/(2(b-1)).",
-    "rayleigh-low-b": "For d=1, 1/2 < b <= 3/2 the best Poincare constant "
-                      "switches regime to 4/(2b-1)^2.",
-    "sphere-identities": "Chart identities for u = (1-|x|^2)/(1+|x|^2): "
-                         "Delta_S u = -d u, Gamma_S(u) = 1-u^2, and the "
-                         "closed forms of Delta_S log rho, Gamma_S log rho.",
-    "sphere-r-constant": "The chart function R collapses to the constant "
-                         "(c(d,d)/c(m,d)) (3d+m-2)/(d+m-2).",
-    "sphere-beckner": "Int f^2 dmu_S <= A (Int f^{2/p} dmu_S)^p + "
-                      "16/((m+2-d)(3d-2+m)) Int Gamma_S(f) dmu_S with "
-                      "p = 1+2/(m-d); saturated by f = rho^{(d-m-2)/2}.",
-    "sphere-classical-beckner": "Int f^2 dmu_S <= (Int |f|^{2/p} dmu_S)^p + "
-                                "(2(p-1)/(pd)) Int Gamma_S(f) dmu_S; the "
-                                "constant is 1/d at p=2 and tends to the "
-                                "2/d log-Sobolev constant as p -> 1.",
-}
-
-
 def explain_check(check_id: str) -> str:
-    if check_id not in _EXPLANATIONS:
+    if check_id not in CHECKS:
         raise UnknownCheck(f"no check named {check_id!r}; known: "
-                           + ", ".join(sorted(_EXPLANATIONS)))
-    return _EXPLANATIONS[check_id]
+                           + ", ".join(sorted(CHECKS)))
+    return CHECKS[check_id].explanation
 
 
 def _fmt17(x: float) -> str:
@@ -405,29 +352,40 @@ def render_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+def _number(cast, val: str, where: str):
+    try:
+        return cast(val)
+    except ValueError:
+        raise ConfigError(f"{where}: expected a number, got {val!r}") from None
+
+
 def load_config_file(path: str) -> dict:
     """Flat key = value config; list values are comma-separated."""
     opts = {}
-    list_keys = {"d", "b", "m", "p", "t"}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key in list_keys:
-                opts[key] = [float(v) for v in val.split(",") if v.strip()]
-            elif key in ("seed",):
-                opts[key] = int(val)
-            elif key in ("deterministic_timestamps",):
-                opts[key] = val.lower() in ("1", "true", "yes")
-            elif key in ("suite", "out", "format"):
-                opts[key] = val
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    for lineno, line in enumerate(lines, 1):
+        where = f"{path}:{lineno}"
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{where}: expected key = value")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key in ("d", "b", "m", "p", "t"):
+            opts[key] = [_number(float, v, where) for v in val.split(",") if v.strip()]
+        elif key in ("seed",):
+            opts[key] = _number(int, val, where)
+        elif key in ("deterministic_timestamps",):
+            opts[key] = val.lower() in ("1", "true", "yes")
+        elif key in ("suite", "out", "format"):
+            opts[key] = val
+        else:
+            raise ConfigError(f"{where}: unknown key {key!r}")
     return opts
 
 

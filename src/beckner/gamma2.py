@@ -9,7 +9,6 @@ the kernel-differentiated harmonic extension.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -18,7 +17,7 @@ import numpy as np
 import sympy as sp
 
 from .errors import DomainError
-from .fields import DifferentiableField, coords, multi_indices
+from .fields import DifferentiableField, coords
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from scipy.special import gammaln
 
 from .errors import DomainError
 from .numerics import (Estimate, MonteCarloConfig, QuadratureConfig,
-                       integrate_radial, integrate_rd, substreams)
+                       integrate_rd, substreams)
 
 
 def log_norm_const(m: float, d: int) -> float:

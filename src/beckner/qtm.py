@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln, roots_genlaguerre, roots_hermite
 
-from .errors import DegenerateFit, DomainError, NonConvergence
+from .errors import DegenerateFit, DomainError
 from .fields import DifferentiableField, multi_indices
 from .measures import (draw_coupled, draw_tkernel, heavy_tail_cutoff,
                        log_norm_const)

@@ -1,10 +1,11 @@
 import json
+import time
 
 import pytest
 
-from beckner.cli import (SuiteConfig, build_parser, explain_check,
-                         load_config_file, main, render_csv, run_suite,
-                         _EXPLANATIONS)
+from beckner.cli import (CHECKS, SUITES, SuiteConfig, build_parser,
+                         explain_check, load_config_file, main, render_csv,
+                         run_suite)
 from beckner.errors import ConfigError, UnknownCheck
 
 
@@ -62,18 +63,21 @@ def test_csv_round_trip_precision():
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         run_suite(small_cfg(suite="nope"))
-    with pytest.raises(ConfigError):
-        run_suite(small_cfg(d=[4]))
+    for bad_d in (4, 1.5, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            run_suite(small_cfg(d=[bad_d]))
     with pytest.raises(ConfigError):
         run_suite(small_cfg(suite="cauchy", d=[2], b=[2.5]))
     with pytest.raises(ConfigError):
         run_suite(small_cfg(suite="qtm", d=[2], m=[3.0]))
     with pytest.raises(ConfigError):
+        run_suite(small_cfg(suite="gamma2", d=[3], m=[4.0]))
+    with pytest.raises(ConfigError):
         run_suite(small_cfg(format="xml"))
 
 
 def test_explain_known_and_unknown():
-    for check_id in _EXPLANATIONS:
+    for check_id in CHECKS:
         text = explain_check(check_id)
         assert isinstance(text, str) and len(text) > 20
     with pytest.raises(UnknownCheck):
@@ -129,6 +133,48 @@ def test_config_file_and_override(tmp_path, capsys):
     bad.write_text("frobnicate = 3\n")
     with pytest.raises(ConfigError):
         load_config_file(str(bad))
+
+
+def test_config_file_bad_values(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    for text in ("d = x\n", "d = 1, two\n", "seed = 1.5\n"):
+        bad.write_text(text)
+        with pytest.raises(ConfigError, match="bad.cfg:1"):
+            load_config_file(str(bad))
+        assert main(["run", "--config", str(bad)]) == 2
+        assert "config error" in capsys.readouterr().err
+    missing = tmp_path / "missing.cfg"
+    with pytest.raises(ConfigError, match="missing.cfg"):
+        load_config_file(str(missing))
+    assert main(["run", "--config", str(missing)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_registry_matches_emitted_checks():
+    """Each suite emits exactly the checks the table files under it, and a
+    residual check is judged against the table's tolerance."""
+    grid = dict(d=[1, 2], b=[3.0], m=[6.0], p=[2.0], t=[1.0])
+    for suite in SUITES:
+        if suite == "all":
+            continue
+        report = run_suite(small_cfg(suite=suite, **grid))
+        emitted = {r["check_id"] for r in report["checks"]}
+        assert emitted == {cid for cid, c in CHECKS.items() if c.suite == suite}
+        for r in report["checks"]:
+            if CHECKS[r["check_id"]].tol is not None:
+                assert r["rhs"] == CHECKS[r["check_id"]].tol
+    for orphan in ("beckner-qt", "phi-entropy", "sphere-classical-beckner"):
+        with pytest.raises(UnknownCheck):
+            explain_check(orphan)
+
+
+def test_record_seconds_partition_the_suite_time():
+    t0 = time.perf_counter()
+    report = run_suite(small_cfg(deterministic_timestamps=False))
+    elapsed = time.perf_counter() - t0
+    seconds = [r["seconds"] for r in report["checks"]]
+    assert all(s > 0.0 for s in seconds)
+    assert sum(seconds) <= elapsed
 
 
 def test_parser_defaults_do_not_mask_config():
