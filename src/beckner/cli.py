@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, asdict
@@ -124,6 +125,9 @@ class SuiteConfig:
             raise ConfigError("format must be json or csv")
         if any(dd not in (1, 2, 3) for dd in self.d):
             raise ConfigError("d grid must lie in {1,2,3}")
+        for name in ("b", "m", "p", "t"):
+            if not all(math.isfinite(v) for v in getattr(self, name)):
+                raise ConfigError(f"{name} grid must be finite")
         if self.suite in ("cauchy", "all"):
             for dd in self.d:
                 for bb in self.b:

@@ -37,5 +37,5 @@ class ConfigError(BecknerError, ValueError):
     """Invalid suite configuration."""
 
 
-class UnknownCheck(BecknerError, KeyError):
+class UnknownCheck(BecknerError, LookupError):
     """Unknown check identifier."""

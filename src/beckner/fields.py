@@ -9,6 +9,7 @@ profile) stay inside the class, so chain rules are exact.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -201,6 +202,24 @@ def multi_indices(d: int, max_order: int):
             if sum(alpha) == order:
                 out.append(alpha)
     return out
+
+
+def growth_degree(f: DifferentiableField) -> float:
+    """Polynomial growth bound of |f| at infinity.
+
+    Exact total degree for polynomials; otherwise measured along the
+    diagonal at two large radii and rounded up (0 for bounded fields).
+    """
+    if f.expr.is_polynomial(*f.syms):
+        return float(sp.total_degree(f.expr, *f.syms))
+    direc = np.ones(f.dim) / math.sqrt(f.dim)
+    r1, r2 = 1e3, 1e6
+    v1 = abs(float(f.value(r1 * direc)))
+    v2 = abs(float(f.value(r2 * direc)))
+    if v2 <= 1e-300 or v1 <= 1e-300:
+        return 0.0
+    slope = math.log(v2 / v1) / math.log(r2 / r1)
+    return max(math.ceil(slope - 1e-6), 0.0)
 
 
 @lru_cache(maxsize=None)

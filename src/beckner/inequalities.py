@@ -17,8 +17,8 @@ import sympy as sp
 
 from .errors import (AdmissibilityError, DomainError, IllConditioned,
                      ParamError)
-from .fields import DifferentiableField, coords
-from .measures import CauchyMeasure
+from .fields import DifferentiableField, coords, growth_degree
+from .measures import CauchyMeasure, log_norm_const
 from .numerics import Estimate, QuadratureConfig, integrate_rd
 from .qtm import QtmParams, qtm_quadrature
 
@@ -50,24 +50,6 @@ class DeficitReport:
         if not self.certified:
             return "fail"
         return "saturated" if self.saturated else "pass"
-
-
-def growth_degree(f: DifferentiableField) -> float:
-    """Polynomial growth bound of |f| at infinity.
-
-    Exact total degree for polynomials; otherwise measured along the
-    diagonal at two large radii and rounded up (0 for bounded fields).
-    """
-    if f.expr.is_polynomial(*f.syms):
-        return float(sp.total_degree(f.expr, *f.syms))
-    direc = np.ones(f.dim) / math.sqrt(f.dim)
-    r1, r2 = 1e3, 1e6
-    v1 = abs(float(f.value(r1 * direc)))
-    v2 = abs(float(f.value(r2 * direc)))
-    if v2 <= 1e-300 or v1 <= 1e-300:
-        return 0.0
-    slope = math.log(v2 / v1) / math.log(r2 / r1)
-    return max(math.ceil(slope - 1e-6), 0.0)
 
 
 def _beckner_lhs(p: float, sq: Estimate, frac: Estimate):
@@ -277,7 +259,6 @@ def radial_moment(b: float, d: int, sigma: float) -> float:
     """nu_b-average of (1+|y|^2)^{sigma/2}, as a norm-constant ratio."""
     if 2.0 * b - sigma - d <= 0:
         raise DomainError("radial moment diverges")
-    from .measures import log_norm_const
     return math.exp(log_norm_const(2.0 * b - sigma - d, d)
                     - log_norm_const(2.0 * b - d, d))
 

@@ -15,8 +15,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
-from .numerics import (Estimate, MonteCarloConfig, QuadratureConfig,
-                       integrate_rd, substreams)
+from .numerics import (_GK_WK, _GK_X, Estimate, MonteCarloConfig,
+                       QuadratureConfig, integrate_rd, substreams)
 
 
 def log_norm_const(m: float, d: int) -> float:
@@ -80,12 +80,12 @@ class CauchyMeasure:
         r2 = np.sum(pts * pts, axis=1)
         return np.exp(-self.b * np.log1p(r2) - self.log_norm)
 
-    def integrate(self, f, config: QuadratureConfig,
-                  growth: float = 0.0) -> Estimate:
+    def integrate(self, f, config: QuadratureConfig, growth: float = 0.0,
+                  scale: float = 1.0) -> Estimate:
         """Integral of a vectorized f against the measure.
 
-        ``growth`` is a polynomial bound on the integrand at infinity
-        (degree of |f(y)| in |y|); it widens the truncation radius so the
+        ``|f(y)| <= scale * |y|^growth`` at infinity is the integrand's
+        polynomial growth bound; it widens the truncation radius so the
         analytic tail bound stays below abs_tol/10, which is then folded
         into the returned error bound.
         """
@@ -97,7 +97,7 @@ class CauchyMeasure:
             return np.asarray(f(pts), dtype=float) * np.exp(-b * np.log1p(r2) - log_c)
 
         cutoff = heavy_tail_cutoff(2.0 * self.b - self.d, self.d, config.abs_tol,
-                                   growth=growth)
+                                   scale=scale, growth=growth)
         est = integrate_rd(g, self.d, config, cutoff=cutoff)
         return Estimate(est.value, est.error_bound + config.abs_tol / 10.0,
                         est.n_evals, est.kind)
@@ -163,7 +163,6 @@ class HittingTimeLaw:
         Deliberately independent of the sampler's Gamma transform: the
         density is integrated panel by panel with a fixed Kronrod rule.
         """
-        from .numerics import _GK_X, _GK_WK
         s = np.atleast_1d(np.asarray(s, dtype=float))
         order = np.argsort(s)
         edges = np.concatenate([[0.0], s[order]])

@@ -2,14 +2,16 @@
 
 All deterministic integration goes through an adaptive Gauss-Kronrod (G7/K15)
 rule on finite intervals; improper radial integrals are mapped to [0,1) by
-r = s/(1-s) first.  Full-space integrals over R^d (d <= 3) are reduced to a
-radial integral of an angular product rule.  Monte Carlo draws use numpy
-substreams spawned from a single seed so parallel draws stay reproducible.
+r = s/(1-s) first and truncated at a cutoff radius that every caller passes
+in, together with its own bound on the tail beyond it.  Full-space integrals
+over R^d (d <= 3) are reduced to a radial integral of an angular product rule
+of order ``ANGULAR_ORDER``.  Monte Carlo draws use numpy substreams spawned
+from a single seed so parallel draws stay reproducible.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,20 +43,19 @@ _GK_X = _GK15[:, 0]
 _GK_WG = _GK15[:, 1]
 _GK_WK = _GK15[:, 2]
 
+# Nodes per circle of the angular product rule (see ``angular_rule``).
+ANGULAR_ORDER = 48
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_evals: int = 500_000
-    radial_cutoff: float = 1e6
-    angular_order: int = 48
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise DomainError("tolerances must be positive")
-        if self.radial_cutoff <= 0:
-            raise DomainError("radial_cutoff must be positive")
         if self.max_evals < 100:
             raise DomainError("max_evals must be at least 100")
 
@@ -134,14 +135,16 @@ def integrate_interval(f, a, b, config: QuadratureConfig, min_panels: int = 4) -
         intervals = fresh
 
 
-def integrate_radial(integrand, config: QuadratureConfig) -> Estimate:
-    """Integral of ``integrand`` over [0, infinity).
+def integrate_radial(integrand, config: QuadratureConfig, cutoff: float) -> Estimate:
+    """Integral of ``integrand`` over [0, infinity), truncated at ``cutoff``.
 
-    The half-line is mapped to [0,1) by r = s/(1-s) and truncated at
-    ``config.radial_cutoff``; the caller guarantees the tail beyond the
-    cutoff is below ``abs_tol``.
+    The half-line is mapped to [0,1) by r = s/(1-s) and cut at r = ``cutoff``.
+    The returned bound covers the quadrature only: the caller chooses the
+    cutoff and accounts for the tail beyond it.
     """
-    s_max = config.radial_cutoff / (1.0 + config.radial_cutoff)
+    if not 0.0 < cutoff < math.inf:
+        raise DomainError(f"cutoff must be positive and finite, got {cutoff}")
+    s_max = cutoff / (1.0 + cutoff)
 
     def mapped(s):
         s = np.asarray(s, dtype=float)
@@ -186,13 +189,14 @@ def angular_rule(d: int, order: int):
     return nodes, w
 
 
-def integrate_rd(g, d: int, config: QuadratureConfig, cutoff: float | None = None) -> Estimate:
-    """Integral of a vectorized g : R^d -> R over the whole space.
+def integrate_rd(g, d: int, config: QuadratureConfig, cutoff: float) -> Estimate:
+    """Integral of a vectorized g : R^d -> R over the ball of radius ``cutoff``.
 
     ``g`` must accept an (n, d) array of points.  Reduction: radial adaptive
-    quadrature of the angular average r^{d-1} * sum_j w_j g(r w_j).
+    quadrature of the angular average r^{d-1} * sum_j w_j g(r w_j); as in
+    ``integrate_radial``, the tail beyond the cutoff is the caller's.
     """
-    nodes, w = angular_rule(d, config.angular_order)
+    nodes, w = angular_rule(d, ANGULAR_ORDER)
 
     def radial(r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -200,11 +204,7 @@ def integrate_rd(g, d: int, config: QuadratureConfig, cutoff: float | None = Non
         vals = np.asarray(g(pts.reshape(-1, d)), dtype=float).reshape(len(r), -1)
         return (r ** (d - 1)) * (vals @ w)
 
-    cfg = config
-    if cutoff is not None and cutoff != config.radial_cutoff:
-        cfg = QuadratureConfig(config.abs_tol, config.rel_tol, config.max_evals,
-                               cutoff, config.angular_order)
-    est = integrate_radial(radial, cfg)
+    est = integrate_radial(radial, config, cutoff)
     return Estimate(est.value, est.error_bound, est.n_evals * len(w))
 
 

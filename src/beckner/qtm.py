@@ -1,9 +1,10 @@
 """The harmonic-extension operator with three independent evaluation paths.
 
-Path 1 integrates the defining heavy-tailed average directly (adaptive
-radial-angular quadrature).  Path 2 subordinates the heat semigroup over the
-hitting-time law, realized as a generalized Gauss-Laguerre rule in the Gamma
-variable times a Gauss-Hermite product rule for the Gaussian convolution.
+Path 1 integrates the defining heavy-tailed average directly, against the
+Cauchy-type measure nu_{(m+d)/2} (adaptive radial-angular quadrature).
+Path 2 subordinates the heat semigroup over the hitting-time law, realized
+as a generalized Gauss-Laguerre rule in the Gamma variable times a
+Gauss-Hermite product rule for the Gaussian convolution.
 Path 3 is plain Monte Carlo over exact kernel draws.  The three paths share
 nothing beyond the integrand, which is the point: agreement certifies each.
 """
@@ -17,11 +18,10 @@ import numpy as np
 from scipy.special import gammaln, roots_genlaguerre, roots_hermite
 
 from .errors import DegenerateFit, DomainError
-from .fields import DifferentiableField, multi_indices
-from .measures import (draw_coupled, draw_tkernel, heavy_tail_cutoff,
-                       log_norm_const)
+from .fields import DifferentiableField, growth_degree, multi_indices
+from .measures import CauchyMeasure, draw_coupled, draw_tkernel
 from .numerics import (Estimate, MonteCarloConfig, QuadratureConfig,
-                       fd_derivative, integrate_rd, mc_estimate)
+                       fd_derivative, integrate_radial, mc_estimate)
 
 
 @dataclass(frozen=True)
@@ -44,40 +44,21 @@ class QtmParams:
         return np.asarray(self.x, dtype=float)
 
 
-def _tail_cutoff(p: QtmParams, abs_tol: float, f=None,
-                 growth: float = 2.0) -> float:
-    """Truncation radius for the index-m weight against the integrand's growth."""
-    scale = 1.0
-    if f is not None:
-        from .inequalities import growth_degree
-        growth = growth_degree(f)
-        scale = (1.0 + float(np.max(np.abs(p.center))) + p.t) ** growth \
-            + abs(float(f.value(p.center)))
-    else:
-        # heuristic callers (derivative integrands of bounded fields): keep a
-        # positive decay rather than rejecting high orders outright
-        growth = min(growth, p.m - 0.5)
-    return heavy_tail_cutoff(p.m, p.d, abs_tol, scale=scale, growth=growth)
-
-
 def qtm_quadrature(f: DifferentiableField, p: QtmParams,
                    cfg: QuadratureConfig | None = None) -> Estimate:
-    """The defining integral: average of f(x + t z) over the index-m weight."""
+    """The defining integral: the average of f(x + t z) over z ~ nu_{(m+d)/2}.
+
+    The tail bound takes |f(x + t z)| <= ((1 + |x| + t)^g + |f(x)|) |z|^g at
+    large |z|, with g the growth degree of f.
+    """
     cfg = cfg or QuadratureConfig()
     if p.t == 0.0:
         return Estimate(float(f.value(p.center)), 0.0, 1)
-    log_c = log_norm_const(p.m, p.d)
-    expo = 0.5 * (p.m + p.d)
     x, t = p.center, p.t
-
-    def g(z):
-        r2 = np.sum(z * z, axis=1)
-        return np.asarray(f.value(x + t * z), dtype=float) * np.exp(
-            -expo * np.log1p(r2) - log_c)
-
-    est = integrate_rd(g, p.d, cfg, cutoff=_tail_cutoff(p, cfg.abs_tol, f))
-    # the reported bound must cover the analytic tail-truncation allowance
-    return Estimate(est.value, est.error_bound + cfg.abs_tol / 10.0, est.n_evals)
+    growth = growth_degree(f)
+    scale = (1.0 + float(np.max(np.abs(x))) + t) ** growth + abs(float(f.value(x)))
+    return CauchyMeasure(p.d, 0.5 * (p.m + p.d)).integrate(
+        lambda z: f.value(x + t * z), cfg, growth=growth, scale=scale)
 
 
 _HERMITE_ORDER = {1: 48, 2: 32, 3: 18}
@@ -126,7 +107,6 @@ def _heat_value(f, x, s_values, d, order):
 
 def _subordinated_value(f, p: QtmParams, cfg: QuadratureConfig, n_her):
     """Adaptive integral over the Gamma variable u = t^2/(4s)."""
-    from .numerics import integrate_radial
     log_gamma_m2 = gammaln(p.m / 2.0)
     x, t, d, m = p.center, p.t, p.d, p.m
     evals = 0
@@ -140,10 +120,7 @@ def _subordinated_value(f, p: QtmParams, cfg: QuadratureConfig, n_her):
             logw = (m / 2.0 - 1.0) * np.log(u) - u - log_gamma_m2
         return heat * np.exp(logw)
 
-    sub_cfg = QuadratureConfig(cfg.abs_tol, cfg.rel_tol, cfg.max_evals,
-                               radial_cutoff=2000.0,
-                               angular_order=cfg.angular_order)
-    est = integrate_radial(integrand, sub_cfg)
+    est = integrate_radial(integrand, cfg, cutoff=2000.0)
     return est, evals
 
 
@@ -197,7 +174,7 @@ class QtmField:
         self.d = int(d)
         self.dim = self.d + 1
         self.cfg = cfg or QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11)
-        self._log_c = log_norm_const(self.m, self.d)
+        self._nu = CauchyMeasure(self.d, 0.5 * (self.m + self.d))
         self._cache = {}
 
     def value(self, point):
@@ -218,8 +195,6 @@ class QtmField:
         if key in self._cache:
             return self._cache[key]
         ax, j = alpha[:-1], alpha[-1]
-        expo = 0.5 * (self.m + self.d)
-        log_c = self._log_c
         # (d/dt)^j f(x+tz) = sum_{|gamma|=j} j!/gamma! z^gamma (D^{gamma+ax} f)(x+tz)
         gammas = [g for g in multi_indices(self.d, j) if sum(g) == j]
         coefs = [math.factorial(j) / math.prod(math.factorial(gi) for gi in g)
@@ -227,8 +202,6 @@ class QtmField:
         partials = [tuple(a + g for a, g in zip(ax, g)) for g in gammas]
 
         def integrand(z):
-            r2 = np.sum(z * z, axis=1)
-            w = np.exp(-expo * np.log1p(r2) - log_c)
             pts = x + t * z
             acc = np.zeros(len(z))
             for c, g, pa in zip(coefs, gammas, partials):
@@ -237,11 +210,12 @@ class QtmField:
                     if gi:
                         mono = mono * z[:, i] ** gi
                 acc += c * mono * self.f.partial(pa, pts)
-            return acc * w
+            return acc
 
-        cutoff = _tail_cutoff(QtmParams(self.m, self.d, t, tuple(x)),
-                              self.cfg.abs_tol, growth=2.0 + j)
-        val = integrate_rd(integrand, self.d, self.cfg, cutoff=cutoff).value
+        # derivative integrands of bounded fields: a heuristic growth that
+        # keeps a positive decay rather than rejecting high orders outright
+        growth = min(2.0 + j, self.m - 0.5)
+        val = self._nu.integrate(integrand, self.cfg, growth=growth).value
         self._cache[key] = val
         return val
 

@@ -66,6 +66,10 @@ def test_config_validation_errors():
     for bad_d in (4, 1.5, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             run_suite(small_cfg(d=[bad_d]))
+    for grid in ("b", "m", "p", "t"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match=f"{grid} grid must be finite"):
+                run_suite(small_cfg(**{grid: [bad]}))
     with pytest.raises(ConfigError):
         run_suite(small_cfg(suite="cauchy", d=[2], b=[2.5]))
     with pytest.raises(ConfigError):
@@ -98,11 +102,16 @@ def test_main_exit_codes(tmp_path, capsys):
     assert rc == 2
     assert "config error" in capsys.readouterr().err
 
+    rc = main(["run", "--suite", "measures", "--d", "1", "--b", "nan"])
+    assert rc == 2
+    assert "b grid must be finite" in capsys.readouterr().err
+
     rc = main(["explain", "measure-mass"])
     assert rc == 0
     assert "integrate to 1" in capsys.readouterr().out
     rc = main(["explain", "no-such-check"])
     assert rc == 2
+    assert capsys.readouterr().err.startswith("no check named 'no-such-check'")
 
 
 def test_config_file_and_override(tmp_path, capsys):

@@ -19,3 +19,12 @@ def test_top_level_imports_are_used(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert imported <= used, f"unused imports: {sorted(imported - used)}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_are_at_module_top_level(path):
+    tree = ast.parse(path.read_text())
+    nested = [f"line {node.lineno}" for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom))
+              and node not in tree.body]
+    assert not nested, f"imports below module level: {nested}"

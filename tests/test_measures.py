@@ -54,6 +54,19 @@ def test_mass_and_second_moment(d, b):
     assert abs(mom.value - exact) / exact < 1e-6
 
 
+@pytest.mark.parametrize("d", [
+    # the truncation tail takes 99.99999 % of its abs_tol/10 allowance, and the
+    # G7/K15 estimate has no roundoff floor: the quadrature claims 2.0e-15 and
+    # is off by 2.9e-15, so the mass misses its bound by 8e-16
+    pytest.param(1, marks=pytest.mark.xfail(
+        strict=True, reason="G7/K15 error estimate has no roundoff floor")),
+    2, 3])
+def test_mass_error_within_bound(d):
+    mass = CauchyMeasure(d, d + 1).integrate(lambda pts: np.ones(len(pts)),
+                                             QuadratureConfig())
+    assert abs(mass.value - 1.0) <= mass.error_bound
+
+
 def test_second_moment_divergence_guard():
     with pytest.raises(DomainError):
         second_moment(1.5, 1)

@@ -26,6 +26,20 @@ def test_constant_fixed_point():
         assert op(constant(1.0, 2), p).value == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("t,x0", [(1.0, 0.0), (0.5, 0.3)])
+def test_mass_error_within_bound(d, t, x0):
+    one = standard_library(d)["one"]
+    est = qtm_quadrature(one, QtmParams(6.0, d, t, (x0,) * d))
+    assert abs(est.value - 1.0) <= est.error_bound
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_extension_of_one_is_one(d):
+    G = QtmField(standard_library(d)["one"], 6.0, d)
+    assert abs(G.value([0.3] * d + [0.7]) - 1.0) <= 1e-9
+
+
 def test_t_zero_is_identity():
     f = gaussian_bump(1.0, [0.0], 1)
     p = QtmParams(6.0, 1, 0.0, (0.3,))
