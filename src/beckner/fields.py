@@ -14,11 +14,31 @@ from functools import lru_cache
 
 import numpy as np
 import sympy as sp
+from sympy.printing.numpy import NumPyPrinter
 
 from .errors import DomainError
 
 def coords(d: int):
     return sp.symbols(f"y0:{d}", real=True)
+
+
+@lru_cache(maxsize=None)
+def _compile(expr, syms, alpha):
+    """The lambdified partial D^alpha expr.
+
+    Cached for the process, so equal fields built afresh (a constant, a
+    library field of the same parameters) share one compile per partial.
+    """
+    for s, k in zip(syms, alpha):
+        if k:
+            expr = sp.diff(expr, s, k)
+    # The printer and settings that modules="numpy" picks, but an empty
+    # namespace: the code then imports only the numpy functions it calls.
+    # modules="numpy" runs `from numpy import *`, which loads every lazy numpy
+    # submodule (f2py, testing, ...) and costs about 0.13 s per process.
+    printer = NumPyPrinter({"fully_qualified_modules": False, "inline": True,
+                            "allow_unknown_functions": True, "user_functions": {}})
+    return sp.lambdify(syms, expr, modules=[], printer=printer)
 
 
 class DifferentiableField:
@@ -41,11 +61,7 @@ class DifferentiableField:
     def _fn(self, alpha):
         fn = self._fns.get(alpha)
         if fn is None:
-            e = self.expr
-            for s, k in zip(self.syms, alpha):
-                if k:
-                    e = sp.diff(e, s, k)
-            fn = sp.lambdify(self.syms, e, modules="numpy")
+            fn = _compile(self.expr, self.syms, alpha)
             self._fns[alpha] = fn
         return fn
 

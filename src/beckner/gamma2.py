@@ -86,6 +86,7 @@ def euclidean(d: int) -> DiffusionOperator:
     return DiffusionOperator(d, one, zero, f"euclidean({d})", ric=z, xx=z)
 
 
+@lru_cache(maxsize=None)
 def halfspace_m(d: int, m: float) -> DiffusionOperator:
     """The operator Laplacian + d^2/dt^2 + ((1-m)/t) d/dt on R^d x (0, inf)."""
     dim = d + 1

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import sympy as sp
 
 from .errors import (AdmissibilityError, DomainError, IllConditioned,
@@ -296,12 +295,12 @@ def optimal_constant_rayleigh(b: float, d: int, basis_size: int = 9,
             # coordinate x radial entries vanish by parity
             B[j, i] = B[i, j]
             E[j, i] = E[i, j]
-    ev, U = scipy.linalg.eigh(E)
+    ev, U = np.linalg.eigh(E)
     keep = ev > drop_tol * ev.max()
     if not np.any(keep):
         raise IllConditioned("energy Gram matrix numerically rank zero")
     P = U[:, keep] / np.sqrt(ev[keep])
-    return float(np.max(scipy.linalg.eigvalsh(P.T @ B @ P)))
+    return float(np.max(np.linalg.eigvalsh(P.T @ B @ P)))
 
 
 def _gaussian_integrate(g, d: int, cfg: QuadratureConfig) -> Estimate:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 from .numerics import (_GK_WK, _GK_X, Estimate, MonteCarloConfig,
@@ -23,7 +22,8 @@ def log_norm_const(m: float, d: int) -> float:
     """log of c(m,d) = pi^{d/2} Gamma(m/2) / Gamma((m+d)/2)."""
     if m <= 0:
         raise DomainError("index m must be positive")
-    return 0.5 * d * math.log(math.pi) + gammaln(m / 2.0) - gammaln((m + d) / 2.0)
+    return (0.5 * d * math.log(math.pi) + math.lgamma(m / 2.0)
+            - math.lgamma((m + d) / 2.0))
 
 
 def norm_const(m: float, d: int) -> float:
@@ -33,7 +33,7 @@ def norm_const(m: float, d: int) -> float:
 
 def surface_area(d: int) -> float:
     """Surface area of the unit sphere S^{d-1}."""
-    return 2.0 * math.pi ** (d / 2.0) / math.exp(gammaln(d / 2.0))
+    return 2.0 * math.pi ** (d / 2.0) / math.exp(math.lgamma(d / 2.0))
 
 
 def heavy_tail_cutoff(m: float, d: int, abs_tol: float, scale: float = 1.0,
@@ -148,7 +148,7 @@ class HittingTimeLaw:
         sp_ = s[pos]
         log_pdf = (self.m * math.log(self.t) - self.t ** 2 / (4.0 * sp_)
                    - (self.m / 2.0 + 1.0) * np.log(sp_)
-                   - self.m * math.log(2.0) - gammaln(self.m / 2.0))
+                   - self.m * math.log(2.0) - math.lgamma(self.m / 2.0))
         out[pos] = np.exp(log_pdf)
         return out
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, roots_genlaguerre, roots_hermite
 
 from .errors import DegenerateFit, DomainError
 from .fields import DifferentiableField, growth_degree, multi_indices
@@ -72,7 +71,7 @@ def _heat_rule(d: int, order: int):
     Nodes of shape (order^d, d) and weights summing to 1.  Built once per
     (d, order) and shared by every caller, so both arrays are read-only.
     """
-    h, w = roots_hermite(order)
+    h, w = np.polynomial.hermite.hermgauss(order)
     if d == 1:
         nodes = h[:, None]
         weights = w
@@ -107,7 +106,7 @@ def _heat_value(f, x, s_values, d, order):
 
 def _subordinated_value(f, p: QtmParams, cfg: QuadratureConfig, n_her):
     """Adaptive integral over the Gamma variable u = t^2/(4s)."""
-    log_gamma_m2 = gammaln(p.m / 2.0)
+    log_gamma_m2 = math.lgamma(p.m / 2.0)
     x, t, d, m = p.center, p.t, p.d, p.m
     evals = 0
 
@@ -280,6 +279,25 @@ class MomentIdentityReport:
         return abs(self.lhs_mc - self.rhs)
 
 
+@lru_cache(maxsize=None)
+def _laguerre_rule(n: int, alpha: float):
+    """n-point generalized Gauss-Laguerre rule for the weight u^alpha e^{-u}.
+
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of the
+    symmetric tridiagonal Jacobi matrix of the Laguerre three-term recurrence,
+    the weights Gamma(alpha + 1) times the squared first eigenvector components.
+    Built once per (n, alpha) and shared, so both arrays are read-only.
+    """
+    k = np.arange(n)
+    off = np.sqrt(k[1:] * (k[1:] + alpha))
+    jacobi = np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, vecs = np.linalg.eigh(jacobi)
+    weights = math.exp(math.lgamma(alpha + 1.0)) * vecs[0] ** 2
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def moment_identity_gap(g: DifferentiableField, p_exp: float, params: QtmParams,
                         cfg: QuadratureConfig | None = None,
                         mc: MonteCarloConfig | None = None) -> MomentIdentityReport:
@@ -296,8 +314,8 @@ def moment_identity_gap(g: DifferentiableField, p_exp: float, params: QtmParams,
     m, d, t, x = params.m, params.d, params.t, params.center
 
     # double quadrature: E(S^p g(X_S)) = (t^{2p}/4^p) E_U[U^{-p} P_{t^2/4U} g(x)]
-    u, w = roots_genlaguerre(64, m / 2.0 - p_exp - 1.0)
-    w = w / math.exp(gammaln(m / 2.0))
+    u, w = _laguerre_rule(64, m / 2.0 - p_exp - 1.0)
+    w = w / math.exp(math.lgamma(m / 2.0))
     heat = _heat_value(g, x, t ** 2 / (4.0 * u), d, _HERMITE_ORDER[d])
     lhs_quad = (t ** (2 * p_exp) / 4.0 ** p_exp) * float(np.dot(w, heat))
 
@@ -307,8 +325,8 @@ def moment_identity_gap(g: DifferentiableField, p_exp: float, params: QtmParams,
 
     est = mc_estimate(sample, mc)
 
-    log_pref = (2 * p_exp * math.log(t) + gammaln(m / 2.0 - p_exp)
-                - p_exp * math.log(4.0) - gammaln(m / 2.0))
+    log_pref = (2 * p_exp * math.log(t) + math.lgamma(m / 2.0 - p_exp)
+                - p_exp * math.log(4.0) - math.lgamma(m / 2.0))
     rhs = math.exp(log_pref) * qtm_quadrature(
         g, QtmParams(m - 2 * p_exp, d, t, params.x), cfg).value
     return MomentIdentityReport(lhs_quad, est.value, est.error_bound, rhs)

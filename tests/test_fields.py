@@ -1,10 +1,15 @@
+import inspect
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from beckner import fields
 from beckner.errors import DomainError
 from beckner.fields import (DifferentiableField, affine_precompose, constant,
                             coordinate, coords, gaussian_bump,
@@ -63,6 +68,52 @@ def test_power_is_built_once_per_beta():
         trig([1.0, 0.0], 2).power(0.5)
     with pytest.raises(DomainError):
         (f * -1.0).power(0.5)
+
+
+def test_equal_fields_share_one_compile_per_partial(monkeypatch):
+    calls = []
+    lambdify = sp.lambdify
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lambdify(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "lambdify", counting)
+    y = coords(2)
+    # an expression no other test builds, so the process-wide cache is cold
+    expr = sp.exp(-sp.Float(0.7182818) * (y[0] ** 2 + y[1] ** 2))
+    pts = np.array([[0.1, 0.2], [-0.4, 0.9]])
+    first = DifferentiableField(expr, y)
+    second = DifferentiableField(expr, y, positive=True)
+    assert np.array_equal(first.partial((1, 0), pts), second.partial((1, 0), pts))
+    assert len(calls) == 1
+    second.partial((0, 1), pts)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_compiled_partials_match_numpy_lambdify(d):
+    pts = np.random.default_rng(d).normal(size=(20, d))
+    for f in standard_library(d).values():
+        for alpha in multi_indices(d, 2):
+            e = f.expr
+            for s, k in zip(f.syms, alpha):
+                e = sp.diff(e, s, k)
+            ref = sp.lambdify(f.syms, e, modules="numpy")
+            assert inspect.getsource(f._fn(alpha)) == inspect.getsource(ref)
+            assert np.array_equal(f.partial(alpha, pts),
+                                  np.broadcast_to(ref(*pts.T), (len(pts),)))
+
+
+def test_compiling_loads_no_lazy_numpy_submodules():
+    src = os.path.dirname(os.path.dirname(fields.__file__))
+    script = ("import sys\n"
+              "from beckner.fields import positive_bump\n"
+              "positive_bump(1.0, [0.3], 1).partial((2,), [0.1])\n"
+              "assert 'numpy.f2py' not in sys.modules\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert out.returncode == 0, out.stderr
 
 
 def test_combinators_track_positivity():

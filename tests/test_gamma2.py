@@ -57,6 +57,11 @@ def test_bochner_consistency_halfspace():
     assert a == pytest.approx(b, rel=1e-6, abs=1e-8)
 
 
+def test_halfspace_operator_built_once_per_d_m():
+    assert halfspace_m(2, 6.0) is halfspace_m(2, 6.0)
+    assert halfspace_m(2, 6.0) is not halfspace_m(2, 7.0)
+
+
 def test_halfspace_operator_drift():
     op = halfspace_m(1, 6.0)
     y = coords(2)
