@@ -89,12 +89,6 @@ class DifferentiableField:
             raise DomainError("analytic derivatives available to order 4 only")
         return self._eval(alpha, points)
 
-    def gradient(self, points):
-        cols = [self.partial(tuple(1 if j == i else 0 for j in range(self.dim)), points)
-                for i in range(self.dim)]
-        return np.stack([np.atleast_1d(c) for c in cols], axis=-1) \
-            if np.ndim(cols[0]) else np.array(cols)
-
     def laplacian(self, points):
         acc = None
         for i in range(self.dim):

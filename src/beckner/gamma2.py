@@ -21,12 +21,6 @@ from .fields import DifferentiableField, coords
 
 
 @dataclass(frozen=True)
-class CDParams:
-    rho: float
-    n: float
-
-
-@dataclass(frozen=True)
 class PhiSurface:
     """A smooth surface Phi(y, z) with its first and second partials."""
     phi: Callable[[float, float], float]
@@ -53,11 +47,12 @@ class DiffusionOperator:
     """a(x) Laplacian + X . grad on R^dim (or the upper half-space)."""
 
     def __init__(self, dim, a_field, x_fields, tag, domain_check=None,
-                 ric=None, xx=None):
+                 ric=None, xx=None, m=None):
         self.dim = dim
         self.a = a_field            # DifferentiableField (conformal factor)
         self.X = x_fields           # list of DifferentiableField components
         self.tag = tag
+        self.m = m                  # the half-space index, None elsewhere
         self._domain_check = domain_check
         self._ric = ric             # point -> (dim, dim) matrix or None
         self._xx = xx
@@ -108,7 +103,7 @@ def halfspace_m(d: int, m: float) -> DiffusionOperator:
 
     return DiffusionOperator(dim, one, xs, f"halfspace_m({d},{m})",
                              domain_check=lambda p: float(np.atleast_1d(p)[-1]) > 0,
-                             ric=ric, xx=xx)
+                             ric=ric, xx=xx, m=float(m))
 
 
 @lru_cache(maxsize=None)
@@ -123,107 +118,118 @@ def sphere_stereo(d: int) -> DiffusionOperator:
     return DiffusionOperator(d, a, xs, f"sphere_stereo({d})")
 
 
-# -- first- and second-order calculus -------------------------------------
+# -- the pointwise calculus ------------------------------------------------
 
-def _p(field, alpha, x):
-    return float(field.partial(tuple(alpha), x))
+class _Jet:
+    """The partials of one field at one point, each evaluated at most once.
+
+    ``J(i, j, ...)`` is the partial along the listed axes, ``J()`` the value.
+    """
+
+    def __init__(self, field, x):
+        self.field = field
+        self.x = x
+        self.dim = len(x)
+        self._vals = {}
+
+    def __call__(self, *axes):
+        alpha = [0] * self.dim
+        for i in axes:
+            alpha[i] += 1
+        alpha = tuple(alpha)
+        v = self._vals.get(alpha)
+        if v is None:
+            v = self._vals[alpha] = float(self.field.partial(alpha, self.x))
+        return v
 
 
-def _unit(dim, i, order=1):
-    a = [0] * dim
-    a[i] = order
-    return tuple(a)
+def _jets(op: DiffusionOperator, f, x):
+    """Jets of f, of the conformal factor a and of each drift component at x."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    op.check_domain(x)
+    return _Jet(f, x), _Jet(op.a, x), [_Jet(X, x) for X in op.X]
+
+
+def _grad(J):
+    return [J(i) for i in range(J.dim)]
+
+
+def _gamma(ja, u, v):
+    """Gamma(f, g) = a grad f . grad g from the two gradients."""
+    return ja() * sum(ui * vi for ui, vi in zip(u, v))
+
+
+def _L(ja, jx, grad, pure2):
+    """a Laplacian + X . grad of a field from its gradient and pure second partials."""
+    return ja() * sum(pure2) + sum(X() * g for X, g in zip(jx, grad))
+
+
+def _lf(jf, ja, jx):
+    return _L(ja, jx, _grad(jf), [jf(i, i) for i in range(jf.dim)])
+
+
+def _half_d_sq(jf, i):
+    """(1/2) d_i |grad f|^2."""
+    return sum(jf(j) * jf(i, j) for j in range(jf.dim))
+
+
+def _gamma_grad(jf, ja):
+    """d_i Gamma(f) = (d_i a) |grad f|^2 + a d_i |grad f|^2."""
+    sq = sum(v * v for v in _grad(jf))
+    return [ja(i) * sq + 2.0 * ja() * _half_d_sq(jf, i) for i in range(jf.dim)]
+
+
+def _gamma2(jf, ja, jx):
+    """Gamma_2(f) = (1/2) L Gamma(f) - Gamma(f, Lf); f to order 3, a to order 2."""
+    dim, a0, f1 = jf.dim, ja(), _grad(jf)
+    sq = sum(v * v for v in f1)
+    g_pure2 = [ja(i, i) * sq + 4.0 * ja(i) * _half_d_sq(jf, i)
+               + 2.0 * a0 * sum(jf(i, j) ** 2 + f1[j] * jf(i, i, j) for j in range(dim))
+               for i in range(dim)]
+    lap = sum(jf(j, j) for j in range(dim))
+    grad_lf = [ja(k) * lap + a0 * sum(jf(j, j, k) for j in range(dim))
+               + sum(jx[j](k) * f1[j] + jx[j]() * jf(j, k) for j in range(dim))
+               for k in range(dim)]
+    return 0.5 * _L(ja, jx, _gamma_grad(jf, ja), g_pure2) - _gamma(ja, f1, grad_lf)
 
 
 def op_L(op: DiffusionOperator, f, x) -> float:
     """L f = a Laplacian(f) + X . grad f at x."""
-    op.check_domain(x)
-    dim = op.dim
-    lap = sum(_p(f, _unit(dim, i, 2), x) for i in range(dim))
-    drift = sum(op.X[i].value(x) * _p(f, _unit(dim, i), x) for i in range(dim))
-    return float(op.a.value(x)) * lap + drift
+    return _lf(*_jets(op, f, x))
 
 
 def carre_du_champ(op: DiffusionOperator, f, g, x) -> float:
     """Gamma(f, g) = a grad f . grad g for conformal operators."""
-    op.check_domain(x)
-    dim = op.dim
-    dot = sum(_p(f, _unit(dim, i), x) * _p(g, _unit(dim, i), x) for i in range(dim))
-    return float(op.a.value(x)) * dot
+    jf, ja, _ = _jets(op, f, x)
+    return _gamma(ja, _grad(jf), _grad(_Jet(g, jf.x)))
 
 
 def gamma(op: DiffusionOperator, f, x) -> float:
-    return carre_du_champ(op, f, f, x)
-
-
-def _gamma_partials(op: DiffusionOperator, f, x):
-    """Value, gradient and pure second partials of Gamma(f) at x.
-
-    Needs partials of f to order 3 and of the conformal factor to order 2.
-    """
-    dim = op.dim
-    a0 = float(op.a.value(x))
-    a1 = [_p(op.a, _unit(dim, i), x) for i in range(dim)]
-    a2 = [_p(op.a, _unit(dim, i, 2), x) for i in range(dim)]
-    f1 = [_p(f, _unit(dim, j), x) for j in range(dim)]
-    f2 = [[_p(f, tuple(np.add(_unit(dim, i), _unit(dim, j))), x)
-           for j in range(dim)] for i in range(dim)]
-    sq = sum(v * v for v in f1)
-    val = a0 * sq
-    grad = [a1[i] * sq + 2.0 * a0 * sum(f1[j] * f2[i][j] for j in range(dim))
-            for i in range(dim)]
-    second = []
-    for i in range(dim):
-        f3 = [_p(f, tuple(np.add(_unit(dim, i, 2), _unit(dim, j))), x)
-              for j in range(dim)]
-        s = (a2[i] * sq
-             + 4.0 * a1[i] * sum(f1[j] * f2[i][j] for j in range(dim))
-             + 2.0 * a0 * sum(f2[i][j] ** 2 + f1[j] * f3[j] for j in range(dim)))
-        second.append(s)
-    return val, grad, second
+    jf, ja, _ = _jets(op, f, x)
+    f1 = _grad(jf)
+    return _gamma(ja, f1, f1)
 
 
 def gamma2(op: DiffusionOperator, f, x) -> float:
     """Gamma_2(f) = (1/2) L Gamma(f) - Gamma(f, Lf) from the definition."""
-    op.check_domain(x)
-    dim = op.dim
-    a0 = float(op.a.value(x))
-    _, g_grad, g_second = _gamma_partials(op, f, x)
-    xvals = [op.X[i].value(x) for i in range(dim)]
-    l_gamma = a0 * sum(g_second) + sum(xvals[i] * g_grad[i] for i in range(dim))
-
-    # grad(Lf): needs a to order 1, X to order 1, f to order 3
-    a1 = [_p(op.a, _unit(dim, i), x) for i in range(dim)]
-    lap = sum(_p(f, _unit(dim, j, 2), x) for j in range(dim))
-    f1 = [_p(f, _unit(dim, j), x) for j in range(dim)]
-    grad_lf = []
-    for k in range(dim):
-        d_lap = sum(_p(f, tuple(np.add(_unit(dim, j, 2), _unit(dim, k))), x)
-                    for j in range(dim))
-        d_drift = sum(_p(op.X[j], _unit(dim, k), x) * f1[j]
-                      + xvals[j] * _p(f, tuple(np.add(_unit(dim, j), _unit(dim, k))), x)
-                      for j in range(dim))
-        grad_lf.append(a1[k] * lap + a0 * d_lap + d_drift)
-    gamma_f_lf = a0 * sum(f1[k] * grad_lf[k] for k in range(dim))
-    return 0.5 * l_gamma - gamma_f_lf
+    return _gamma2(*_jets(op, f, x))
 
 
 def gamma2_bochner(op: DiffusionOperator, f, x) -> float:
     """Hessian-norm + Ric(L) form; only for builtins with a == 1."""
-    op.check_domain(x)
-    dim = op.dim
-    hess = np.array([[_p(f, tuple(np.add(_unit(dim, i), _unit(dim, j))), x)
-                      for j in range(dim)] for i in range(dim)])
-    grad = np.array([_p(f, _unit(dim, i), x) for i in range(dim)])
-    return float(np.sum(hess * hess) + grad @ op.ric(x) @ grad)
+    jf, _, _ = _jets(op, f, x)
+    hess = np.array([[jf(i, j) for j in range(jf.dim)] for i in range(jf.dim)])
+    grad = np.array(_grad(jf))
+    return float(np.sum(hess * hess) + grad @ op.ric(jf.x) @ grad)
 
 
-def cd_residual(op: DiffusionOperator, f, x, cd: CDParams) -> float:
+def cd_residual(op: DiffusionOperator, f, x, rho: float, n: float) -> float:
     """Gamma_2(f) - rho Gamma(f) - (Lf)^2 / n; >= 0 is the certificate."""
-    if cd.n == 0:
+    if n == 0:
         raise DomainError("n = 0 has no 1/n term; use the tensor form")
-    lf = op_L(op, f, x)
-    return gamma2(op, f, x) - cd.rho * gamma(op, f, x) - lf * lf / cd.n
+    jf, ja, jx = _jets(op, f, x)
+    lf, f1 = _lf(jf, ja, jx), _grad(jf)
+    return _gamma2(jf, ja, jx) - rho * _gamma(ja, f1, f1) - lf * lf / n
 
 
 def qm_residual(op: DiffusionOperator, x) -> float:
@@ -232,12 +238,10 @@ def qm_residual(op: DiffusionOperator, x) -> float:
     With n = (base dimension) - m + 2 the identity is exact; the returned
     residual should vanish to machine precision.
     """
-    if not op.tag.startswith("halfspace_m"):
+    if op.m is None:
         raise DomainError("the quasi-model identity targets the half-space operator")
     op.check_domain(x)
-    d_base = op.dim - 1
-    m = float(op.tag.split(",")[1].rstrip(")"))
-    n = d_base - m + 2.0
+    n = (op.dim - 1) - op.m + 2.0
     T = (n - op.dim) * op.ric(x) - op.xx(x)
     return float(np.max(np.abs(T)))
 
@@ -291,23 +295,6 @@ def phi_conditions(phi: PhiSurface, n: float, d: int, grid, rho: float = 0.0):
     return ok, records
 
 
-def theta_admissible(theta: DifferentiableField, n: float, grid) -> bool:
-    """2 (n-1)/n theta'^2 <= theta theta'' pointwise (n < 0)."""
-    if theta.dim != 1:
-        raise DomainError("theta must be a one-variable profile")
-    if n >= 0:
-        raise DomainError("admissibility is stated for n < 0")
-    for y in np.atleast_1d(np.asarray(grid, dtype=float)):
-        v = theta.value(np.array([y]))
-        if v <= 0:
-            raise DomainError("theta must be positive on the grid")
-        d1 = theta.partial((1,), np.array([y]))
-        d2 = theta.partial((2,), np.array([y]))
-        if 2.0 * (n - 1.0) / n * d1 * d1 > v * d2 + 1e-12 * (abs(v * d2) + 1.0):
-            return False
-    return True
-
-
 def subharmonic_residual(op: DiffusionOperator, F, beta: float, point) -> float:
     """L(F^beta Gamma(F)) for a harmonic F, assembled without differencing F.
 
@@ -316,21 +303,16 @@ def subharmonic_residual(op: DiffusionOperator, F, beta: float, point) -> float:
                           + 2 Phi_12 Gamma(F, Gamma(F)) + Phi_22 Gamma(Gamma F),
     valid when L F = 0, with Phi(y, z) = y^beta z.
     """
-    op.check_domain(point)
-    dim = op.dim
-    y = F.value(point) if hasattr(F, "value") else float(F(point))
+    jf, ja, jx = _jets(op, F, point)
+    y = jf()
     if y <= 0:
         raise DomainError("F must be strictly positive at the point")
-    a0 = float(op.a.value(point))
-    g_val, g_grad, _ = _gamma_partials(op, F, point)
-    f1 = [_p(F, _unit(dim, i), point) for i in range(dim)]
-    gam2 = gamma2(op, F, point)
-    gamma_f_gf = a0 * sum(f1[i] * g_grad[i] for i in range(dim))
-    gamma_gf_gf = a0 * sum(v * v for v in g_grad)
+    f1, g_grad = _grad(jf), _gamma_grad(jf, ja)
+    z = _gamma(ja, f1, f1)
     s = power_surface(beta)
-    z = g_val
-    return (2.0 * s.phi2(y, z) * gam2 + s.phi11(y, z) * z
-            + 2.0 * s.phi12(y, z) * gamma_f_gf + s.phi22(y, z) * gamma_gf_gf)
+    return (2.0 * s.phi2(y, z) * _gamma2(jf, ja, jx) + s.phi11(y, z) * z
+            + 2.0 * s.phi12(y, z) * _gamma(ja, f1, g_grad)
+            + s.phi22(y, z) * _gamma(ja, g_grad, g_grad))
 
 
 # -- pointwise curvature checks from the small-t expansion ----------------
@@ -343,35 +325,29 @@ def cd1_residual(f: DifferentiableField, beta: float, d: int, x) -> float:
     """
     if not -1.0 < beta <= 0.0:
         raise DomainError("beta must lie in (-1, 0]")
-    op = euclidean(d)
-    fx = float(f.value(x))
+    jf, ja, jx = _jets(euclidean(d), f, x)
+    fx = jf()
     if fx <= 0:
         raise DomainError("f must be positive at the point")
-    lap = f.laplacian(x)
-    gam = gamma(op, f, x)
-    _, g_grad, _ = _gamma_partials(op, f, x)
-    f1 = [_p(f, _unit(d, i), x) for i in range(d)]
-    gamma_f_gf = sum(f1[i] * g_grad[i] for i in range(d))
-    lhs = gamma2(op, f, x)
+    lap, f1 = _lf(jf, ja, jx), _grad(jf)
+    gam = _gamma(ja, f1, f1)
     rhs = ((beta + 1.0) / (d * (beta + 1.0) - 2.0 * beta) * lap ** 2
-           - beta * gamma_f_gf / fx
+           - beta * _gamma(ja, f1, _gamma_grad(jf, ja)) / fx
            - 0.5 * beta * (beta - 1.0) * gam ** 2 / fx ** 2)
-    return lhs - rhs
+    return _gamma2(jf, ja, jx) - rhs
 
 
 def reinforced_cd_residual(f: DifferentiableField, d: int, x) -> float:
     """Gap of the reinforced flat curvature bound (needs Gamma(f) > 0, d >= 2)."""
     if d < 2:
         raise DomainError("the reinforced bound needs d >= 2")
-    op = euclidean(d)
-    gam = gamma(op, f, x)
+    jf, ja, jx = _jets(euclidean(d), f, x)
+    f1 = _grad(jf)
+    gam = _gamma(ja, f1, f1)
     if gam <= 0:
         raise DomainError("Gamma(f) vanishes at the point; bound undefined")
-    lap = f.laplacian(x)
-    _, g_grad, _ = _gamma_partials(op, f, x)
-    f1 = [_p(f, _unit(d, i), x) for i in range(d)]
-    gamma_f_gf = sum(f1[i] * g_grad[i] for i in range(d))
-    lhs = gamma2(op, f, x)
+    lap = _lf(jf, ja, jx)
+    gamma_f_gf = _gamma(ja, f1, _gamma_grad(jf, ja))
     rhs = (lap ** 2 / d
            + d / (d - 1.0) * (gamma_f_gf / (2.0 * gam) - lap / d) ** 2)
-    return lhs - rhs
+    return _gamma2(jf, ja, jx) - rhs

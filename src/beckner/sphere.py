@@ -17,7 +17,7 @@ import sympy as sp
 
 from .errors import DomainError
 from .fields import DifferentiableField, coords
-from .gamma2 import op_L, sphere_stereo
+from .gamma2 import gamma, op_L, sphere_stereo
 from .inequalities import DeficitReport
 from .measures import log_norm_const
 from .numerics import Estimate, QuadratureConfig, integrate_rd
@@ -61,14 +61,6 @@ class SphereGeometry:
         return self.integrate(density, config)
 
 
-def gamma_s(f: DifferentiableField, points):
-    """Pointwise spherical carre du champ (rho^4/4)|grad f|^2."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    r2 = np.sum(pts * pts, axis=1)
-    vals = 0.25 * (1.0 + r2) ** 2 * f.grad_norm_squared().value(pts)
-    return vals if vals.size > 1 else float(vals[0])
-
-
 @lru_cache(maxsize=None)
 def eigenfunction_u(d: int) -> DifferentiableField:
     """u(x) = (1-|x|^2)/(1+|x|^2), the chart form of the degree-1 eigenfunction."""
@@ -88,9 +80,9 @@ def _log_rho(d: int) -> DifferentiableField:
 def _log_rho_terms(d: int, x):
     """(u(x), Delta_S log rho, Gamma_S log rho) at a chart point."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    log_rho = _log_rho(d)
+    op, log_rho = sphere_stereo(d), _log_rho(d)
     uv = float(eigenfunction_u(d).value(x))
-    return uv, op_L(sphere_stereo(d), log_rho, x), gamma_s(log_rho, x)
+    return uv, op_L(op, log_rho, x), gamma(op, log_rho, x)
 
 
 def eigenfunction_residuals(d: int, x):
@@ -100,7 +92,7 @@ def eigenfunction_residuals(d: int, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     uv = float(u.value(x))
     lap_res = abs(op_L(op, u, x) + d * uv)
-    gam_res = abs(gamma_s(u, x) - (1.0 - uv ** 2))
+    gam_res = abs(gamma(op, u, x) - (1.0 - uv ** 2))
     return uv, lap_res, gam_res
 
 

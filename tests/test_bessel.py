@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import stats
 
 from beckner.bessel import (BesselSimConfig, dynkin_check,
                             empirical_hitting_times, simulate_joint_paths)
@@ -52,6 +51,7 @@ def test_hitting_times_do_not_depend_on_d(d):
 
 
 def test_exit_point_is_gaussian_given_hitting_time():
+    stats = pytest.importorskip("scipy.stats")
     # X_S - x = sqrt(2 S) Z with Z ~ N(0, I_d) independent of S
     cfg = BesselSimConfig(m=6.0, t0=0.5, dt=5e-4)
     x = np.array([0.3, -1.0, 2.0])
@@ -83,6 +83,7 @@ def test_empirical_mean_near_exact():
 
 @pytest.mark.parametrize("m,dt", [(8.0, 2e-4), (3.0, 1e-3)])
 def test_finished_times_follow_hitting_law(m, dt):
+    stats = pytest.importorskip("scipy.stats")
     # Euler steps down to the switch level, then the exact Gamma finish; the
     # pooled times must follow the law of the first zero from t0.  At m = 3
     # the heavy tail leaves a few paths stepping for tens of time units, so

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
-import sympy as sp
 
 from beckner.errors import DomainError
 from beckner.fields import (DifferentiableField, coords, gaussian_bump,
                             positive_bump, quadratic, standard_library)
-from beckner.gamma2 import (CDParams, carre_du_champ, cd1_residual,
-                            cd_residual, euclidean, gamma, gamma2,
-                            gamma2_bochner, halfspace_m, op_L, phi_conditions,
-                            power_surface, qm_residual,
-                            reinforced_cd_residual, sphere_stereo,
-                            subharmonic_residual, theta_admissible)
+from beckner.gamma2 import (carre_du_champ, cd1_residual, cd_residual,
+                            euclidean, gamma, gamma2, gamma2_bochner,
+                            halfspace_m, op_L, phi_conditions, power_surface,
+                            qm_residual, reinforced_cd_residual,
+                            sphere_stereo, subharmonic_residual)
 from beckner.qtm import QtmField
 
 
@@ -62,6 +60,12 @@ def test_halfspace_operator_built_once_per_d_m():
     assert halfspace_m(2, 6.0) is not halfspace_m(2, 7.0)
 
 
+def test_qm_identity_needs_the_halfspace_operator():
+    assert halfspace_m(2, 6).m == 6.0
+    with pytest.raises(DomainError):
+        qm_residual(euclidean(2), [0.1, 0.5])
+
+
 def test_halfspace_operator_drift():
     op = halfspace_m(1, 6.0)
     y = coords(2)
@@ -87,7 +91,7 @@ def test_cd_residual_gaussian_model():
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = rng.uniform(-1.5, 1.5, 2)
-        assert cd_residual(op, f, x, CDParams(0.0, 2.0)) >= -1e-10
+        assert cd_residual(op, f, x, 0.0, 2.0) >= -1e-10
 
 
 def test_phi_conditions_extremal_and_monotone_failure():
@@ -107,19 +111,6 @@ def test_phi_conditions_extremal_and_monotone_failure():
         worst = min(r["c4"] for r in recs if r.get("c4") is not None)
         margins.append(worst)
     assert margins[0] > margins[1] > margins[2]  # failure deepens with distance
-
-
-def test_theta_admissibility_power():
-    # theta = x^a is admissible iff a in [n/(2-n), 0] for n < 0
-    y = coords(1)
-    n = -2.0
-    grid = np.linspace(0.5, 3.0, 30)
-    ok = theta_admissible(DifferentiableField(y[0] ** sp.Rational(-1, 2), y,
-                                              positive=True), n, grid)
-    assert ok
-    bad = theta_admissible(DifferentiableField(y[0] ** sp.Rational(-4, 5), y,
-                                               positive=True), n, grid)
-    assert not bad
 
 
 def test_subharmonic_residual_extension_field():
@@ -169,3 +160,24 @@ def test_sphere_operator_eigenfunction():
     for x in ([0.3, -0.7], [1.5, 0.2]):
         uv = float(u.value(x))
         assert op_L(op, u, x) == pytest.approx(-d * uv, abs=1e-12)
+
+
+# f to order 3 (18 partials, plus its value where the bound divides by f),
+# a to order 2 (7) and each drift component to order 1 (3 x 4)
+@pytest.mark.parametrize("call,distinct", [
+    (lambda f, x: cd1_residual(f, -0.5, 3, x), 38),
+    (lambda f, x: reinforced_cd_residual(f, 3, x), 37),
+    (lambda f, x: gamma2(euclidean(3), f, x), 37),
+], ids=["cd1_residual", "reinforced_cd_residual", "gamma2"])
+def test_each_partial_evaluated_once_per_point(call, distinct, monkeypatch):
+    f = positive_bump(1.0, [0.3] * 3, 3)
+    seen = []
+    original = DifferentiableField._eval
+
+    def counting(self, alpha, points):
+        seen.append((id(self), tuple(alpha)))
+        return original(self, alpha, points)
+
+    monkeypatch.setattr(DifferentiableField, "_eval", counting)
+    call(f, np.array([0.4, -0.2, 0.7]))
+    assert len(seen) == len(set(seen)) == distinct

@@ -12,7 +12,7 @@ from beckner.numerics import QuadratureConfig
 from beckner.sphere import (SphereBecknerParams, SphereGeometry,
                             classical_beckner_deficit, constant_R,
                             constant_R_closed_form, eigenfunction_residuals,
-                            eigenfunction_u, gamma_s, log_rho_identities,
+                            eigenfunction_u, log_rho_identities,
                             nash_sobolev_probe, sphere_beckner_deficit)
 
 
@@ -60,14 +60,16 @@ def test_log_rho_closed_forms(d):
         assert r1 < 1e-10 and r2 < 1e-10
 
 
-def test_gamma_s_matches_operator():
+def test_sphere_gamma_matches_closed_form():
+    # Gamma_S(f) = (1/4)(1+|x|^2)^2 |grad f|^2 in the stereographic chart
     d = 2
     op = sphere_stereo(d)
     f = positive_bump(1.0, [0.2, 0.2], d)
     rng = np.random.default_rng(2)
     for _ in range(10):
         x = rng.uniform(-2, 2, d)
-        assert gamma_s(f, x) == pytest.approx(gamma(op, f, x), rel=1e-10)
+        closed = 0.25 * (1.0 + x @ x) ** 2 * float(f.grad_norm_squared().value(x))
+        assert gamma(op, f, x) == pytest.approx(closed, rel=1e-10)
 
 
 @pytest.mark.parametrize("d,m", [(2, 4.0), (2, 6.0), (3, 5.0), (3, 8.0)])
