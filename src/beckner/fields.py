@@ -1,247 +1,314 @@
-"""Differentiable scalar test fields.
+"""Differentiable scalar test fields: small expressions on R^d of constants,
+coordinates, +, *, exp, cos, log, real powers, partials d_i and affine maps.
 
-Fields are symbolic expressions (sympy) with every partial derivative up to
-order 4 generated analytically and lambdified on demand.  All evaluation
-entry points are vectorized over an (n, d) array of points.  Combinators
-(sum, scale, power, affine precomposition, composition with a scalar
-profile) stay inside the class, so chain rules are exact.
+On an (n, d) batch a field evaluates to plain numpy arrays (values only) or to
+one truncated Taylor jet of order k, the coefficients c_alpha (|alpha| <= k)
+with D^alpha f = alpha! c_alpha.  Products of jets multiply truncated
+polynomials, exp/cos/log/powers act through their one-variable Taylor series,
+an affine map scales c_alpha by t^|alpha| and d_i shifts the indices.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 
 import numpy as np
-import sympy as sp
-from sympy.printing.numpy import NumPyPrinter
 
 from .errors import DomainError
 
-def coords(d: int):
-    return sp.symbols(f"y0:{d}", real=True)
+
+def multi_indices(d: int, max_order: int):
+    """All multi-indices in d variables with total order <= max_order."""
+    return [a for order in range(max_order + 1)
+            for a in itertools.product(range(order + 1), repeat=d) if sum(a) == order]
 
 
-@lru_cache(maxsize=None)
-def _compile(expr, syms, alpha):
-    """The lambdified partial D^alpha expr.
+class _Basis:
+    """The multi-indices of order <= k in d variables, by order (a jet of lower
+    order is a prefix), and the tables of the jet product and of d_i."""
 
-    Cached for the process, so equal fields built afresh (a constant, a
-    library field of the same parameters) share one compile per partial.
-    """
-    for s, k in zip(syms, alpha):
-        if k:
-            expr = sp.diff(expr, s, k)
-    # The printer and settings that modules="numpy" picks, but an empty
-    # namespace: the code then imports only the numpy functions it calls.
-    # modules="numpy" runs `from numpy import *`, which loads every lazy numpy
-    # submodule (f2py, testing, ...) and costs about 0.13 s per process.
-    printer = NumPyPrinter({"fully_qualified_modules": False, "inline": True,
-                            "allow_unknown_functions": True, "user_functions": {}})
-    return sp.lambdify(syms, expr, modules=[], printer=printer)
+    def __init__(self, d: int, k: int):
+        self.alphas = alphas = multi_indices(d, k)
+        self.index = index = {a: i for i, a in enumerate(alphas)}
+        self.fact = np.array([math.prod(map(math.factorial, a)) for a in alphas], float)
+        self.order = np.array([sum(a) for a in alphas])
+        pairs = [(index[a], index[b], index[g]) for g in alphas
+                 for a in alphas[1:] for b in [tuple(np.subtract(g, a))]
+                 if min(b) >= 0 and sum(b) > 0]
+        self.left, self.right, rows = np.array(pairs, dtype=int).reshape(-1, 3).T
+        self.first2 = d + 1   # the first g of order 2
+        # sums the pairs a + b = g, a, b != 0, of each g over a whole batch
+        self.scatter = (rows == np.arange(d + 1, len(alphas))[:, None]).astype(float)
+        # d_i of a jet of order k - 1 from this one: c'_a = (a_i + 1) c_{a + e_i}
+        lower = [a for a in alphas if sum(a) < k]
+        self.shift = [(np.array([index[a[:i] + (a[i] + 1,) + a[i + 1:]] for a in lower]),
+                       np.array([a[i] + 1.0 for a in lower])[:, None]) for i in range(d)]
+
+    def cross(self, u, v):
+        """The product of the non-constant parts of two jets."""
+        out = np.zeros_like(u)
+        out[self.first2:] = self.scatter @ (u[self.left] * v[self.right])
+        return out
+
+    def compose(self, u, derivs):
+        """g(u) = sum_j g^(j)(u_0) h^j / j! with h = u - u_0, from the
+        g^(j)(u_0), j = 0..k; a g^(j) that is exactly 0 ends the series."""
+        out, hj = derivs[1] * u, u
+        out[0] = derivs[0]
+        for j, dj in enumerate(derivs[2:], start=2):
+            if isinstance(dj, float) and dj == 0.0:
+                break
+            hj = self.cross(hj, u)
+            out += (dj / math.factorial(j)) * hj
+        return out
+
+
+_basis = lru_cache(maxsize=None)(_Basis)   # one basis per (d, k)
+
+
+def falling_factorial(beta: float, k: int) -> float:
+    """beta (beta - 1) ... (beta - k + 1), the factor of the k-th derivative of v^beta."""
+    return math.prod(beta - i for i in range(k))
+
+
+def _derivs(op: str, beta, u0, k: int):
+    """g^(j)(u0), j = 0..k, of exp, cos, log or v^beta (exactly 0 if its factor is)."""
+    if op == "exp":
+        return [np.exp(u0)] * (k + 1)
+    if op == "cos":
+        c, s = np.cos(u0), np.sin(u0)
+        return [(c, -s, -c, s)[j % 4] for j in range(k + 1)]
+    if op == "log":
+        return [np.log(u0)] + [-math.factorial(j - 1) * (-1.0 / u0) ** j
+                               for j in range(1, k + 1)]
+    facs = [falling_factorial(beta, j) for j in range(k + 1)]
+    return [c * u0 ** (beta - j) if c else 0.0 for j, c in enumerate(facs)]
 
 
 class DifferentiableField:
-    """Scalar field on R^d with analytic partials to order 4.
+    """Scalar field on R^d with exact partials to order 4: a node ``op`` with
+    its constant, coordinate, exponent, axis or (scale, shift) ``param`` and
+    operand fields ``args``.  ``positive`` marks fields bounded away from zero,
+    the precondition for negative powers; ``degree`` is the polynomial degree,
+    None for a field that is not a polynomial."""
 
-    ``positive`` marks fields guaranteed to be bounded away from zero, the
-    precondition for negative powers.
-    """
-
-    def __init__(self, expr, syms, positive: bool = False):
-        self.syms = tuple(syms)
-        self.dim = len(self.syms)
-        self.expr = sp.sympify(expr)
+    def __init__(self, dim: int, op: str, param=None, args=(), positive: bool = False):
+        self.dim, self.op, self.param, self.args = dim, op, param, tuple(args)
         self.positive = positive
-        self._fns = {}
-        self._grad_norm_squared = None
-        self._powers = {}
+        if any(a.dim != dim for a in self.args):
+            raise DomainError("operands live in different dimensions")
+        degs = [a.degree for a in self.args]
+        rule = {"const": lambda g: 0, "coord": lambda g: 1, "add": max, "affine": max,
+                "mul": sum, "d": lambda g: max(g[0] - 1, 0),
+                "pow": lambda g: None if param < 0 or param % 1 else g[0] * int(param)}
+        self.degree = None if None in degs or op not in rule else rule[op](degs)
 
     # -- evaluation ---------------------------------------------------------
-    def _fn(self, alpha):
-        fn = self._fns.get(alpha)
-        if fn is None:
-            fn = _compile(self.expr, self.syms, alpha)
-            self._fns[alpha] = fn
-        return fn
+    def _walk(self, pts, k, memo):
+        """Values (k = 0, freed once used) or the order-k jet, built once per node."""
+        if k == 0:
+            return self._node(pts, 0, memo)
+        key = (id(self), k)
+        if key not in memo:
+            memo[key] = self._node(pts, k, memo)
+        return memo[key]
 
-    def _eval(self, alpha, points):
-        pts = np.asarray(points, dtype=float)
-        scalar = pts.ndim == 1
-        pts = np.atleast_2d(pts)
+    def _node(self, pts, k, memo):
+        op, p = self.op, self.param
+        if op in ("const", "coord"):
+            if k == 0:
+                return p if op == "const" else pts[:, p]
+            b = _basis(self.dim, k)
+            out = np.zeros((len(b.alphas), len(pts)))
+            out[0] = p if op == "const" else pts[:, p]
+            if op == "coord":
+                out[b.index[tuple(int(i == p) for i in range(self.dim))]] = 1.0
+            return out
+        if op == "affine":
+            t, x = p
+            inner = self.args[0]._walk(t * pts + x, k, {})
+            return inner if k == 0 else inner * (t ** _basis(self.dim, k).order)[:, None]
+        if op == "d":
+            rows, fac = _basis(self.dim, k + 1).shift[p]
+            out = self.args[0]._walk(pts, k + 1, memo)[rows] * fac
+            return out[0] if k == 0 else out
+        a = self.args   # values: no named temporaries, so numpy reuses them in place
+        if op == "add":
+            return a[0]._walk(pts, k, memo) + a[1]._walk(pts, k, memo)
+        if k == 0 and op == "mul":
+            return a[0]._walk(pts, 0, memo) * a[1]._walk(pts, 0, memo)
+        if k == 0:
+            return a[0]._walk(pts, 0, memo) ** p if op == "pow" else getattr(np, op)(
+                a[0]._walk(pts, 0, memo))
+        u = a[0]._walk(pts, k, memo)
+        if op == "mul":
+            w = a[1]._walk(pts, k, memo)
+            out = u[0] * w + w[0] * u + _basis(self.dim, k).cross(u, w)
+            out[0] = u[0] * w[0]
+            return out
+        return _basis(self.dim, k).compose(u, _derivs(op, p, u[0], k))
+
+    def _eval(self, points, order: int):
+        """The values (order 0) or the jet of that order on a batch."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[-1] != self.dim:
             raise DomainError(f"points must have dimension {self.dim}")
-        out = self._fn(alpha)(*(pts[:, i] for i in range(self.dim)))
-        out = np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],)).copy()
-        return float(out[0]) if scalar else out
+        out = self._walk(pts, order, {})
+        if order:
+            return out
+        return np.broadcast_to(np.asarray(out, dtype=float), (len(pts),)).copy()
 
     def value(self, points):
-        return self._eval((0,) * self.dim, points)
+        out = self._eval(points, 0)
+        return float(out[0]) if np.ndim(points) == 1 else out
 
-    def __call__(self, points):
-        return self.value(points)
+    __call__ = value
+
+    def partials(self, points, order: int) -> dict:
+        """Every partial of order <= ``order`` from one jet, as {alpha: values}:
+        floats at a single point, (n,) arrays on a batch."""
+        if order > 4:
+            raise DomainError("analytic derivatives available to order 4 only")
+        b = _basis(self.dim, order)
+        vals = self._eval(points, order) * b.fact[:, None]
+        return dict(zip(b.alphas, vals[:, 0].tolist() if np.ndim(points) == 1 else vals))
 
     def partial(self, alpha, points):
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.dim or any(a < 0 for a in alpha):
             raise DomainError("bad multi-index")
-        if sum(alpha) > 4:
-            raise DomainError("analytic derivatives available to order 4 only")
-        return self._eval(alpha, points)
-
-    def laplacian(self, points):
-        acc = None
-        for i in range(self.dim):
-            term = self.partial(tuple(2 if j == i else 0 for j in range(self.dim)), points)
-            acc = term if acc is None else acc + term
-        return acc
+        return self.partials(points, sum(alpha))[alpha]
 
     # -- combinators --------------------------------------------------------
-    def _like(self, expr, positive=None):
-        return DifferentiableField(expr, self.syms,
-                                   positive=self.positive if positive is None else positive)
+    def _join(self, op, other, positive):
+        if not isinstance(other, DifferentiableField):
+            other = constant(other, self.dim)
+        return DifferentiableField(self.dim, op, None, (self, other), positive)
 
     def __add__(self, other):
-        if isinstance(other, DifferentiableField):
-            return self._like(self.expr + other.expr,
-                              positive=self.positive and other.positive)
-        return self._like(self.expr + sp.Float(other), positive=False)
+        both = getattr(other, "positive", False)   # a shift by a number drops the flag
+        return self._join("add", other, self.positive and both)
 
     def __mul__(self, other):
-        if isinstance(other, DifferentiableField):
-            return self._like(self.expr * other.expr,
-                              positive=self.positive and other.positive)
-        return self._like(sp.Float(other) * self.expr,
-                          positive=self.positive and other > 0)
+        both = other.positive if isinstance(other, DifferentiableField) else other > 0
+        return self._join("mul", other, self.positive and both)
 
+    __radd__ = __add__
     __rmul__ = __mul__
 
-    def power(self, beta):
-        """f^beta; non-integer or negative beta requires a positive field.
+    def __sub__(self, other):
+        return self + -1.0 * other
 
-        Built once per (field, beta), so its compiled partials are reused.
-        """
-        if (beta != int(beta) or beta < 0) and not self.positive:
+    def __rsub__(self, other):
+        return -1.0 * self + other
+
+    def power(self, beta):
+        """f^beta; non-integer or negative beta requires a positive field."""
+        natural = beta == int(beta) and beta >= 0
+        if not (natural or self.positive):
             raise DomainError(
                 "non-integer/negative powers require a strictly positive field")
-        g = self._powers.get(beta)
-        if g is None:
-            g = self._like(self.expr ** sp.nsimplify(beta), positive=self.positive)
-            self._powers[beta] = g
-        return g
+        return DifferentiableField(self.dim, "pow", int(beta) if natural else float(beta),
+                                   (self,), self.positive)   # int: numpy's fast square
 
-    def compose_scalar(self, profile_expr, var):
-        """profile(f) for a 1-D sympy expression ``profile_expr`` in ``var``."""
-        return self._like(profile_expr.subs(var, self.expr), positive=False)
+    __pow__ = power
 
-    def grad_norm_squared(self):
-        """The field |grad f|^2, used as the energy density Gamma(f).
 
-        Built once per field, so its compiled partials are reused.
-        """
-        if self._grad_norm_squared is None:
-            e = sum(sp.diff(self.expr, s) ** 2 for s in self.syms)
-            self._grad_norm_squared = self._like(e, positive=False)
-        return self._grad_norm_squared
+def _unary(op):
+    return lambda f: DifferentiableField(f.dim, op, None, (f,))
+
+
+exp, cos, log = _unary("exp"), _unary("cos"), _unary("log")
+
+
+def _d(f: DifferentiableField, i: int) -> DifferentiableField:
+    return DifferentiableField(f.dim, "d", i, (f,))
+
+
+def grad_norm_squared(f: DifferentiableField) -> DifferentiableField:
+    """The field |grad f|^2, used as the energy density Gamma(f)."""
+    return reduce(operator.add, [g * g for g in (_d(f, i) for i in range(f.dim))])
+
+
+def laplacian(f: DifferentiableField) -> DifferentiableField:
+    """The field Laplacian(f)."""
+    return reduce(operator.add, [_d(_d(f, i), i) for i in range(f.dim)])
 
 
 def affine_precompose(f: DifferentiableField, t: float, x) -> DifferentiableField:
     """The field y -> f(t y + x)."""
-    if t <= 0:
-        raise DomainError("scale t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise DomainError("scale t must be positive and finite")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (f.dim,):
-        raise DomainError("shift has wrong dimension")
-    sub = {s: sp.Float(t) * s + sp.Float(xi) for s, xi in zip(f.syms, x)}
-    return DifferentiableField(f.expr.subs(sub, simultaneous=True), f.syms,
-                               positive=f.positive)
+    if x.shape != (f.dim,) or not np.all(np.isfinite(x)):
+        raise DomainError("shift must be finite, one entry per dimension")
+    return DifferentiableField(f.dim, "affine", (float(t), x), (f,), f.positive)
 
 
 # -- library --------------------------------------------------------------
 
 def constant(c: float, d: int) -> DifferentiableField:
-    return DifferentiableField(sp.Float(c), coords(d), positive=c > 0)
+    return DifferentiableField(d, "const", float(c), positive=c > 0)
 
 
 def coordinate(i: int, d: int) -> DifferentiableField:
-    y = coords(d)
     if not 0 <= i < d:
         raise DomainError("coordinate index out of range")
-    return DifferentiableField(y[i], y)
+    return DifferentiableField(d, "coord", i)
+
+
+def coords(d: int):
+    return tuple(coordinate(i, d) for i in range(d))
 
 
 def quadratic(d: int) -> DifferentiableField:
-    y = coords(d)
-    return DifferentiableField(sum(s ** 2 for s in y), y)
+    return reduce(operator.add, [s ** 2 for s in coords(d)])
 
 
 def trig(k, d: int) -> DifferentiableField:
     """cos(k . y)."""
-    y = coords(d)
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if k.shape != (d,):
         raise DomainError("wave vector has wrong dimension")
-    return DifferentiableField(sp.cos(sum(sp.Float(ki) * s for ki, s in zip(k, y))), y)
+    return cos(reduce(operator.add, [float(ki) * s for ki, s in zip(k, coords(d))]))
 
 
 def gaussian_bump(a: float, c, d: int) -> DifferentiableField:
-    y = coords(d)
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    e = sp.exp(-sp.Float(a) * sum((s - sp.Float(ci)) ** 2 for s, ci in zip(y, c)))
-    return DifferentiableField(e, y)
+    return exp(reduce(operator.add, [-float(a) * (s - float(ci)) ** 2
+                                     for s, ci in zip(coords(d), c)]))
 
 
 def positive_bump(a: float, c, d: int) -> DifferentiableField:
     """1 + exp(-a|y-c|^2); strictly positive, safe for negative powers."""
-    f = gaussian_bump(a, c, d)
-    return DifferentiableField(1 + f.expr, f.syms, positive=True)
+    return DifferentiableField(d, "add", None, (gaussian_bump(a, c, d), constant(1.0, d)),
+                               positive=True)
 
 
 def make_power_of_rho(alpha: float, d: int) -> DifferentiableField:
     """(1 + |y|^2)^{alpha/2}."""
-    y = coords(d)
-    e = (1 + sum(s ** 2 for s in y)) ** (sp.nsimplify(alpha) / 2)
-    return DifferentiableField(e, y, positive=True)
-
-
-def multi_indices(d: int, max_order: int):
-    """All multi-indices in d variables with total order <= max_order."""
-    out = []
-    for order in range(max_order + 1):
-        for alpha in itertools.product(range(order + 1), repeat=d):
-            if sum(alpha) == order:
-                out.append(alpha)
-    return out
+    return DifferentiableField(d, "pow", alpha / 2.0, (quadratic(d) + 1.0,), positive=True)
 
 
 def growth_degree(f: DifferentiableField) -> float:
-    """Polynomial growth bound of |f| at infinity.
-
-    Exact total degree for polynomials; otherwise measured along the
-    diagonal at two large radii and rounded up (0 for bounded fields).
-    """
-    if f.expr.is_polynomial(*f.syms):
-        return float(sp.total_degree(f.expr, *f.syms))
+    """Polynomial growth bound of |f| at infinity: the degree of a polynomial,
+    else measured along the diagonal at two large radii and rounded up."""
+    if f.degree is not None:
+        return float(f.degree)
     direc = np.ones(f.dim) / math.sqrt(f.dim)
-    r1, r2 = 1e3, 1e6
-    v1 = abs(float(f.value(r1 * direc)))
-    v2 = abs(float(f.value(r2 * direc)))
+    v1, v2 = (abs(float(f.value(r * direc))) for r in (1e3, 1e6))
     if v2 <= 1e-300 or v1 <= 1e-300:
         return 0.0
-    slope = math.log(v2 / v1) / math.log(r2 / r1)
-    return max(math.ceil(slope - 1e-6), 0.0)
+    return max(math.ceil(math.log(v2 / v1) / math.log(1e6 / 1e3) - 1e-6), 0.0)
 
 
 @lru_cache(maxsize=None)
 def standard_library(d: int):
     """The built-in test fields used across the verification suites."""
-    lib = {
-        "one": constant(1.0, d),
-        "coordinate": coordinate(0, d),
-        "quadratic": quadratic(d),
-        "trig": trig([1.0] * d, d),
-        "gaussian_bump": gaussian_bump(1.0, [0.3] * d, d),
-        "positive_bump": positive_bump(1.0, [0.3] * d, d),
-        "power_of_rho": make_power_of_rho(-2.0, d),
-    }
-    return lib
+    return {"one": constant(1.0, d), "coordinate": coordinate(0, d),
+            "quadratic": quadratic(d), "trig": trig([1.0] * d, d),
+            "gaussian_bump": gaussian_bump(1.0, [0.3] * d, d),
+            "positive_bump": positive_bump(1.0, [0.3] * d, d),
+            "power_of_rho": make_power_of_rho(-2.0, d)}

@@ -4,8 +4,8 @@ Operators are restricted to the conformal-Euclidean form a(x) Laplacian + X;
 that covers the Euclidean space, the half-space operator with its singular
 radial drift, and the stereographic sphere.  The iterated operator is
 assembled from partial derivatives of the field (order 3), so any object
-exposing ``partial(alpha, point)`` works: symbolic test fields as well as
-the kernel-differentiated harmonic extension.
+exposing ``partial(alpha, point)`` works: test fields, which give them all
+from one Taylor jet, as well as the kernel-differentiated harmonic extension.
 """
 from __future__ import annotations
 
@@ -14,10 +14,9 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import sympy as sp
 
 from .errors import DomainError
-from .fields import DifferentiableField, coords
+from .fields import DifferentiableField, constant, coords, make_power_of_rho
 
 
 @dataclass(frozen=True)
@@ -74,36 +73,24 @@ class DiffusionOperator:
 
 @lru_cache(maxsize=None)
 def euclidean(d: int) -> DiffusionOperator:
-    y = coords(d)
-    one = DifferentiableField(sp.Integer(1), y, positive=True)
-    zero = [DifferentiableField(sp.Integer(0), y) for _ in range(d)]
+    zero = [constant(0.0, d) for _ in range(d)]
     z = lambda p: np.zeros((d, d))
-    return DiffusionOperator(d, one, zero, f"euclidean({d})", ric=z, xx=z)
+    return DiffusionOperator(d, constant(1.0, d), zero, f"euclidean({d})", ric=z, xx=z)
 
 
 @lru_cache(maxsize=None)
 def halfspace_m(d: int, m: float) -> DiffusionOperator:
     """The operator Laplacian + d^2/dt^2 + ((1-m)/t) d/dt on R^d x (0, inf)."""
     dim = d + 1
-    y = coords(dim)
-    t = y[-1]
-    one = DifferentiableField(sp.Integer(1), y, positive=True)
-    xs = [DifferentiableField(sp.Integer(0), y) for _ in range(d)]
-    xs.append(DifferentiableField((1 - sp.nsimplify(m)) / t, y))
+    t = coords(dim)[-1]
+    xs = [constant(0.0, dim) for _ in range(d)]
+    xs.append((1.0 - m) * DifferentiableField(dim, "pow", -1.0, (t,)))
 
-    def ric(p):
-        out = np.zeros((dim, dim))
-        out[-1, -1] = (1.0 - m) / p[-1] ** 2
-        return out
-
-    def xx(p):
-        out = np.zeros((dim, dim))
-        out[-1, -1] = (1.0 - m) ** 2 / p[-1] ** 2
-        return out
-
-    return DiffusionOperator(dim, one, xs, f"halfspace_m({d},{m})",
+    def corner(c):   # p -> the (dim, dim) matrix with c / t^2 in its last entry
+        return lambda p: np.diag([0.0] * d + [c / p[-1] ** 2])
+    return DiffusionOperator(dim, constant(1.0, dim), xs, f"halfspace_m({d},{m})",
                              domain_check=lambda p: float(np.atleast_1d(p)[-1]) > 0,
-                             ric=ric, xx=xx, m=float(m))
+                             ric=corner(1.0 - m), xx=corner((1.0 - m) ** 2), m=float(m))
 
 
 @lru_cache(maxsize=None)
@@ -111,43 +98,35 @@ def sphere_stereo(d: int) -> DiffusionOperator:
     """Laplace-Beltrami of the d-sphere in the stereographic chart."""
     if d < 2:
         raise DomainError("the stereographic chart needs d >= 2")
-    y = coords(d)
-    r2 = sum(s ** 2 for s in y)
-    a = DifferentiableField((1 + r2) ** 2 / 4, y, positive=True)
-    xs = [DifferentiableField(-sp.Rational(d - 2, 2) * (1 + r2) * s, y) for s in y]
-    return DiffusionOperator(d, a, xs, f"sphere_stereo({d})")
+    rho2 = make_power_of_rho(2.0, d)   # 1 + |y|^2
+    xs = [(2.0 - d) / 2.0 * rho2 * s for s in coords(d)]
+    return DiffusionOperator(d, 0.25 * rho2 ** 2, xs, f"sphere_stereo({d})")
 
 
 # -- the pointwise calculus ------------------------------------------------
 
 class _Jet:
-    """The partials of one field at one point, each evaluated at most once.
+    """The partials of order <= ``order`` of one field at one point: ``J(i, j, ...)``
+    along the listed axes, ``J()`` the value.  A DifferentiableField gives them
+    all from one jet; another field is asked for each partial once, when read."""
 
-    ``J(i, j, ...)`` is the partial along the listed axes, ``J()`` the value.
-    """
-
-    def __init__(self, field, x):
-        self.field = field
-        self.x = x
-        self.dim = len(x)
-        self._vals = {}
+    def __init__(self, field, x, order):
+        self.field, self.x, self.dim = field, x, len(x)
+        self._vals = field.partials(x, order) if hasattr(field, "partials") else {}
 
     def __call__(self, *axes):
-        alpha = [0] * self.dim
-        for i in axes:
-            alpha[i] += 1
-        alpha = tuple(alpha)
-        v = self._vals.get(alpha)
-        if v is None:
-            v = self._vals[alpha] = float(self.field.partial(alpha, self.x))
-        return v
+        alpha = tuple(axes.count(i) for i in range(self.dim))
+        if alpha not in self._vals:
+            self._vals[alpha] = float(self.field.partial(alpha, self.x))
+        return self._vals[alpha]
 
 
-def _jets(op: DiffusionOperator, f, x):
-    """Jets of f, of the conformal factor a and of each drift component at x."""
+def _jets(op: DiffusionOperator, f, x, order):
+    """Jets at x of f to ``order``, of a and each drift component to ``order - 1``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     op.check_domain(x)
-    return _Jet(f, x), _Jet(op.a, x), [_Jet(X, x) for X in op.X]
+    low = max(order - 1, 0)
+    return _Jet(f, x, order), _Jet(op.a, x, low), [_Jet(X, x, low) for X in op.X]
 
 
 def _grad(J):
@@ -195,29 +174,34 @@ def _gamma2(jf, ja, jx):
 
 def op_L(op: DiffusionOperator, f, x) -> float:
     """L f = a Laplacian(f) + X . grad f at x."""
-    return _lf(*_jets(op, f, x))
+    return _lf(*_jets(op, f, x, 2))
+
+
+def value_L_gamma(op: DiffusionOperator, f, x):
+    """(f(x), Lf, Gamma(f)) at x from one set of jets."""
+    jf, ja, jx = _jets(op, f, x, 2)
+    f1 = _grad(jf)
+    return jf(), _lf(jf, ja, jx), _gamma(ja, f1, f1)
 
 
 def carre_du_champ(op: DiffusionOperator, f, g, x) -> float:
     """Gamma(f, g) = a grad f . grad g for conformal operators."""
-    jf, ja, _ = _jets(op, f, x)
-    return _gamma(ja, _grad(jf), _grad(_Jet(g, jf.x)))
+    jf, ja, _ = _jets(op, f, x, 1)
+    return _gamma(ja, _grad(jf), _grad(_Jet(g, jf.x, 1)))
 
 
 def gamma(op: DiffusionOperator, f, x) -> float:
-    jf, ja, _ = _jets(op, f, x)
-    f1 = _grad(jf)
-    return _gamma(ja, f1, f1)
+    return value_L_gamma(op, f, x)[2]
 
 
 def gamma2(op: DiffusionOperator, f, x) -> float:
     """Gamma_2(f) = (1/2) L Gamma(f) - Gamma(f, Lf) from the definition."""
-    return _gamma2(*_jets(op, f, x))
+    return _gamma2(*_jets(op, f, x, 3))
 
 
 def gamma2_bochner(op: DiffusionOperator, f, x) -> float:
     """Hessian-norm + Ric(L) form; only for builtins with a == 1."""
-    jf, _, _ = _jets(op, f, x)
+    jf, _, _ = _jets(op, f, x, 2)
     hess = np.array([[jf(i, j) for j in range(jf.dim)] for i in range(jf.dim)])
     grad = np.array(_grad(jf))
     return float(np.sum(hess * hess) + grad @ op.ric(jf.x) @ grad)
@@ -227,7 +211,7 @@ def cd_residual(op: DiffusionOperator, f, x, rho: float, n: float) -> float:
     """Gamma_2(f) - rho Gamma(f) - (Lf)^2 / n; >= 0 is the certificate."""
     if n == 0:
         raise DomainError("n = 0 has no 1/n term; use the tensor form")
-    jf, ja, jx = _jets(op, f, x)
+    jf, ja, jx = _jets(op, f, x, 3)
     lf, f1 = _lf(jf, ja, jx), _grad(jf)
     return _gamma2(jf, ja, jx) - rho * _gamma(ja, f1, f1) - lf * lf / n
 
@@ -303,7 +287,7 @@ def subharmonic_residual(op: DiffusionOperator, F, beta: float, point) -> float:
                           + 2 Phi_12 Gamma(F, Gamma(F)) + Phi_22 Gamma(Gamma F),
     valid when L F = 0, with Phi(y, z) = y^beta z.
     """
-    jf, ja, jx = _jets(op, F, point)
+    jf, ja, jx = _jets(op, F, point, 3)
     y = jf()
     if y <= 0:
         raise DomainError("F must be strictly positive at the point")
@@ -325,7 +309,7 @@ def cd1_residual(f: DifferentiableField, beta: float, d: int, x) -> float:
     """
     if not -1.0 < beta <= 0.0:
         raise DomainError("beta must lie in (-1, 0]")
-    jf, ja, jx = _jets(euclidean(d), f, x)
+    jf, ja, jx = _jets(euclidean(d), f, x, 3)
     fx = jf()
     if fx <= 0:
         raise DomainError("f must be positive at the point")
@@ -341,7 +325,7 @@ def reinforced_cd_residual(f: DifferentiableField, d: int, x) -> float:
     """Gap of the reinforced flat curvature bound (needs Gamma(f) > 0, d >= 2)."""
     if d < 2:
         raise DomainError("the reinforced bound needs d >= 2")
-    jf, ja, jx = _jets(euclidean(d), f, x)
+    jf, ja, jx = _jets(euclidean(d), f, x, 3)
     f1 = _grad(jf)
     gam = _gamma(ja, f1, f1)
     if gam <= 0:

@@ -12,11 +12,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy as sp
 
 from .errors import (AdmissibilityError, DomainError, IllConditioned,
                      ParamError)
-from .fields import DifferentiableField, coords, growth_degree
+from .fields import (DifferentiableField, affine_precompose, falling_factorial,
+                     grad_norm_squared, growth_degree, make_power_of_rho)
 from .measures import CauchyMeasure, log_norm_const
 from .numerics import Estimate, QuadratureConfig, integrate_rd
 from .qtm import QtmParams, qtm_quadrature
@@ -79,7 +79,7 @@ def beckner_qt_deficit(f: DifferentiableField, m: float, p: float, t: float,
     x = tuple(np.atleast_1d(np.asarray(x, dtype=float)))
     sq = qtm_quadrature(f.power(2), QtmParams(m, d, t, x), cfg)
     frac = qtm_quadrature(f.power(2.0 / p), QtmParams(m, d, t, x), cfg)
-    energy = qtm_quadrature(f.grad_norm_squared(), QtmParams(m - 2.0, d, t, x), cfg)
+    energy = qtm_quadrature(grad_norm_squared(f), QtmParams(m - 2.0, d, t, x), cfg)
     lv, le, ln = _beckner_lhs(p, sq, frac)
     c = 2.0 * t ** 2 / (m - 2.0)
     return DeficitReport(
@@ -93,14 +93,8 @@ def beckner_qt_deficit(f: DifferentiableField, m: float, p: float, t: float,
 def _weighted_energy(f: DifferentiableField, nu: CauchyMeasure,
                      cfg: QuadratureConfig) -> Estimate:
     """Integral of |grad f|^2 (1+|y|^2) against the measure."""
-    gsq = f.grad_norm_squared()
-    g_deg = growth_degree(f)
-
-    def g(pts):
-        r2 = np.sum(pts * pts, axis=1)
-        return gsq.value(pts) * (1.0 + r2)
-
-    return nu.integrate(g, cfg, growth=2.0 * g_deg)
+    return nu.integrate(grad_norm_squared(f) * make_power_of_rho(2.0, f.dim), cfg,
+                        growth=2.0 * growth_degree(f))
 
 
 def beckner_cauchy_deficit(f: DifferentiableField, b: float, p: float, d: int,
@@ -140,8 +134,7 @@ def poincare_cauchy_deficit(f: DifferentiableField, b: float, d: int,
     cfg = cfg or QuadratureConfig()
     nu = CauchyMeasure(d, b)
     g_deg = growth_degree(f)
-    sq = nu.integrate(lambda pts: np.asarray(f.value(pts)) ** 2, cfg,
-                      growth=2.0 * g_deg)
+    sq = nu.integrate(f.power(2), cfg, growth=2.0 * g_deg)
     mean = nu.integrate(f.value, cfg, growth=g_deg)
     energy = _weighted_energy(f, nu, cfg)
     var = sq.value - mean.value ** 2
@@ -156,14 +149,9 @@ def poincare_cauchy_deficit(f: DifferentiableField, b: float, d: int,
 
 @dataclass(frozen=True)
 class PhiEntropySpec:
-    """Convex profile for the entropy inequality, given as a sympy expression.
-
-    ``expr`` is a function of ``var``; derivatives to order four are taken
-    symbolically.  ``n`` is the (negative) effective dimension against which
-    admissibility is judged.
-    """
-    expr: sp.Expr
-    var: sp.Symbol
+    """The power profile Phi(v) = v^q for the entropy inequality, judged
+    admissible against the (negative) effective dimension ``n``."""
+    q: float
     n: float
 
     def __post_init__(self):
@@ -171,10 +159,11 @@ class PhiEntropySpec:
             raise DomainError("the entropy family runs at negative n")
 
     def derivative(self, order: int):
-        dexpr = sp.diff(self.expr, self.var, order)
-        fn = sp.lambdify(self.var, dexpr, modules="numpy")
-        return lambda v: np.broadcast_to(np.asarray(fn(np.asarray(v, dtype=float)),
-                                                    dtype=float), np.shape(v)).copy()
+        """Phi^(order)(v) = q (q-1) ... (q-order+1) v^(q-order); exactly 0
+        where that factor vanishes."""
+        c = falling_factorial(self.q, order)
+        return lambda v: (c * np.asarray(v, dtype=float) ** (self.q - order) if c
+                          else np.zeros(np.shape(v)))
 
 
 def admissibility_check(spec: PhiEntropySpec, grid):
@@ -219,16 +208,14 @@ def phi_entropy_deficit(f: DifferentiableField, spec: PhiEntropySpec,
     if not ok:
         raise AdmissibilityError(
             f"profile fails admissibility on [{lo:.3g}, {hi:.3g}] (margin {worst:.3g})")
-    phi_of_f = f.compose_scalar(spec.expr, spec.var)
+    phi_of_f = f.power(spec.q)
     ent_first = qtm_quadrature(phi_of_f, QtmParams(m, d, t, x), cfg)
     mean = qtm_quadrature(f, QtmParams(m, d, t, x), cfg)
-    phi_fn = spec.derivative(0)
-    phi_at_mean = float(phi_fn(mean.value))
+    phi_at_mean = float(spec.derivative(0)(mean.value))
     dphi_at_mean = abs(float(spec.derivative(1)(mean.value)))
     lhs_val = ent_first.value - phi_at_mean
     lhs_err = ent_first.error_bound + dphi_at_mean * mean.error_bound
-    weight = f.compose_scalar(sp.diff(spec.expr, spec.var, 2), spec.var) \
-        * f.grad_norm_squared()
+    weight = spec.q * (spec.q - 1.0) * f.power(spec.q - 2.0) * grad_norm_squared(f)
     energy = qtm_quadrature(weight, QtmParams(m - 2.0, d, t, x), cfg)
     c = t ** 2 / (2.0 * (m - 2.0))
     return DeficitReport(
@@ -322,7 +309,7 @@ def gaussian_beckner_deficit(f: DifferentiableField, p: float,
     d = f.dim
     sq = _gaussian_integrate(f.power(2).value, d, cfg)
     frac = _gaussian_integrate(f.power(2.0 / p).value, d, cfg)
-    energy = _gaussian_integrate(f.grad_norm_squared().value, d, cfg)
+    energy = _gaussian_integrate(grad_norm_squared(f).value, d, cfg)
     lv, le, ln = _beckner_lhs(p, sq, frac)
     return DeficitReport(
         lhs=Estimate(lv, le, ln),
@@ -345,14 +332,10 @@ def gaussian_limit_probe(f: DifferentiableField, b_list, p: float, d: int,
         raise ParamError("b_list must be increasing")
     gauss = gaussian_beckner_deficit(f, p, cfg)
     reports, gaps = [], []
-    y = coords(d)
     for b in b_list:
         if b < d + 1:
             raise ParamError("each b must be >= d + 1")
-        scale = math.sqrt(2.0 * b)
-        sub = {s: scale * s for s in y}
-        g = DifferentiableField(f.expr.subs(sub, simultaneous=True), y,
-                                positive=f.positive)
+        g = affine_precompose(f, math.sqrt(2.0 * b), np.zeros(d))
         rep = beckner_cauchy_deficit(g, b, p, d, cfg, probe=True)
         reports.append(rep)
         gaps.append({"b": b,

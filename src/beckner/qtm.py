@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateFit, DomainError
-from .fields import DifferentiableField, growth_degree, multi_indices
+from .fields import DifferentiableField, growth_degree, laplacian, multi_indices
 from .measures import CauchyMeasure, draw_coupled, draw_tkernel
 from .numerics import (Estimate, MonteCarloConfig, QuadratureConfig,
                        fd_derivative, integrate_radial, mc_estimate)
@@ -160,8 +160,8 @@ class QtmField:
 
     Partial derivatives in (x, t) to order 3 are taken under the integral
     sign: every t-derivative produces one directional derivative (z . grad)
-    acting on f, so each mixed partial is a moment-weighted average of an
-    analytic derivative of f.  Nothing here differentiates a quadrature.
+    acting on f, so each mixed partial is a moment-weighted average of partials
+    of f, read from one jet of f per batch.  Nothing differentiates a quadrature.
     """
 
     def __init__(self, f: DifferentiableField, m: float, d: int,
@@ -195,21 +195,13 @@ class QtmField:
             return self._cache[key]
         ax, j = alpha[:-1], alpha[-1]
         # (d/dt)^j f(x+tz) = sum_{|gamma|=j} j!/gamma! z^gamma (D^{gamma+ax} f)(x+tz)
-        gammas = [g for g in multi_indices(self.d, j) if sum(g) == j]
-        coefs = [math.factorial(j) / math.prod(math.factorial(gi) for gi in g)
-                 for g in gammas]
-        partials = [tuple(a + g for a, g in zip(ax, g)) for g in gammas]
+        terms = [(math.factorial(j) / math.prod(map(math.factorial, g)), np.array(g),
+                  tuple(a + gi for a, gi in zip(ax, g)))
+                 for g in multi_indices(self.d, j) if sum(g) == j]
 
         def integrand(z):
-            pts = x + t * z
-            acc = np.zeros(len(z))
-            for c, g, pa in zip(coefs, gammas, partials):
-                mono = np.ones(len(z))
-                for i, gi in enumerate(g):
-                    if gi:
-                        mono = mono * z[:, i] ** gi
-                acc += c * mono * self.f.partial(pa, pts)
-            return acc
+            jet = self.f.partials(x + t * z, sum(alpha))
+            return sum(c * np.prod(z ** g, axis=1) * jet[pa] for c, g, pa in terms)
 
         # derivative integrands of bounded fields: a heuristic growth that
         # keeps a positive decay rather than rejecting high orders outright
@@ -333,16 +325,8 @@ def moment_identity_gap(g: DifferentiableField, p_exp: float, params: QtmParams,
 
 
 def biharmonic(f: DifferentiableField, x) -> float:
-    """Delta^2 f at x from analytic order-4 partials."""
-    d = f.dim
-    acc = 0.0
-    for i in range(d):
-        for j in range(d):
-            alpha = [0] * d
-            alpha[i] += 2
-            alpha[j] += 2
-            acc += f.partial(tuple(alpha), x)
-    return acc
+    """Delta^2 f at x from one jet of f of order 4."""
+    return float(laplacian(laplacian(f)).value(x))
 
 
 def taylor_remainder_order(f: DifferentiableField, m: float, d: int, x,
@@ -360,7 +344,7 @@ def taylor_remainder_order(f: DifferentiableField, m: float, d: int, x,
     cfg = cfg or QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     f0 = float(f.value(x))
-    lap = float(f.laplacian(x))
+    lap = float(laplacian(f).value(x))
     bih = biharmonic(f, x)
     rem = np.empty_like(t_grid)
     noise = 0.0

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import sympy as sp
 
 from .errors import DomainError
-from .fields import DifferentiableField, coords
-from .gamma2 import gamma, op_L, sphere_stereo
+from .fields import (DifferentiableField, grad_norm_squared, log,
+                     make_power_of_rho, quadratic)
+from .gamma2 import sphere_stereo, value_L_gamma
 from .inequalities import DeficitReport
 from .measures import log_norm_const
 from .numerics import Estimate, QuadratureConfig, integrate_rd
@@ -51,49 +51,31 @@ class SphereGeometry:
     def dirichlet_energy(self, f: DifferentiableField,
                          config: QuadratureConfig | None = None) -> Estimate:
         """Integral of the spherical energy density (rho^4/4)|grad f|^2."""
-        config = config or QuadratureConfig()
-        gsq = f.grad_norm_squared()
-
-        def density(pts):
-            r2 = np.sum(pts * pts, axis=1)
-            return 0.25 * (1.0 + r2) ** 2 * gsq.value(pts)
-
-        return self.integrate(density, config)
+        return self.integrate(sphere_stereo(self.d).a * grad_norm_squared(f), config)
 
 
 @lru_cache(maxsize=None)
 def eigenfunction_u(d: int) -> DifferentiableField:
     """u(x) = (1-|x|^2)/(1+|x|^2), the chart form of the degree-1 eigenfunction."""
-    y = coords(d)
-    r2 = sum(s ** 2 for s in y)
-    return DifferentiableField((1 - r2) / (1 + r2), y)
+    return (1.0 - quadratic(d)) * make_power_of_rho(-2.0, d)
 
 
 @lru_cache(maxsize=None)
 def _log_rho(d: int) -> DifferentiableField:
     """log rho = log(1+|x|^2)/2, the log of the chart's conformal factor."""
-    y = coords(d)
-    r2 = sum(s ** 2 for s in y)
-    return DifferentiableField(sp.log(1 + r2) / 2, y)
+    return 0.5 * log(quadratic(d) + 1.0)
 
 
 def _log_rho_terms(d: int, x):
     """(u(x), Delta_S log rho, Gamma_S log rho) at a chart point."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    op, log_rho = sphere_stereo(d), _log_rho(d)
-    uv = float(eigenfunction_u(d).value(x))
-    return uv, op_L(op, log_rho, x), gamma(op, log_rho, x)
+    _, lap, gam = value_L_gamma(sphere_stereo(d), _log_rho(d), x)
+    return float(eigenfunction_u(d).value(x)), lap, gam
 
 
 def eigenfunction_residuals(d: int, x):
     """(u(x), |Delta_S u + d u|, |Gamma_S(u) - (1 - u^2)|) at a chart point."""
-    op = sphere_stereo(d)
-    u = eigenfunction_u(d)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    uv = float(u.value(x))
-    lap_res = abs(op_L(op, u, x) + d * uv)
-    gam_res = abs(gamma(op, u, x) - (1.0 - uv ** 2))
-    return uv, lap_res, gam_res
+    uv, lap, gam = value_L_gamma(sphere_stereo(d), eigenfunction_u(d), x)
+    return uv, abs(lap + d * uv), abs(gam - (1.0 - uv ** 2))
 
 
 def log_rho_identities(d: int, x):

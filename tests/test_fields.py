@@ -1,21 +1,17 @@
-import inspect
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
-import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from beckner import fields
 from beckner.errors import DomainError
-from beckner.fields import (DifferentiableField, affine_precompose, constant,
-                            coordinate, coords, gaussian_bump,
+from beckner.fields import (affine_precompose, coordinate, exp, gaussian_bump,
+                            grad_norm_squared, growth_degree, laplacian,
                             make_power_of_rho, multi_indices, positive_bump,
                             quadratic, standard_library, trig)
+from beckner.gamma2 import euclidean, halfspace_m, sphere_stereo
 from beckner.numerics import fd_derivative
+from beckner.sphere import _log_rho, eigenfunction_u
 
 
 def test_value_and_partials_quadratic():
@@ -24,7 +20,7 @@ def test_value_and_partials_quadratic():
     assert np.allclose(f.value(pts), [5.0, 1.0])
     assert f.partial((1, 0), [1.0, 2.0]) == pytest.approx(2.0)
     assert f.partial((0, 2), [1.0, 2.0]) == pytest.approx(2.0)
-    assert f.laplacian([3.0, -1.0]) == pytest.approx(4.0)
+    assert laplacian(f).value([3.0, -1.0]) == pytest.approx(4.0)
 
 
 def test_partials_match_finite_differences():
@@ -54,66 +50,85 @@ def test_power_requires_positivity():
     assert g.value([0.0]) == pytest.approx(2.0 ** -0.5)
 
 
-def test_power_is_built_once_per_beta():
+def test_power_domain():
     f = positive_bump(1.0, [0.3, 0.0], 2)
     pts = np.array([[0.0, 0.0], [0.5, -1.0], [2.0, 0.3]])
-    for beta in (2, 2.0 / 3.0, -0.5):
-        g = f.power(beta)
-        assert f.power(beta) is g
-        fresh = DifferentiableField(f.expr ** sp.nsimplify(beta), f.syms,
-                                    positive=True)
-        assert np.array_equal(g.value(pts), fresh.value(pts))
-        assert np.array_equal(g.partial((1, 1), pts), fresh.partial((1, 1), pts))
+    assert np.allclose(f.power(-0.5).value(pts), f.value(pts) ** -0.5, rtol=1e-15)
     with pytest.raises(DomainError):
         trig([1.0, 0.0], 2).power(0.5)
     with pytest.raises(DomainError):
         (f * -1.0).power(0.5)
 
 
-def test_equal_fields_share_one_compile_per_partial(monkeypatch):
-    calls = []
-    lambdify = sp.lambdify
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return lambdify(*args, **kwargs)
-
-    monkeypatch.setattr(sp, "lambdify", counting)
-    y = coords(2)
-    # an expression no other test builds, so the process-wide cache is cold
-    expr = sp.exp(-sp.Float(0.7182818) * (y[0] ** 2 + y[1] ** 2))
-    pts = np.array([[0.1, 0.2], [-0.4, 0.9]])
-    first = DifferentiableField(expr, y)
-    second = DifferentiableField(expr, y, positive=True)
-    assert np.array_equal(first.partial((1, 0), pts), second.partial((1, 0), pts))
-    assert len(calls) == 1
-    second.partial((0, 1), pts)
-    assert len(calls) == 2
+# Each field in d variables with the sympy expression it stands for (the
+# half-space operator of base dimension d - 1); the oracle shares no code with
+# the library.
+def _oracle_fields(d):
+    sp = pytest.importorskip("sympy")
+    y = sp.symbols(f"y0:{d}", real=True)
+    r2 = sum(s ** 2 for s in y)
+    bump = sp.exp(-sum((s - sp.Float(0.3)) ** 2 for s in y))
+    lib = standard_library(d)
+    out = [(lib["one"], sp.Integer(1)), (lib["coordinate"], y[0]),
+           (lib["quadratic"], r2), (lib["trig"], sp.cos(sum(y))),
+           (lib["gaussian_bump"], bump), (lib["positive_bump"], 1 + bump),
+           (lib["power_of_rho"], 1 / (1 + r2)),
+           (lib["positive_bump"].power(2.0 / 3.0), (1 + bump) ** sp.Rational(2, 3)),
+           (eigenfunction_u(d), (1 - r2) / (1 + r2)),
+           (_log_rho(d), sp.log(1 + r2) / 2)]
+    op = euclidean(d)
+    out += [(op.a, sp.Integer(1))] + [(X, sp.Integer(0)) for X in op.X]
+    if d >= 2:
+        op = halfspace_m(d - 1, 6.0)
+        out += [(op.a, sp.Integer(1)), (op.X[-1], -5 / y[-1])]
+        out += [(X, sp.Integer(0)) for X in op.X[:-1]]
+        op = sphere_stereo(d)
+        out += [(op.a, (1 + r2) ** 2 / 4)]
+        out += [(X, -sp.Rational(d - 2, 2) * (1 + r2) * s) for X, s in zip(op.X, y)]
+    return sp, y, out
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_compiled_partials_match_numpy_lambdify(d):
-    pts = np.random.default_rng(d).normal(size=(20, d))
-    for f in standard_library(d).values():
-        for alpha in multi_indices(d, 2):
-            e = f.expr
-            for s, k in zip(f.syms, alpha):
-                e = sp.diff(e, s, k)
-            ref = sp.lambdify(f.syms, e, modules="numpy")
-            assert inspect.getsource(f._fn(alpha)) == inspect.getsource(ref)
-            assert np.array_equal(f.partial(alpha, pts),
-                                  np.broadcast_to(ref(*pts.T), (len(pts),)))
+def test_partials_match_sympy(d):
+    """Every partial of order <= 4 against sp.diff, to 1e-12 of the largest
+    partial of the same order at the point."""
+    sp, y, cases = _oracle_fields(d)
+    rng = np.random.default_rng(d)
+    pts = np.column_stack([rng.uniform(-1.5, 1.5, (4, d - 1)),
+                           rng.uniform(0.3, 2.0, 4)])  # the last axis is t > 0
+    for f, expr in cases:
+        alphas = multi_indices(d, 4)
+        exprs = {alphas[0]: expr}
+        for alpha in alphas[1:]:
+            i = next(i for i, a in enumerate(alpha) if a)
+            lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+            exprs[alpha] = sp.diff(exprs[lower], y[i])
+        ref = sp.lambdify(y, [exprs[a] for a in alphas], modules="numpy")(*pts.T)
+        ref = np.array([np.broadcast_to(np.asarray(r, dtype=float), len(pts)) for r in ref])
+        jet = f.partials(pts, 4)
+        got = np.array([jet[a] for a in alphas])
+        order = np.array([sum(a) for a in alphas])
+        for k in range(5):
+            scale = np.max(np.abs(ref[order == k]), axis=0)
+            err = np.abs(got[order == k] - ref[order == k])
+            assert np.all(err <= 1e-12 * scale), (f.op, k)
 
 
-def test_compiling_loads_no_lazy_numpy_submodules():
-    src = os.path.dirname(os.path.dirname(fields.__file__))
-    script = ("import sys\n"
-              "from beckner.fields import positive_bump\n"
-              "positive_bump(1.0, [0.3], 1).partial((2,), [0.1])\n"
-              "assert 'numpy.f2py' not in sys.modules\n")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
-    assert out.returncode == 0, out.stderr
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_library_growth_degrees(d):
+    degrees = {name: growth_degree(f) for name, f in standard_library(d).items()}
+    assert degrees == {"one": 0.0, "coordinate": 1.0, "quadratic": 2.0, "trig": 1.0,
+                       "gaussian_bump": 0.0, "positive_bump": 0.0, "power_of_rho": 0.0}
+
+
+def test_grad_norm_squared_is_a_shift_of_the_jet():
+    f = positive_bump(1.0, [0.3, -0.2], 2)
+    pts = np.array([[0.1, 0.4], [-0.7, 1.2]])
+    jet = f.partials(pts, 3)
+    g = grad_norm_squared(f).partials(pts, 2)
+    assert np.allclose(g[(0, 0)], jet[(1, 0)] ** 2 + jet[(0, 1)] ** 2, rtol=1e-14)
+    d1 = 2.0 * (jet[(1, 0)] * jet[(2, 0)] + jet[(0, 1)] * jet[(1, 1)])
+    assert np.allclose(g[(1, 0)], d1, rtol=1e-13)
 
 
 def test_combinators_track_positivity():
@@ -126,14 +141,14 @@ def test_combinators_track_positivity():
 
 
 def test_compose_scalar():
-    v = sp.Symbol("v")
-    f = quadratic(1).compose_scalar(sp.exp(v), v)
+    f = exp(quadratic(1))
     assert f.value([1.5]) == pytest.approx(math.exp(2.25))
+    assert f.partial((1,), [1.5]) == pytest.approx(3.0 * math.exp(2.25))
 
 
 def test_grad_norm_squared():
     f = quadratic(2)
-    g = f.grad_norm_squared()
+    g = grad_norm_squared(f)
     assert g.value([1.0, 2.0]) == pytest.approx(4.0 + 16.0)
 
 
@@ -144,6 +159,10 @@ def test_affine_precompose():
     assert g.value(y) == pytest.approx(f.value(2.0 * y + np.array([1.0, -1.0])))
     with pytest.raises(DomainError):
         affine_precompose(f, -1.0, [0.0, 0.0])
+    for t, x in [(math.nan, [0.0, 0.0]), (math.inf, [0.0, 0.0]),
+                 (1.0, [math.nan, 0.0]), (1.0, [0.0, -math.inf])]:
+        with pytest.raises(DomainError):
+            affine_precompose(f, t, x)
 
 
 def test_coordinate_bounds():

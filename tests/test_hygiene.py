@@ -1,6 +1,9 @@
 """Source hygiene checks that need no linter."""
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -28,3 +31,10 @@ def test_imports_are_at_module_top_level(path):
               if isinstance(node, (ast.Import, ast.ImportFrom))
               and node not in tree.body]
     assert not nested, f"imports below module level: {nested}"
+
+
+def test_cli_import_leaves_sympy_out():
+    script = "import sys, beckner.cli; assert 'sympy' not in sys.modules"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)), timeout=60)
+    assert out.returncode == 0, out.stderr

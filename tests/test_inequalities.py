@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from beckner.errors import (AdmissibilityError, DomainError, ParamError)
-from beckner.fields import (DifferentiableField, constant, coordinate, coords,
+from beckner.fields import (constant, coordinate, make_power_of_rho,
                             positive_bump, quadratic)
 from beckner.inequalities import (DeficitReport, PhiEntropySpec,
                                   admissibility_check, beckner_cauchy_deficit,
@@ -31,8 +30,7 @@ def test_growth_degree():
     assert growth_degree(quadratic(2)) == 2.0
     assert growth_degree(coordinate(0, 3)) == 1.0
     assert growth_degree(positive_bump(1.0, [0.3], 1)) == 0.0
-    y = coords(1)
-    slow = DifferentiableField(sp.sqrt(1 + y[0] ** 2), y, positive=True)
+    slow = make_power_of_rho(1.0, 1)  # sqrt(1 + y^2)
     assert growth_degree(slow) == 1.0
 
 
@@ -138,10 +136,9 @@ def test_rayleigh_estimate_dominates_coordinate_quotient():
 def test_phi_entropy_quadratic_profile_matches_variance():
     # Phi(v) = v^2 turns the entropy inequality into the p = 2 interpolation
     # inequality (up to the factor p/(p-1) = 2)
-    v = sp.Symbol("v")
     f = positive_bump(1.0, [0.3], 1)
     m, d, t = 6.0, 1, 1.0
-    spec = PhiEntropySpec(v ** 2, v, d - m + 2.0)
+    spec = PhiEntropySpec(2.0, d - m + 2.0)
     ent = phi_entropy_deficit(f, spec, m, t, [0.0])
     qt = beckner_qt_deficit(f, m, 2.0, t, [0.0])
     assert ent.lhs.value == pytest.approx(qt.lhs.value / 2.0, abs=1e-9)
@@ -152,25 +149,36 @@ def test_phi_entropy_quadratic_profile_matches_variance():
 def test_admissible_power_range():
     # Phi = v^q at n = -2: the fourth-order condition reduces to
     # (q-2)(3-2q) >= 0, i.e. q in [3/2, 2]
-    v = sp.Symbol("v")
     grid = np.linspace(0.5, 3.0, 40)
     for q, expected in [(2.0, True), (1.8, True), (1.5, True),
                         (1.2, False), (3.0, False)]:
-        ok, worst, _ = admissibility_check(PhiEntropySpec(v ** q, v, -2.0), grid)
+        ok, worst, _ = admissibility_check(PhiEntropySpec(q, -2.0), grid)
         assert ok == expected, (q, worst)
         if not expected:
             assert worst < 0
 
 
 def test_phi_entropy_rejects_inadmissible_profile():
-    v = sp.Symbol("v")
     f = positive_bump(1.0, [0.3], 1)
     with pytest.raises(AdmissibilityError):
-        phi_entropy_deficit(f, PhiEntropySpec(v ** 3, v, -4.0), 7.0, 1.0, [0.0])
+        phi_entropy_deficit(f, PhiEntropySpec(3.0, -4.0), 7.0, 1.0, [0.0])
     with pytest.raises(ParamError):
-        phi_entropy_deficit(f, PhiEntropySpec(v ** 2, v, -2.0), 7.0, 1.0, [0.0])
+        phi_entropy_deficit(f, PhiEntropySpec(2.0, -2.0), 7.0, 1.0, [0.0])
     with pytest.raises(DomainError):
-        PhiEntropySpec(v ** 2, v, 1.0)
+        PhiEntropySpec(2.0, 1.0)
+
+
+def test_power_profile_derivatives():
+    # Phi = v^q: q(q-1)...(q-k+1) v^(q-k), exactly 0 where the factor vanishes
+    v = np.array([0.0, 0.5, 2.0])
+    spec = PhiEntropySpec(2.0, -2.0)
+    assert np.array_equal(spec.derivative(0)(v), v ** 2)
+    assert np.array_equal(spec.derivative(1)(v), 2.0 * v)
+    assert np.array_equal(spec.derivative(2)(v), [2.0, 2.0, 2.0])
+    for k in (3, 4):
+        assert np.array_equal(spec.derivative(k)(v), np.zeros(3))
+    spec = PhiEntropySpec(1.5, -2.0)
+    assert spec.derivative(3)(4.0) == pytest.approx(1.5 * 0.5 * -0.5 * 4.0 ** -1.5)
 
 
 def test_gaussian_beckner_constant_field():
@@ -187,3 +195,9 @@ def test_gaussian_limit_rate():
         assert 0.7 < rate < 1.3, (key, rate)
     with pytest.raises(ParamError):
         gaussian_limit_probe(f, [100.0, 10.0], 1.5, 1)
+
+
+def test_gaussian_limit_rejects_a_non_finite_b():
+    f = positive_bump(1.0, [0.3], 1)
+    with pytest.raises(DomainError):
+        gaussian_limit_probe(f, [math.nan], 1.5, 1)

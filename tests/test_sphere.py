@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from beckner.errors import DomainError
-from beckner.fields import (DifferentiableField, constant, coords,
+from beckner.fields import (DifferentiableField, constant, grad_norm_squared,
                             make_power_of_rho, positive_bump)
 from beckner.gamma2 import gamma, sphere_stereo
 from beckner.measures import norm_const
@@ -68,7 +69,7 @@ def test_sphere_gamma_matches_closed_form():
     rng = np.random.default_rng(2)
     for _ in range(10):
         x = rng.uniform(-2, 2, d)
-        closed = 0.25 * (1.0 + x @ x) ** 2 * float(f.grad_norm_squared().value(x))
+        closed = 0.25 * (1.0 + x @ x) ** 2 * float(grad_norm_squared(f).value(x))
         assert gamma(op, f, x) == pytest.approx(closed, rel=1e-10)
 
 
@@ -175,3 +176,23 @@ def test_nash_sobolev_probe_fit_then_validate():
     assert rec[0]["c_needed"] <= 1.01 * C
     with pytest.raises(DomainError):
         nash_sobolev_probe(fam, 2)
+
+
+# u or log rho, the conformal factor a and the three drift components, plus
+# the value of u where the identity needs it: one jet build per field
+@pytest.mark.parametrize("call,builds", [
+    (lambda x: eigenfunction_residuals(3, x), 5),
+    (lambda x: log_rho_identities(3, x), 6),
+    (lambda x: constant_R(8.0, 3, x), 6),
+], ids=["eigenfunction_residuals", "log_rho_identities", "constant_R"])
+def test_one_jet_build_per_field_and_point(call, builds, monkeypatch):
+    seen = Counter()
+    original = DifferentiableField._eval
+
+    def counting(self, points, order):
+        seen[(id(self), tuple(np.ravel(points)))] += 1
+        return original(self, points, order)
+
+    monkeypatch.setattr(DifferentiableField, "_eval", counting)
+    call(np.array([0.4, -0.2, 0.7]))
+    assert len(seen) == builds and set(seen.values()) == {1}
