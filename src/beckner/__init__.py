@@ -9,11 +9,13 @@ from .errors import (AdmissibilityError, BecknerError, ConfigError,
                      NonConvergence, ParamError, UnknownCheck)
 from .numerics import Estimate, MonteCarloConfig, QuadratureConfig
 from .fields import DifferentiableField, affine_precompose, standard_library
-from .measures import CauchyMeasure, HittingTimeLaw, TKernel, norm_const
+from .measures import (CauchyMeasure, GaussianMeasure, HittingTimeLaw, Measure,
+                       SphereMeasure, TKernel, norm_const)
 from .qtm import QtmField, QtmParams, qtm_mc, qtm_quadrature, qtm_subordinated
-from .inequalities import (DeficitReport, PhiEntropySpec, admissibility_check,
-                           beckner_cauchy_deficit, beckner_qt_deficit,
+from .inequalities import (BecknerRow, DeficitReport, PhiEntropySpec,
+                           admissibility_check, beckner_cauchy_deficit,
+                           beckner_deficit, beckner_qt_deficit,
                            gaussian_limit_probe, optimal_constant_rayleigh,
                            phi_entropy_deficit, poincare_cauchy_deficit)
-from .sphere import (SphereBecknerParams, SphereGeometry,
-                     classical_beckner_deficit, sphere_beckner_deficit)
+from .sphere import (SphereBecknerParams, classical_beckner_deficit,
+                     sphere_beckner_deficit)

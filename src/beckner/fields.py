@@ -91,8 +91,8 @@ class DifferentiableField:
     """Scalar field on R^d with exact partials to order 4: a node ``op`` with
     its constant, coordinate, exponent, axis or (scale, shift) ``param`` and
     operand fields ``args``.  ``positive`` marks fields bounded away from zero,
-    the precondition for negative powers; ``degree`` is the polynomial degree,
-    None for a field that is not a polynomial."""
+    the precondition for negative powers; ``degree`` is the polynomial degree (-inf
+    for the zero partial of a constant), None for a field that is not a polynomial."""
 
     def __init__(self, dim: int, op: str, param=None, args=(), positive: bool = False):
         self.dim, self.op, self.param, self.args = dim, op, param, tuple(args)
@@ -101,8 +101,9 @@ class DifferentiableField:
             raise DomainError("operands live in different dimensions")
         degs = [a.degree for a in self.args]
         rule = {"const": lambda g: 0, "coord": lambda g: 1, "add": max, "affine": max,
-                "mul": sum, "d": lambda g: max(g[0] - 1, 0),
-                "pow": lambda g: None if param < 0 or param % 1 else g[0] * int(param)}
+                "mul": sum, "d": lambda g: g[0] - 1 if g[0] > 0 else -math.inf,
+                "pow": lambda g: (None if param < 0 or param % 1
+                                  else g[0] * int(param) if param else 0)}
         self.degree = None if None in degs or op not in rule else rule[op](degs)
 
     # -- evaluation ---------------------------------------------------------
@@ -223,6 +224,11 @@ def _unary(op):
 exp, cos, log = _unary("exp"), _unary("cos"), _unary("log")
 
 
+def abs_power(f: DifferentiableField, beta: float) -> DifferentiableField:
+    """|f|^beta = (f^2)^(beta/2) for a field of either sign, smooth off its zeros."""
+    return DifferentiableField(f.dim, "pow", beta / 2.0, (f.power(2),))
+
+
 def _d(f: DifferentiableField, i: int) -> DifferentiableField:
     return DifferentiableField(f.dim, "d", i, (f,))
 
@@ -296,7 +302,7 @@ def growth_degree(f: DifferentiableField) -> float:
     """Polynomial growth bound of |f| at infinity: the degree of a polynomial,
     else measured along the diagonal at two large radii and rounded up."""
     if f.degree is not None:
-        return float(f.degree)
+        return max(float(f.degree), 0.0)
     direc = np.ones(f.dim) / math.sqrt(f.dim)
     v1, v2 = (abs(float(f.value(r * direc))) for r in (1e3, 1e6))
     if v2 <= 1e-300 or v1 <= 1e-300:

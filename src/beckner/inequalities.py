@@ -4,7 +4,9 @@ Every inequality instance is reduced to a DeficitReport: left and right
 hand sides as error-bounded estimates, with a certification policy that
 turns analysis claims into crisp verdicts (certified iff the deficit is
 no more negative than the summed error bounds; saturated iff additionally
-the deficit is within ten error bounds of zero).
+the deficit is within ten error bounds of zero).  Every Beckner and Poincare
+inequality, on the Cauchy measures, the extension kernel, the Gaussian or the
+sphere, is one ``BecknerRow`` evaluated by the single ``beckner_deficit``.
 """
 from __future__ import annotations
 
@@ -17,8 +19,8 @@ from .errors import (AdmissibilityError, DomainError, IllConditioned,
                      ParamError)
 from .fields import (DifferentiableField, affine_precompose, falling_factorial,
                      grad_norm_squared, growth_degree, make_power_of_rho)
-from .measures import CauchyMeasure, log_norm_const
-from .numerics import Estimate, QuadratureConfig, integrate_rd
+from .measures import CauchyMeasure, GaussianMeasure, TKernel, log_norm_const
+from .numerics import Estimate, QuadratureConfig
 from .qtm import QtmParams, qtm_quadrature
 
 
@@ -51,13 +53,48 @@ class DeficitReport:
         return "saturated" if self.saturated else "pass"
 
 
-def _beckner_lhs(p: float, sq: Estimate, frac: Estimate):
-    """(p/(p-1))[I(f^2) - I(f^{2/p})^p] with a propagated error bound."""
-    c = p / (p - 1.0)
-    base = max(frac.value, 0.0)
-    val = c * (sq.value - base ** p)
-    err = c * (sq.error_bound + p * base ** (p - 1.0) * frac.error_bound)
-    return val, err, sq.n_evals + frac.n_evals
+@dataclass(frozen=True)
+class BecknerRow:
+    """One Beckner-type inequality: f^2 (``sq``) and ``mid`` against ``measure`` mu,
+    ``energy`` against ``energy_measure`` mu'.  With ``mid_on_lhs`` the report is
+    a [mu(sq) - A mu(mid)^p] <= c mu'(energy), else mu(sq) <= A mu(mid)^p + c mu'(energy).
+    """
+    measure: object
+    energy_measure: object
+    sq: DifferentiableField
+    mid: DifferentiableField
+    energy: DifferentiableField
+    a: float
+    A: float
+    c: float
+    p: float
+    mid_on_lhs: bool
+    params: dict
+
+
+def beckner_deficit(row: BecknerRow, cfg: QuadratureConfig | None = None) -> DeficitReport:
+    """Both sides of a row, each integrand at its own growth degree; the middle
+    term enters through base = |mu(mid)| with error A p base^{p-1} err(mid)."""
+    cfg = cfg or QuadratureConfig()
+    sq, mid, energy = (mu.integrate(g, cfg, growth=growth_degree(g)) for mu, g in (
+        (row.measure, row.sq), (row.measure, row.mid), (row.energy_measure, row.energy)))
+    base = abs(mid.value)
+    mid_val = row.A * base ** row.p
+    mid_err = row.A * (row.p * base ** (row.p - 1.0) * mid.error_bound)
+    grad = Estimate(row.c * energy.value, row.c * energy.error_bound, energy.n_evals)
+    if row.mid_on_lhs:
+        lhs = Estimate(row.a * (sq.value - mid_val), row.a * (sq.error_bound + mid_err),
+                       sq.n_evals + mid.n_evals)
+        return DeficitReport(lhs, grad, row.params)
+    return DeficitReport(sq, Estimate(mid_val + grad.value, mid_err + grad.error_bound,
+                                      mid.n_evals + energy.n_evals), row.params)
+
+
+def _exponent_guard(f: DifferentiableField, p: float, p_lo: float, probe: bool):
+    if not (p_lo <= p <= 2.0) and not probe:
+        raise ParamError(f"p must lie in [{p_lo}, 2]; pass probe=True to record anyway")
+    if not f.positive:
+        raise DomainError("f must be a positive field")
 
 
 def beckner_qt_deficit(f: DifferentiableField, m: float, p: float, t: float,
@@ -70,31 +107,13 @@ def beckner_qt_deficit(f: DifferentiableField, m: float, p: float, t: float,
     d = f.dim
     if m < d + 2:
         raise ParamError("need m >= d + 2")
-    p_lo = 1.0 + 2.0 / (m - d)
-    if not (p_lo <= p <= 2.0) and not probe:
-        raise ParamError(f"p must lie in [{p_lo}, 2]; pass probe=True to record anyway")
-    if not f.positive:
-        raise DomainError("f must be a positive field")
-    cfg = cfg or QuadratureConfig()
+    _exponent_guard(f, p, 1.0 + 2.0 / (m - d), probe)
     x = tuple(np.atleast_1d(np.asarray(x, dtype=float)))
-    sq = qtm_quadrature(f.power(2), QtmParams(m, d, t, x), cfg)
-    frac = qtm_quadrature(f.power(2.0 / p), QtmParams(m, d, t, x), cfg)
-    energy = qtm_quadrature(grad_norm_squared(f), QtmParams(m - 2.0, d, t, x), cfg)
-    lv, le, ln = _beckner_lhs(p, sq, frac)
-    c = 2.0 * t ** 2 / (m - 2.0)
-    return DeficitReport(
-        lhs=Estimate(lv, le, ln),
-        rhs=Estimate(c * energy.value, c * energy.error_bound, energy.n_evals),
-        params={"check": "beckner-qt", "d": d, "m": m, "p": p, "t": t,
-                "x": list(x), "probe": probe},
-    )
-
-
-def _weighted_energy(f: DifferentiableField, nu: CauchyMeasure,
-                     cfg: QuadratureConfig) -> Estimate:
-    """Integral of |grad f|^2 (1+|y|^2) against the measure."""
-    return nu.integrate(grad_norm_squared(f) * make_power_of_rho(2.0, f.dim), cfg,
-                        growth=2.0 * growth_degree(f))
+    return beckner_deficit(BecknerRow(
+        TKernel(d, m, t, x), TKernel(d, m - 2.0, t, x), f.power(2), f.power(2.0 / p),
+        grad_norm_squared(f), p / (p - 1.0), 1.0, 2.0 * t ** 2 / (m - 2.0), p, True,
+        {"check": "beckner-qt", "d": d, "m": m, "p": p, "t": t, "x": list(x),
+         "probe": probe}), cfg)
 
 
 def beckner_cauchy_deficit(f: DifferentiableField, b: float, p: float, d: int,
@@ -106,45 +125,24 @@ def beckner_cauchy_deficit(f: DifferentiableField, b: float, p: float, d: int,
     """
     if b < d + 1:
         raise ParamError("need b >= d + 1")
-    p_lo = 1.0 + 1.0 / (b - d)
-    if not (p_lo <= p <= 2.0) and not probe:
-        raise ParamError(f"p must lie in [{p_lo}, 2]; pass probe=True to record anyway")
-    if not f.positive:
-        raise DomainError("f must be a positive field")
-    cfg = cfg or QuadratureConfig()
+    _exponent_guard(f, p, 1.0 + 1.0 / (b - d), probe)
     nu = CauchyMeasure(d, b)
-    g_deg = growth_degree(f)
-    sq = nu.integrate(f.power(2).value, cfg, growth=2.0 * g_deg)
-    frac = nu.integrate(f.power(2.0 / p).value, cfg, growth=2.0 * g_deg / p)
-    energy = _weighted_energy(f, nu, cfg)
-    lv, le, ln = _beckner_lhs(p, sq, frac)
-    c = 1.0 / (b - 1.0)
-    return DeficitReport(
-        lhs=Estimate(lv, le, ln),
-        rhs=Estimate(c * energy.value, c * energy.error_bound, energy.n_evals),
-        params={"check": "beckner-cauchy", "d": d, "b": b, "p": p, "probe": probe},
-    )
+    return beckner_deficit(BecknerRow(
+        nu, nu, f.power(2), f.power(2.0 / p), grad_norm_squared(f) * make_power_of_rho(2.0, d),
+        p / (p - 1.0), 1.0, 1.0 / (b - 1.0), p, True,
+        {"check": "beckner-cauchy", "d": d, "b": b, "p": p, "probe": probe}), cfg)
 
 
 def poincare_cauchy_deficit(f: DifferentiableField, b: float, d: int,
                             cfg: QuadratureConfig | None = None) -> DeficitReport:
-    """Variance bound Var(f) <= (1/(2(b-1))) nu(|grad f|^2 (1+|y|^2))."""
+    """Variance bound Var(f) <= (1/(2(b-1))) nu(|grad f|^2 (1+|y|^2)): the
+    p = 2 row whose middle term is f itself, so nu(f) is the signed mean."""
     if b < d + 1:
         raise ParamError("need b >= d + 1")
-    cfg = cfg or QuadratureConfig()
     nu = CauchyMeasure(d, b)
-    g_deg = growth_degree(f)
-    sq = nu.integrate(f.power(2), cfg, growth=2.0 * g_deg)
-    mean = nu.integrate(f.value, cfg, growth=g_deg)
-    energy = _weighted_energy(f, nu, cfg)
-    var = sq.value - mean.value ** 2
-    var_err = sq.error_bound + 2.0 * abs(mean.value) * mean.error_bound
-    c = 1.0 / (2.0 * (b - 1.0))
-    return DeficitReport(
-        lhs=Estimate(var, var_err, sq.n_evals + mean.n_evals),
-        rhs=Estimate(c * energy.value, c * energy.error_bound, energy.n_evals),
-        params={"check": "poincare-cauchy", "d": d, "b": b},
-    )
+    return beckner_deficit(BecknerRow(
+        nu, nu, f.power(2), f, grad_norm_squared(f) * make_power_of_rho(2.0, d), 1.0, 1.0,
+        1.0 / (2.0 * (b - 1.0)), 2.0, True, {"check": "poincare-cauchy", "d": d, "b": b}), cfg)
 
 
 @dataclass(frozen=True)
@@ -196,7 +194,6 @@ def phi_entropy_deficit(f: DifferentiableField, spec: PhiEntropySpec,
         raise ParamError("need m >= d + 2")
     if abs(spec.n - (d - m + 2.0)) > 1e-12:
         raise ParamError("spec.n must equal d - m + 2 for these indices")
-    cfg = cfg or QuadratureConfig()
     x = tuple(np.atleast_1d(np.asarray(x, dtype=float)))
     # admissibility over the observed range of f near the evaluation point
     rng_pts = np.asarray(x, dtype=float) + np.linspace(-6, 6, 41)[:, None] * np.ones(d)
@@ -290,32 +287,16 @@ def optimal_constant_rayleigh(b: float, d: int, basis_size: int = 9,
     return float(np.max(np.linalg.eigvalsh(P.T @ B @ P)))
 
 
-def _gaussian_integrate(g, d: int, cfg: QuadratureConfig) -> Estimate:
-    log_c = 0.5 * d * math.log(2.0 * math.pi)
-
-    def h(pts):
-        r2 = np.sum(pts * pts, axis=1)
-        return np.asarray(g(pts), dtype=float) * np.exp(-0.5 * r2 - log_c)
-
-    return integrate_rd(h, d, cfg, cutoff=12.0)
-
-
 def gaussian_beckner_deficit(f: DifferentiableField, p: float,
                              cfg: QuadratureConfig | None = None) -> DeficitReport:
     """(p/(p-1))[gamma(f^2) - gamma(f^{2/p})^p] <= 2 gamma(|grad f|^2)."""
     if not 1.0 < p <= 2.0:
         raise ParamError("p must lie in (1, 2]")
-    cfg = cfg or QuadratureConfig()
-    d = f.dim
-    sq = _gaussian_integrate(f.power(2).value, d, cfg)
-    frac = _gaussian_integrate(f.power(2.0 / p).value, d, cfg)
-    energy = _gaussian_integrate(grad_norm_squared(f).value, d, cfg)
-    lv, le, ln = _beckner_lhs(p, sq, frac)
-    return DeficitReport(
-        lhs=Estimate(lv, le, ln),
-        rhs=Estimate(2.0 * energy.value, 2.0 * energy.error_bound, energy.n_evals),
-        params={"check": "beckner-gaussian", "d": d, "p": p},
-    )
+    gamma = GaussianMeasure(f.dim)
+    return beckner_deficit(BecknerRow(
+        gamma, gamma, f.power(2), f.power(2.0 / p), grad_norm_squared(f),
+        p / (p - 1.0), 1.0, 2.0, p, True,
+        {"check": "beckner-gaussian", "d": f.dim, "p": p}), cfg)
 
 
 def gaussian_limit_probe(f: DifferentiableField, b_list, p: float, d: int,
@@ -326,7 +307,6 @@ def gaussian_limit_probe(f: DifferentiableField, b_list, p: float, d: int,
     as b grows both sides converge to the Gaussian interpolation inequality.
     Returns (per-b reports, gaussian report, gap records).
     """
-    cfg = cfg or QuadratureConfig()
     b_list = list(b_list)
     if any(b2 <= b1 for b1, b2 in zip(b_list, b_list[1:])):
         raise ParamError("b_list must be increasing")

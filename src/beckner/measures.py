@@ -36,20 +36,20 @@ def surface_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.exp(math.lgamma(d / 2.0))
 
 
-def heavy_tail_cutoff(m: float, d: int, abs_tol: float, scale: float = 1.0,
-                      growth: float = 0.0) -> float:
-    """Truncation radius R with analytic tail bound below abs_tol/10.
-
-    Tail of the normalized weight beyond R against an integrand bounded by
-    scale * r^growth is at most |S^{d-1}| scale R^{-(m-growth)} / ((m-growth) c(m,d)).
-    """
+def heavy_tail_bound(m: float, d: int, radius: float, scale: float, growth: float) -> float:
+    """Tail beyond R of (1+|y|^2)^{-(m+d)/2}/c(m,d) against an integrand bounded
+    by scale * r^growth: |S^{d-1}| scale R^{-(m-growth)} / ((m-growth) c(m,d))."""
     decay = m - growth
     if decay <= 0:
         raise DomainError("integrand growth defeats the tail decay")
-    c = surface_area(d) * scale / (decay * norm_const(m, d))
-    target = abs_tol / 10.0
-    r = (c / target) ** (1.0 / decay) if c > target else 1.0
-    return max(r, 10.0)
+    return surface_area(d) * scale / (decay * norm_const(m, d)) * radius ** -decay
+
+
+def heavy_tail_cutoff(m: float, d: int, abs_tol: float, scale: float = 1.0,
+                      growth: float = 0.0) -> float:
+    """Truncation radius R >= 10 with ``heavy_tail_bound`` below abs_tol/10."""
+    c, target = heavy_tail_bound(m, d, 1.0, scale, growth), abs_tol / 10.0
+    return max((c / target) ** (1.0 / (m - growth)) if c > target else 1.0, 10.0)
 
 
 def second_moment(b: float, d: int) -> float:
@@ -59,8 +59,25 @@ def second_moment(b: float, d: int) -> float:
     return d / (2.0 * b - 2.0 - d)
 
 
+class Measure:
+    """The measure protocol: ``integrate(f, config, growth, scale)`` integrates a
+    vectorized f with ``|f(y)| <= scale |y|^growth`` at infinity up to a radius R,
+    and its error bound always includes the tail beyond R.  A subclass gives ``d``,
+    ``log_density(|y|^2)`` and ``truncation(abs_tol, growth, scale) -> (R, tail)``."""
+
+    def integrate(self, f, config: QuadratureConfig, growth: float = 0.0,
+                  scale: float = 1.0) -> Estimate:
+        def g(pts):
+            r2 = np.sum(pts * pts, axis=1)
+            return np.asarray(f(pts), dtype=float) * np.exp(self.log_density(r2))
+
+        cutoff, tail = self.truncation(config.abs_tol, growth, scale)
+        est = integrate_rd(g, self.d, config, cutoff=cutoff)
+        return Estimate(est.value, est.error_bound + tail, est.n_evals, est.kind)
+
+
 @dataclass(frozen=True)
-class CauchyMeasure:
+class CauchyMeasure(Measure):
     """Probability measure with density (1/c(2b-d,d)) (1+|y|^2)^{-b} on R^d."""
     d: int
     b: float
@@ -71,36 +88,52 @@ class CauchyMeasure:
         if self.b <= self.d / 2.0:
             raise DomainError("need b > d/2 for integrability")
 
-    @property
-    def log_norm(self) -> float:
-        return log_norm_const(2.0 * self.b - self.d, self.d)
+    def log_density(self, r2):
+        return -self.b * np.log1p(r2) - log_norm_const(2.0 * self.b - self.d, self.d)
 
     def density(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        r2 = np.sum(pts * pts, axis=1)
-        return np.exp(-self.b * np.log1p(r2) - self.log_norm)
+        return np.exp(self.log_density(np.sum(pts * pts, axis=1)))
 
-    def integrate(self, f, config: QuadratureConfig, growth: float = 0.0,
-                  scale: float = 1.0) -> Estimate:
-        """Integral of a vectorized f against the measure.
+    def truncation(self, abs_tol: float, growth: float, scale: float):
+        """The radius that keeps the analytic tail below abs_tol/10."""
+        return heavy_tail_cutoff(2.0 * self.b - self.d, self.d, abs_tol, scale=scale,
+                                 growth=growth), abs_tol / 10.0
 
-        ``|f(y)| <= scale * |y|^growth`` at infinity is the integrand's
-        polynomial growth bound; it widens the truncation radius so the
-        analytic tail bound stays below abs_tol/10, which is then folded
-        into the returned error bound.
-        """
-        log_c = self.log_norm
-        b = self.b
 
-        def g(pts):
-            r2 = np.sum(pts * pts, axis=1)
-            return np.asarray(f(pts), dtype=float) * np.exp(-b * np.log1p(r2) - log_c)
+class SphereMeasure(CauchyMeasure):
+    """The uniform measure of S^d in the stereographic chart, d >= 2: it is
+    ``CauchyMeasure(d, d)`` but for its truncation, the fixed radius
+    R = max((10/(abs_tol d))^{1/d}, 50) with the tail bound of that radius."""
 
-        cutoff = heavy_tail_cutoff(2.0 * self.b - self.d, self.d, config.abs_tol,
-                                   scale=scale, growth=growth)
-        est = integrate_rd(g, self.d, config, cutoff=cutoff)
-        return Estimate(est.value, est.error_bound + config.abs_tol / 10.0,
-                        est.n_evals, est.kind)
+    def __init__(self, d: int):
+        if d < 2:
+            raise DomainError("spherical analysis needs d >= 2")
+        super().__init__(d, d)
+
+    def truncation(self, abs_tol: float, growth: float, scale: float):
+        radius = max((10.0 / (abs_tol * self.d)) ** (1.0 / self.d), 50.0)
+        return radius, heavy_tail_bound(self.d, self.d, radius, scale, growth)
+
+
+@dataclass(frozen=True)
+class GaussianMeasure(Measure):
+    """The standard Gaussian measure on R^d, truncated at radius 12."""
+    d: int
+
+    def log_density(self, r2):
+        return -0.5 * r2 - 0.5 * self.d * math.log(2.0 * math.pi)
+
+    def truncation(self, abs_tol: float, growth: float, scale: float):
+        """R = 12; the tail is scale |S^{d-1}| (2 pi)^{-d/2} times the integral of
+        r^k e^{-r^2/2} over r > R, k = growth + d - 1, which integration by parts
+        bounds by R^{k-1} e^{-R^2/2} / (1 - max(k-1, 0)/R^2)."""
+        radius, k = 12.0, growth + self.d - 1.0
+        shrink = 1.0 - max(k - 1.0, 0.0) / radius ** 2
+        if shrink <= 0:
+            raise DomainError("integrand growth defeats the Gaussian tail bound")
+        weight = surface_area(self.d) / (2.0 * math.pi) ** (0.5 * self.d)
+        return radius, scale * weight * radius ** (k - 1.0) * math.exp(-0.5 * radius ** 2) / shrink
 
 
 @dataclass(frozen=True)
@@ -122,13 +155,19 @@ class TKernel:
     def base_measure(self) -> CauchyMeasure:
         return CauchyMeasure(self.d, (self.m + self.d) / 2.0)
 
+    def integrate(self, f, config: QuadratureConfig, growth: float = 0.0,
+                  scale: float = 1.0) -> Estimate:
+        """The measure protocol: the base measure's integral of f(x + t z), whose
+        tail bound takes |f(x + t z)| <= (scale (1 + |x| + t)^growth + |f(x)|) |z|^growth."""
+        x, t = self.center, self.t
+        scale = (scale * (1.0 + float(np.max(np.abs(x))) + t) ** growth
+                 + abs(float(f(x[None, :])[0])))
+        return self.base_measure().integrate(lambda z: f(x + t * z), config,
+                                             growth=growth, scale=scale)
+
     def density(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        diff = pts - self.center
-        r2 = np.sum(diff * diff, axis=1)
-        log_c = log_norm_const(self.m, self.d)
-        return np.exp(self.m * math.log(self.t)
-                      - 0.5 * (self.m + self.d) * np.log(self.t ** 2 + r2) - log_c)
+        return self.base_measure().density((pts - self.center) / self.t) / self.t ** self.d
 
 
 @dataclass(frozen=True)

@@ -208,13 +208,6 @@ def integrate_rd(g, d: int, config: QuadratureConfig, cutoff: float) -> Estimate
     return Estimate(est.value, est.error_bound, est.n_evals * len(w))
 
 
-def _as_point(point, dim=None):
-    p = np.atleast_1d(np.asarray(point, dtype=float))
-    if dim is not None and p.shape != (dim,):
-        raise DomainError(f"expected point of dimension {dim}")
-    return p
-
-
 def fd_derivative(field, point, multi_index, step: float | None = None,
                   domain=None) -> float:
     """Central finite difference of ``field`` at ``point``.
@@ -223,7 +216,7 @@ def fd_derivative(field, point, multi_index, step: float | None = None,
     order <= 4; the error is O(step^2).  ``domain`` is an optional predicate;
     a stencil point outside it raises DomainError.
     """
-    point = _as_point(point)
+    point = np.atleast_1d(np.asarray(point, dtype=float))
     alpha = tuple(int(a) for a in multi_index)
     order = sum(alpha)
     if order > 4:

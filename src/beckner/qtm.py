@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateFit, DomainError
 from .fields import DifferentiableField, growth_degree, laplacian, multi_indices
-from .measures import CauchyMeasure, draw_coupled, draw_tkernel
+from .measures import CauchyMeasure, TKernel, draw_coupled, draw_tkernel
 from .numerics import (Estimate, MonteCarloConfig, QuadratureConfig,
                        fd_derivative, integrate_radial, mc_estimate)
 
@@ -45,19 +45,12 @@ class QtmParams:
 
 def qtm_quadrature(f: DifferentiableField, p: QtmParams,
                    cfg: QuadratureConfig | None = None) -> Estimate:
-    """The defining integral: the average of f(x + t z) over z ~ nu_{(m+d)/2}.
-
-    The tail bound takes |f(x + t z)| <= ((1 + |x| + t)^g + |f(x)|) |z|^g at
-    large |z|, with g the growth degree of f.
-    """
+    """The defining integral: the average of f(x + t z) over z ~ nu_{(m+d)/2},
+    which is ``TKernel.integrate`` at the growth degree of f."""
     cfg = cfg or QuadratureConfig()
     if p.t == 0.0:
         return Estimate(float(f.value(p.center)), 0.0, 1)
-    x, t = p.center, p.t
-    growth = growth_degree(f)
-    scale = (1.0 + float(np.max(np.abs(x))) + t) ** growth + abs(float(f.value(x)))
-    return CauchyMeasure(p.d, 0.5 * (p.m + p.d)).integrate(
-        lambda z: f.value(x + t * z), cfg, growth=growth, scale=scale)
+    return TKernel(p.d, p.m, p.t, p.x).integrate(f, cfg, growth=growth_degree(f))
 
 
 _HERMITE_ORDER = {1: 48, 2: 32, 3: 18}
@@ -301,7 +294,6 @@ def moment_identity_gap(g: DifferentiableField, p_exp: float, params: QtmParams,
     """
     if not 0 < p_exp < params.m / 2.0:
         raise DomainError("need 0 < p < m/2")
-    cfg = cfg or QuadratureConfig()
     mc = mc or MonteCarloConfig(n_samples=400_000)
     m, d, t, x = params.m, params.d, params.t, params.center
 

@@ -1,10 +1,10 @@
 """Spherical analysis in the stereographic chart (d >= 2).
 
 The sphere never appears as a mesh: all integrals run in the chart against
-the conformal weight, the missing antipode being a null set.  The module
+``measures.SphereMeasure``, which is ``CauchyMeasure(d, d)``.  The module
 carries the chart identities (eigenfunction, log-conformal-factor
 formulas, the constant arising in the non-tight Beckner family) and the
-deficit computations for the sphere inequalities.
+sphere inequalities, each one ``inequalities.BecknerRow``.
 """
 from __future__ import annotations
 
@@ -12,46 +12,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import DomainError
-from .fields import (DifferentiableField, grad_norm_squared, log,
-                     make_power_of_rho, quadratic)
+from .fields import (DifferentiableField, abs_power, grad_norm_squared,
+                     growth_degree, log, make_power_of_rho, quadratic)
 from .gamma2 import sphere_stereo, value_L_gamma
-from .inequalities import DeficitReport
-from .measures import log_norm_const
-from .numerics import Estimate, QuadratureConfig, integrate_rd
-
-
-@dataclass(frozen=True)
-class SphereGeometry:
-    d: int
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise DomainError("spherical analysis needs d >= 2")
-
-    @property
-    def log_norm(self) -> float:
-        return log_norm_const(self.d, self.d)
-
-    def integrate(self, f, config: QuadratureConfig | None = None) -> Estimate:
-        """Integral of a vectorized f against the uniform sphere measure."""
-        config = config or QuadratureConfig()
-        d, log_c = self.d, self.log_norm
-
-        def g(pts):
-            r2 = np.sum(pts * pts, axis=1)
-            return np.asarray(f(pts), dtype=float) * np.exp(-d * np.log1p(r2) - log_c)
-
-        # weight decays like r^{-2d}: tail beyond R is ~ R^{-d}/(d c)
-        cutoff = max((10.0 / (config.abs_tol * d)) ** (1.0 / d), 50.0)
-        return integrate_rd(g, d, config, cutoff=cutoff)
-
-    def dirichlet_energy(self, f: DifferentiableField,
-                         config: QuadratureConfig | None = None) -> Estimate:
-        """Integral of the spherical energy density (rho^4/4)|grad f|^2."""
-        return self.integrate(sphere_stereo(self.d).a * grad_norm_squared(f), config)
+from .inequalities import BecknerRow, DeficitReport, beckner_deficit
+from .measures import SphereMeasure, log_norm_const
+from .numerics import QuadratureConfig
 
 
 @lru_cache(maxsize=None)
@@ -136,31 +103,26 @@ class SphereBecknerParams:
         return 16.0 / ((self.m + 2.0 - self.d) * (3.0 * self.d - 2.0 + self.m))
 
 
+def _sphere_energy(f: DifferentiableField) -> DifferentiableField:
+    """The spherical energy density Gamma_S(f) = (rho^4/4)|grad f|^2 in the chart."""
+    return sphere_stereo(f.dim).a * grad_norm_squared(f)
+
+
 def sphere_beckner_deficit(f: DifferentiableField, params: SphereBecknerParams,
                            cfg: QuadratureConfig | None = None) -> DeficitReport:
     """Deficit of the non-tight sphere inequality for a positive field."""
     if not f.positive:
         raise DomainError("the sphere family is stated for positive fields")
-    cfg = cfg or QuadratureConfig()
-    geo = SphereGeometry(params.d)
-    p = params.p
-    sq = geo.integrate(f.power(2).value, cfg)
-    frac = geo.integrate(f.power(2.0 / p).value, cfg)
-    energy = geo.dirichlet_energy(f, cfg)
-    lhs_val = sq.value
-    rhs_val = params.A * frac.value ** p + params.gradient_constant * energy.value
-    frac_err = p * max(frac.value, 0.0) ** (p - 1.0) * frac.error_bound
-    rhs_err = params.A * frac_err + params.gradient_constant * energy.error_bound
-    return DeficitReport(
-        lhs=Estimate(lhs_val, sq.error_bound, sq.n_evals),
-        rhs=Estimate(rhs_val, rhs_err, frac.n_evals + energy.n_evals),
-        params={"check": "sphere-beckner", "d": params.d, "m": params.m, "p": p},
-    )
+    mu, p = SphereMeasure(params.d), params.p
+    return beckner_deficit(BecknerRow(
+        mu, mu, f.power(2), f.power(2.0 / p), _sphere_energy(f),
+        1.0, params.A, params.gradient_constant, p, False,
+        {"check": "sphere-beckner", "d": params.d, "m": params.m, "p": p}), cfg)
 
 
 def classical_beckner_deficit(f: DifferentiableField, p: float, d: int,
                               cfg: QuadratureConfig | None = None) -> DeficitReport:
-    """Deficit of the tight sphere interpolation inequality.
+    """Deficit of the tight sphere interpolation inequality, with |f|^{2/p}.
 
     The energy constant is 2(p-1)/(pd): this is the classical (2-q)/d with
     q = 2/p, reduces to 1/d at p=2 (the spectral-gap constant) and to the
@@ -169,20 +131,11 @@ def classical_beckner_deficit(f: DifferentiableField, p: float, d: int,
     """
     if not 1.0 < p <= 2.0:
         raise DomainError("p must lie in (1, 2]")
-    cfg = cfg or QuadratureConfig()
-    geo = SphereGeometry(d)
-    c_energy = 2.0 * (p - 1.0) / (p * d)
-    sq = geo.integrate(lambda pts: np.asarray(f.value(pts)) ** 2, cfg)
-    frac = geo.integrate(lambda pts: np.abs(np.asarray(f.value(pts))) ** (2.0 / p), cfg)
-    energy = geo.dirichlet_energy(f, cfg)
-    rhs_val = frac.value ** p + c_energy * energy.value
-    frac_err = p * max(frac.value, 0.0) ** (p - 1.0) * frac.error_bound
-    rhs_err = frac_err + c_energy * energy.error_bound
-    return DeficitReport(
-        lhs=Estimate(sq.value, sq.error_bound, sq.n_evals),
-        rhs=Estimate(rhs_val, rhs_err, frac.n_evals + energy.n_evals),
-        params={"check": "sphere-classical-beckner", "d": d, "p": p},
-    )
+    mu = SphereMeasure(d)
+    return beckner_deficit(BecknerRow(
+        mu, mu, f.power(2), abs_power(f, 2.0 / p), _sphere_energy(f),
+        1.0, 1.0, 2.0 * (p - 1.0) / (p * d), p, False,
+        {"check": "sphere-classical-beckner", "d": d, "p": p}), cfg)
 
 
 def nash_sobolev_probe(family, d: int, cfg: QuadratureConfig | None = None):
@@ -194,20 +147,14 @@ def nash_sobolev_probe(family, d: int, cfg: QuadratureConfig | None = None):
     if d < 3:
         raise DomainError("the Sobolev exponent needs d >= 3")
     cfg = cfg or QuadratureConfig()
-    geo = SphereGeometry(d)
+    mu = SphereMeasure(d)
     expo = 2.0 * d / (d - 2.0)
     records = []
-    c_needed = 0.0
     for name, f in family:
-        high = geo.integrate(lambda pts: np.abs(np.asarray(f.value(pts))) ** expo, cfg)
-        sq = geo.integrate(lambda pts: np.asarray(f.value(pts)) ** 2, cfg)
-        energy = geo.dirichlet_energy(f, cfg)
+        high, sq, energy = (mu.integrate(g, cfg, growth=growth_degree(g)) for g in (
+            abs_power(f, expo), f.power(2), _sphere_energy(f)))
         lhs = high.value ** ((d - 2.0) / d)
-        if energy.value > 1e-12:
-            c_f = (lhs - sq.value) / energy.value
-        else:
-            c_f = 0.0
-        c_needed = max(c_needed, c_f)
+        c_f = (lhs - sq.value) / energy.value if energy.value > 1e-12 else 0.0
         records.append({"field": name, "lhs": lhs, "l2": sq.value,
                         "energy": energy.value, "c_needed": c_f})
-    return c_needed, records
+    return max([0.0] + [r["c_needed"] for r in records]), records

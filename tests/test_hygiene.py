@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from beckner import inequalities, sphere
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "beckner"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -38,3 +40,18 @@ def test_cli_import_leaves_sympy_out():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), timeout=60)
     assert out.returncode == 0, out.stderr
+
+
+def test_only_measures_calls_integrate_rd():
+    # every full-space integral goes through a Measure, which carries its tail
+    def calls(path):
+        return any(isinstance(n, ast.Call) and "integrate_rd" in (
+            getattr(n.func, "id", None), getattr(n.func, "attr", None))
+            for n in ast.walk(ast.parse(path.read_text())))
+    assert [p.name for p in MODULES if calls(p)] == ["measures.py"]
+
+
+def test_tailless_integrators_are_gone():
+    assert not hasattr(sphere, "SphereGeometry")
+    assert not hasattr(inequalities, "_gaussian_integrate")
+    assert not hasattr(inequalities, "_weighted_energy")

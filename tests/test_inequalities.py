@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from beckner.errors import (AdmissibilityError, DomainError, ParamError)
-from beckner.fields import (constant, coordinate, make_power_of_rho,
-                            positive_bump, quadratic)
+from beckner.fields import (constant, coordinate, grad_norm_squared,
+                            make_power_of_rho, positive_bump, quadratic)
 from beckner.inequalities import (DeficitReport, PhiEntropySpec,
                                   admissibility_check, beckner_cauchy_deficit,
                                   beckner_qt_deficit, gaussian_beckner_deficit,
@@ -14,7 +14,7 @@ from beckner.inequalities import (DeficitReport, PhiEntropySpec,
                                   p_grid, phi_entropy_deficit,
                                   poincare_cauchy_deficit, radial_moment)
 from beckner.measures import CauchyMeasure
-from beckner.numerics import Estimate, QuadratureConfig
+from beckner.numerics import Estimate, QuadratureConfig, integrate_rd
 
 
 def test_report_verdicts():
@@ -54,6 +54,22 @@ def test_poincare_saturated_by_coordinate(b, d):
     rep = poincare_cauchy_deficit(coordinate(0, d), b, d)
     assert rep.lhs.value == pytest.approx(1.0 / (2.0 * b - 2.0 - d), abs=1e-8)
     assert rep.saturated, (rep.deficit, rep.error_budget)
+
+
+@pytest.mark.parametrize("b,d", [(2.0, 1), (4.0, 2)])
+def test_poincare_row_uses_the_signed_mean(b, d):
+    # the middle term of the Poincare row is f itself: the lhs is
+    # nu(f^2) - nu(f)^2 for a sign-changing f, whatever the sign of its mean
+    nu, cfg = CauchyMeasure(d, b), QuadratureConfig()
+    for f in (coordinate(0, d), coordinate(0, d) - 0.5):
+        rep = poincare_cauchy_deficit(f, b, d)
+        sq = nu.integrate(f.power(2), cfg, growth=2.0)
+        mean = nu.integrate(f, cfg, growth=1.0)
+        assert rep.lhs.value == sq.value - mean.value ** 2
+        assert rep.lhs.value == pytest.approx(1.0 / (2.0 * b - 2.0 - d), abs=1e-8)
+    assert mean.value == pytest.approx(-0.5, abs=1e-9)
+    with pytest.raises(DomainError):
+        beckner_cauchy_deficit(coordinate(0, d), b, 2.0, d)
 
 
 def test_poincare_parameter_guard():
@@ -184,6 +200,33 @@ def test_power_profile_derivatives():
 def test_gaussian_beckner_constant_field():
     rep = gaussian_beckner_deficit(constant(1.0, 1), 1.5)
     assert abs(rep.lhs.value) < 1e-9 and abs(rep.rhs.value) < 1e-12
+
+
+def _gaussian_integral_before_the_measure(g, d):
+    """The Gaussian integral as computed before GaussianMeasure: the same
+    integrand and radius 12, without a tail term."""
+    def h(pts):
+        r2 = np.sum(pts * pts, axis=1)
+        return np.asarray(g(pts), dtype=float) * np.exp(
+            -0.5 * r2 - 0.5 * d * math.log(2.0 * math.pi))
+    return integrate_rd(h, d, QuadratureConfig(), cutoff=12.0)
+
+
+@pytest.mark.parametrize("d,p", [(1, 1.5), (2, 1.8)])
+def test_gaussian_row_values_are_unchanged(d, p):
+    f = positive_bump(1.0, [0.3] * d, d)
+    sq, frac, energy = (_gaussian_integral_before_the_measure(g, d) for g in (
+        f.power(2), f.power(2.0 / p), grad_norm_squared(f)))
+    c = p / (p - 1.0)
+    lhs = c * (sq.value - frac.value ** p)
+    lhs_err = c * (sq.error_bound + p * frac.value ** (p - 1.0) * frac.error_bound)
+    reps = [gaussian_beckner_deficit(f, p),
+            gaussian_limit_probe(f, [10.0, 100.0], p, d)[1]]
+    for rep in reps:
+        assert rep.lhs.value == lhs and rep.rhs.value == 2.0 * energy.value
+        # the bounds only gain the Gaussian tail beyond radius 12
+        assert lhs_err <= rep.lhs.error_bound <= lhs_err + 1e-25
+        assert 0.0 <= rep.rhs.error_bound - 2.0 * energy.error_bound <= 1e-25
 
 
 def test_gaussian_limit_rate():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beckner.errors import DomainError
-from beckner.measures import (CauchyMeasure, HittingTimeLaw, TKernel,
-                              heavy_tail_cutoff, log_norm_const, norm_const,
+from beckner.measures import (CauchyMeasure, GaussianMeasure, HittingTimeLaw,
+                              TKernel, heavy_tail_cutoff, log_norm_const, norm_const,
                               sample_coupled, sample_gamma, sample_hitting,
                               sample_tkernel, second_moment, surface_area)
 from beckner.numerics import MonteCarloConfig, QuadratureConfig, spawn_rngs
@@ -65,6 +65,18 @@ def test_mass_error_within_bound(d):
     mass = CauchyMeasure(d, d + 1).integrate(lambda pts: np.ones(len(pts)),
                                              QuadratureConfig())
     assert abs(mass.value - 1.0) <= mass.error_bound
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaussian_measure_closed_forms(d):
+    # gamma(1) = 1 and gamma(|y|^2) = d, each within its bound (tail included)
+    gamma, cfg = GaussianMeasure(d), QuadratureConfig()
+    mass = gamma.integrate(lambda pts: np.ones(len(pts)), cfg)
+    assert abs(mass.value - 1.0) <= mass.error_bound
+    mom = gamma.integrate(lambda pts: np.sum(pts * pts, axis=1), cfg, growth=2.0)
+    assert abs(mom.value - d) <= mom.error_bound
+    radius, tail = gamma.truncation(cfg.abs_tol, 2.0, 1.0)
+    assert radius == 12.0 and 0.0 < tail < 1e-25
 
 
 def test_second_moment_divergence_guard():

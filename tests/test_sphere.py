@@ -6,27 +6,68 @@ import pytest
 
 from beckner.errors import DomainError
 from beckner.fields import (DifferentiableField, constant, grad_norm_squared,
-                            make_power_of_rho, positive_bump)
+                            growth_degree, make_power_of_rho, positive_bump)
 from beckner.gamma2 import gamma, sphere_stereo
-from beckner.measures import norm_const
+from beckner import sphere
+from beckner.measures import CauchyMeasure, SphereMeasure, norm_const
 from beckner.numerics import QuadratureConfig
-from beckner.sphere import (SphereBecknerParams, SphereGeometry,
+from beckner.sphere import (SphereBecknerParams,
                             classical_beckner_deficit, constant_R,
                             constant_R_closed_form, eigenfunction_residuals,
                             eigenfunction_u, log_rho_identities,
                             nash_sobolev_probe, sphere_beckner_deficit)
 
 
+def _one(pts):
+    return np.ones(len(pts))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_uniform_measure_is_probability(d):
-    geo = SphereGeometry(d)
-    mass = geo.integrate(lambda pts: np.ones(len(pts)))
+    mass = SphereMeasure(d).integrate(_one, QuadratureConfig())
     assert abs(mass.value - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sphere_mass_within_bound(d):
+    # the bound carries the tail beyond the fixed chart radius: 2.0e-11 at
+    # d = 2 and 5.1e-11 at d = 3, which is nearly all of the error
+    mass = SphereMeasure(d).integrate(_one, QuadratureConfig())
+    assert abs(mass.value - 1.0) <= mass.error_bound
 
 
 def test_dimension_guard():
     with pytest.raises(DomainError):
-        SphereGeometry(1)
+        SphereMeasure(1)
+
+
+def _chart_integrands(d, m=6.0):
+    p = SphereBecknerParams(m, d).p
+    for f in (positive_bump(1.0, [0.3] * d, d),
+              make_power_of_rho((d - m - 2.0) / 2.0, d)):
+        yield f.power(2)
+        yield f.power(2.0 / p)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sphere_measure_is_cauchy_d_d(d):
+    # the chart measure is CauchyMeasure(d, d) up to its truncation radius
+    cfg = QuadratureConfig()
+    pairs = [(_one, 0.0)] + [(g, growth_degree(g)) for g in _chart_integrands(d)]
+    for g, growth in pairs:
+        a = SphereMeasure(d).integrate(g, cfg, growth=growth)
+        b = CauchyMeasure(d, d).integrate(g, cfg, growth=growth)
+        assert abs(a.value - b.value) <= a.error_bound + b.error_bound
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sphere_beckner_row_over_cauchy_d_d(d, monkeypatch):
+    par = SphereBecknerParams(6.0, d)
+    f = positive_bump(1.0, [0.3] * d, d)
+    chart = sphere_beckner_deficit(f, par)
+    monkeypatch.setattr(sphere, "SphereMeasure", lambda dim: CauchyMeasure(dim, dim))
+    cauchy = sphere_beckner_deficit(f, par)
+    assert abs(chart.deficit - cauchy.deficit) <= chart.error_budget + cauchy.error_budget
 
 
 def test_eigenfunction_pole_and_equator():
@@ -149,7 +190,7 @@ def test_classical_beckner_perturbation():
 def test_chart_inversion_invariance():
     # the antipodal chart is x -> x/|x|^2; int f^2 dmu_S is chart-independent
     d = 2
-    geo = SphereGeometry(d)
+    mu, cfg = SphereMeasure(d), QuadratureConfig()
     f = positive_bump(1.0, [0.3, 0.3], d)
 
     def pulled(pts):
@@ -158,8 +199,8 @@ def test_chart_inversion_invariance():
         r2 = np.where(r2 == 0, 1e-300, r2)
         return np.asarray(f.value(pts / r2[:, None])) ** 2
 
-    a = geo.integrate(lambda pts: np.asarray(f.value(pts)) ** 2)
-    b = geo.integrate(pulled)
+    a = mu.integrate(lambda pts: np.asarray(f.value(pts)) ** 2, cfg)
+    b = mu.integrate(pulled, cfg)
     assert a.value == pytest.approx(b.value, abs=1e-8)
 
 
