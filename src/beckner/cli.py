@@ -60,8 +60,9 @@ CHECKS = {
         "through the exact kernel sampler must sit within 3 standard errors "
         "of the quadrature value."),
     "qtm-harmonic": Check("qtm", "The extension G(x,t) of f satisfies "
-        "(Laplacian_x + d^2/dt^2 + ((1-m)/t) d/dt) G = 0; the "
-        "finite-difference residual is compared to 1e-4 x scale.", 1e-4),
+        "(Laplacian_x + d^2/dt^2 + ((1-m)/t) d/dt) G = 0; a finite-difference "
+        "stencil applied under the integral sign gives the residual, which is "
+        "compared to 1e-4 x scale.", 1e-4),
     "hitting-law-ks": Check("bessel", "The exact hitting-time sampler S = "
         "t^2/(4G), G ~ Gamma(m/2), is tested against the numerically "
         "integrated density CDF with a 1%-level KS statistic."),
@@ -208,7 +209,7 @@ def _suite_qtm(cfg: SuiteConfig):
                 res = harmonicity_residual(f, params)
                 scale = max(abs(q.value), 1.0)
                 yield _residual_record("qtm-harmonic", {"d": dd, "m": mm, "t": tt},
-                                       res / scale)
+                                       res.value / scale)
 
 
 def _suite_bessel(cfg: SuiteConfig):

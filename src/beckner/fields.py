@@ -300,14 +300,18 @@ def make_power_of_rho(alpha: float, d: int) -> DifferentiableField:
 
 def growth_degree(f: DifferentiableField) -> float:
     """Polynomial growth bound of |f| at infinity: the degree of a polynomial,
-    else measured along the diagonal at two large radii and rounded up."""
+    else the largest rounded-up growth rate measured between two large radii
+    along the 2d signed axes and the 2^d signed diagonals, in one batch."""
     if f.degree is not None:
         return max(float(f.degree), 0.0)
-    direc = np.ones(f.dim) / math.sqrt(f.dim)
-    v1, v2 = (abs(float(f.value(r * direc))) for r in (1e3, 1e6))
-    if v2 <= 1e-300 or v1 <= 1e-300:
-        return 0.0
-    return max(math.ceil(math.log(v2 / v1) / math.log(1e6 / 1e3) - 1e-6), 0.0)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=f.dim)))
+    direcs = np.concatenate([np.eye(f.dim), -np.eye(f.dim), signs / math.sqrt(f.dim)])
+    v1, v2 = np.abs(f.value(np.concatenate([1e3 * direcs, 1e6 * direcs]))).reshape(2, -1)
+    if not np.all(np.isfinite(v2)):
+        raise DomainError("field is not finite at radius 1e6: no polynomial growth bound")
+    live = (v1 > 1e-300) & (v2 > 1e-300)
+    rate = np.max(np.log(v2[live] / v1[live]), initial=0.0) / math.log(1e6 / 1e3)
+    return max(math.ceil(rate - 1e-6), 0.0)
 
 
 @lru_cache(maxsize=None)

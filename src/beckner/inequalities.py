@@ -223,6 +223,10 @@ def phi_entropy_deficit(f: DifferentiableField, spec: PhiEntropySpec,
     )
 
 
+RAYLEIGH_BASIS_SIZE = 9    # trial fields in the Rayleigh-quotient span
+RAYLEIGH_DROP_TOL = 1e-10  # relative eigenvalue size of a null energy direction
+
+
 def rayleigh_basis_tags(b: float, d: int, basis_size: int):
     """Trial-field tags: coordinates (when square-integrable) plus radial
     powers (1+|y|^2)^{s/2} with s increasing toward the critical decay,
@@ -246,8 +250,7 @@ def radial_moment(b: float, d: int, sigma: float) -> float:
                     - log_norm_const(2.0 * b - d, d))
 
 
-def optimal_constant_rayleigh(b: float, d: int, basis_size: int = 9,
-                              drop_tol: float = 1e-10) -> float:
+def optimal_constant_rayleigh(b: float, d: int) -> float:
     """Best constant C in Var(f) <= C nu(|grad f|^2 (1+|y|^2)) over a span.
 
     The variance and energy Gram matrices for this basis reduce to
@@ -259,7 +262,7 @@ def optimal_constant_rayleigh(b: float, d: int, basis_size: int = 9,
     """
     if 2.0 * b - d < 1.0:
         raise DomainError("need 2b - d >= 1 so the trial fields have finite variance")
-    tags = rayleigh_basis_tags(b, d, basis_size)
+    tags = rayleigh_basis_tags(b, d, RAYLEIGH_BASIS_SIZE)
     nb = len(tags)
     B = np.zeros((nb, nb))
     E = np.zeros((nb, nb))
@@ -280,7 +283,7 @@ def optimal_constant_rayleigh(b: float, d: int, basis_size: int = 9,
             B[j, i] = B[i, j]
             E[j, i] = E[i, j]
     ev, U = np.linalg.eigh(E)
-    keep = ev > drop_tol * ev.max()
+    keep = ev > RAYLEIGH_DROP_TOL * ev.max()
     if not np.any(keep):
         raise IllConditioned("energy Gram matrix numerically rank zero")
     P = U[:, keep] / np.sqrt(ev[keep])

@@ -196,11 +196,11 @@ class HittingTimeLaw:
             raise DomainError("mean hitting time diverges for m <= 2")
         return self.t ** 2 / (2.0 * (self.m - 2.0))
 
-    def cdf(self, s, panels_per_gap: int = 1):
+    def cdf(self, s):
         """CDF at the given points by cumulative quadrature of the density.
 
         Deliberately independent of the sampler's Gamma transform: the
-        density is integrated panel by panel with a fixed Kronrod rule.
+        density is integrated with one fixed Kronrod panel per gap.
         """
         s = np.atleast_1d(np.asarray(s, dtype=float))
         order = np.argsort(s)

@@ -45,6 +45,7 @@ _GK_WK = _GK15[:, 2]
 
 # Nodes per circle of the angular product rule (see ``angular_rule``).
 ANGULAR_ORDER = 48
+MIN_PANELS = 4  # equal panels that ``integrate_interval`` starts from
 
 
 @dataclass(frozen=True)
@@ -101,9 +102,9 @@ def _gk_panel(f, a, b):
     return k15, min(err, abs(g7 - k15) * 200.0 + _EPS)
 
 
-def integrate_interval(f, a, b, config: QuadratureConfig, min_panels: int = 4) -> Estimate:
+def integrate_interval(f, a, b, config: QuadratureConfig) -> Estimate:
     """Adaptive G7/K15 integral of a vectorized ``f`` over [a, b]."""
-    edges = np.linspace(a, b, min_panels + 1)
+    edges = np.linspace(a, b, MIN_PANELS + 1)
     intervals = []
     n_evals = 0
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beckner.errors import DomainError
-from beckner.fields import (affine_precompose, coordinate, exp, gaussian_bump,
+from beckner.fields import (affine_precompose, coordinate, coords, exp, gaussian_bump,
                             grad_norm_squared, growth_degree, laplacian,
                             make_power_of_rho, multi_indices, positive_bump,
                             quadratic, standard_library, trig)
 from beckner.gamma2 import euclidean, halfspace_m, sphere_stereo
-from beckner.numerics import fd_derivative
+from beckner.measures import CauchyMeasure
+from beckner.numerics import QuadratureConfig, fd_derivative
 from beckner.sphere import _log_rho, eigenfunction_u
 
 
@@ -119,6 +120,22 @@ def test_library_growth_degrees(d):
     degrees = {name: growth_degree(f) for name, f in standard_library(d).items()}
     assert degrees == {"one": 0.0, "coordinate": 1.0, "quadratic": 2.0, "trig": 1.0,
                        "gaussian_bump": 0.0, "positive_bump": 0.0, "power_of_rho": 0.0}
+
+
+def test_growth_degree_probes_off_the_diagonal():
+    # decays along the diagonal (1, 1) but grows like r^2 along x = -y
+    x, y = coords(2)
+    f = exp((x + y) ** 2 * -1.0) * quadratic(2)
+    assert growth_degree(f) == 2.0
+    nu = CauchyMeasure(2, 3)
+    est = nu.integrate(f.value, QuadratureConfig(), growth=growth_degree(f))
+    ref = nu.integrate(f.value, QuadratureConfig(1e-13, 1e-13), growth=2.0)
+    assert abs(est.value - ref.value) <= est.error_bound
+
+
+def test_growth_degree_rejects_exponential_growth():
+    with np.errstate(over="ignore"), pytest.raises(DomainError):
+        growth_degree(exp(coordinate(0, 1) * -1.0))
 
 
 def test_grad_norm_squared_is_a_shift_of_the_jet():

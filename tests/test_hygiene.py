@@ -42,13 +42,23 @@ def test_cli_import_leaves_sympy_out():
     assert out.returncode == 0, out.stderr
 
 
-def test_only_measures_calls_integrate_rd():
-    # every full-space integral goes through a Measure, which carries its tail
+def _callers(name):
+    """The modules under src/beckner that call ``name``."""
     def calls(path):
-        return any(isinstance(n, ast.Call) and "integrate_rd" in (
+        return any(isinstance(n, ast.Call) and name in (
             getattr(n.func, "id", None), getattr(n.func, "attr", None))
             for n in ast.walk(ast.parse(path.read_text())))
-    assert [p.name for p in MODULES if calls(p)] == ["measures.py"]
+    return [p.name for p in MODULES if calls(p)]
+
+
+def test_only_measures_calls_integrate_rd():
+    # every full-space integral goes through a Measure, which carries its tail
+    assert _callers("integrate_rd") == ["measures.py"]
+
+
+def test_no_library_module_calls_fd_derivative():
+    # derivatives come from jets; finite differences are the tests' reference
+    assert set(_callers("fd_derivative")) <= {"numerics.py"}
 
 
 def test_tailless_integrators_are_gone():

@@ -6,13 +6,13 @@ import pytest
 from beckner.errors import DomainError
 from beckner.fields import (constant, gaussian_bump, positive_bump, quadratic,
                             standard_library, trig)
-from beckner.measures import TKernel, sample_tkernel
-from beckner.numerics import MonteCarloConfig, QuadratureConfig, fd_derivative
+from beckner.measures import Measure, TKernel, sample_tkernel
+from beckner.numerics import Estimate, MonteCarloConfig, QuadratureConfig, fd_derivative
 from beckner import qtm
-from beckner.qtm import (QtmField, QtmParams, biharmonic,
-                         half_space_operator_fd, harmonicity_residual,
+from beckner.qtm import (QtmField, QtmParams, biharmonic, harmonicity_residual,
                          moment_identity_gap, qtm_mc, qtm_quadrature,
                          qtm_subordinated, taylor_remainder_order)
+from oracles import half_space_operator_fd
 
 
 def exact_quadratic_extension(m, d, t, x):
@@ -108,7 +108,7 @@ def test_qtm_field_rejects_boundary():
 def test_harmonicity_bump():
     f = positive_bump(1.0, [0.3] * 2, 2)
     res = harmonicity_residual(f, QtmParams(6.0, 2, 1.0, (0.0, 0.0)))
-    assert res < 1e-4
+    assert abs(res.value) < 1e-4
 
 
 def test_harmonicity_analytic_extension():
@@ -123,35 +123,68 @@ def test_harmonicity_analytic_extension():
     assert abs(res) < 1e-12
 
 
-@pytest.mark.parametrize("d,t", [(1, 0.7), (2, 0.7), (3, 0.7), (2, 1.0)])
-def test_harmonicity_integrates_each_point_once(monkeypatch, d, t):
-    f = standard_library(d)["positive_bump"]
+def _reference_residual(f, p, cfg):
+    """The reference stencil on separate quadratures of Q_t f at its points:
+    the residual and its propagated budget sum_k |c_k| err_k."""
+    ests = {}
+
+    def G(pt):
+        key = tuple(np.atleast_1d(pt).tolist())
+        if key not in ests:
+            ests[key] = qtm_quadrature(f, QtmParams(p.m, p.d, key[-1], key[:-1]), cfg)
+        return ests[key].value
+
+    point = np.append(p.center, p.t)
+    value = half_space_operator_fd(G, p.d, p.m, point, step=5e-3)
+    # the stencil is linear: c_k is the reference applied to the indicator of point k
+    weights = {key: half_space_operator_fd(
+        lambda q, key=key: float(tuple(np.atleast_1d(q).tolist()) == key),
+        p.d, p.m, point, step=5e-3) for key in ests}
+    return value, sum(abs(weights[k]) * est.error_bound for k, est in ests.items())
+
+
+@pytest.mark.parametrize("t", [0.05, 0.7, 1.0, 2.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("name", ["positive_bump", "gaussian_bump"])
+def test_harmonicity_matches_reference_stencil(name, d, t):
+    f = standard_library(d)[name]
     p = QtmParams(6.0, d, t, (0.1,) * d)
-    cfg = QuadratureConfig(1e-8, 1e-8)
-    step = 5e-3
-    visited = []
+    ref, budget = _reference_residual(f, p, QuadratureConfig(1e-12, 1e-12))
+    est = harmonicity_residual(f, p)
+    assert abs(est.value - ref) <= budget + est.error_bound
 
-    def G(pt):  # the un-memoised reference: one quadrature per stencil call
-        pt = np.atleast_1d(pt)
-        visited.append(tuple(pt.tolist()))
-        return qtm_quadrature(f, QtmParams(p.m, d, float(pt[-1]),
-                                           tuple(pt[:-1])), cfg).value
 
-    ref = abs(half_space_operator_fd(G, d, p.m, np.append(p.center, p.t),
-                                     step=step))
+@pytest.mark.parametrize("t", [0.05, 0.7, 1.0, 2.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("name", ["one", "quadratic"])
+def test_harmonicity_exact_on_polynomial_extensions(name, d, t):
+    # Q_t 1 = 1 and Q_t |y|^2 = |x|^2 + t^2 d/(m-2): the stencil is exact on both
+    est = harmonicity_residual(standard_library(d)[name], QtmParams(6.0, d, t, (0.1,) * d))
+    assert abs(est.value) <= est.error_bound
+
+
+def test_harmonicity_is_one_integral(monkeypatch):
     calls = []
+    integrate = Measure.integrate
 
-    def counted(f, params, cfg=None):
-        calls.append(params.x + (params.t,))
-        return qtm_quadrature(f, params, cfg)
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return integrate(self, *args, **kwargs)
 
-    monkeypatch.setattr(qtm, "qtm_quadrature", counted)
-    assert harmonicity_residual(f, p, step=step, cfg=cfg) == ref
-    assert len(visited) == 4 * d + 6
-    assert sorted(calls) == sorted(set(visited))
-    # 2d+5 points in exact arithmetic; at t = 1 the two stencil routes to the
-    # centre, (t+h)-h and (t-h)+h, round to different floats
-    assert len(calls) <= 2 * d + 5 + (t == 1.0)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("harmonicity_residual called qtm_quadrature")
+
+    monkeypatch.setattr(Measure, "integrate", counted)
+    monkeypatch.setattr(qtm, "qtm_quadrature", forbidden)
+    est = harmonicity_residual(standard_library(2)["positive_bump"],
+                               QtmParams(6.0, 2, 0.7, (0.1, 0.1)))
+    assert len(calls) == 1 and isinstance(est, Estimate)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.005, 0.01])
+def test_harmonicity_stencil_must_stay_above_boundary(t):
+    with pytest.raises(DomainError):
+        harmonicity_residual(standard_library(1)["positive_bump"], QtmParams(6.0, 1, t, (0.0,)))
 
 
 def _heat_value_per_s(f, x, s_values, d, order):
