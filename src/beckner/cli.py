@@ -236,12 +236,9 @@ def _suite_gamma2(cfg: SuiteConfig):
     for dd in cfg.d:
         dd = int(dd)
         for mm in cfg.m:
-            op = halfspace_m(dd, mm)
-            worst = 0.0
-            for _ in range(10):
-                x = np.append(rng.uniform(-2, 2, dd), rng.uniform(0.2, 2.0))
-                worst = max(worst, qm_residual(op, x))
-            yield _residual_record("qm-halfspace", {"d": dd, "m": mm}, worst)
+            x = rng.uniform([-2.0] * dd + [0.2], [2.0] * dd + [2.0], (10, dd + 1))
+            yield _residual_record("qm-halfspace", {"d": dd, "m": mm},
+                                   qm_residual(halfspace_m(dd, mm), x))
             n = dd - mm + 2.0
             beta_star = n / (2.0 - n)
             grid = [(y, z) for y in np.linspace(0.5, 3.0, 8)
@@ -253,12 +250,10 @@ def _suite_gamma2(cfg: SuiteConfig):
                           float(not ok), 0.0, float(not bad), 0.0, verdict)
         if dd >= 2:
             f = standard_library(dd)["positive_bump"]
-            worst = 0.0
-            for _ in range(20):
-                x = rng.uniform(-1.5, 1.5, dd)
-                worst = min(worst, cd1_residual(f, -0.5, dd, x))
-                worst = min(worst, reinforced_cd_residual(f, dd, x))
-            yield _residual_record("cd-pointwise", {"d": dd}, min(worst, 0.0))
+            x = rng.uniform(-1.5, 1.5, (20, dd))
+            worst = min(0.0, np.min(cd1_residual(f, -0.5, dd, x)),
+                        np.min(reinforced_cd_residual(f, dd, x)))
+            yield _residual_record("cd-pointwise", {"d": dd}, worst)
 
 
 def _suite_cauchy(cfg: SuiteConfig):
@@ -286,16 +281,12 @@ def _suite_sphere(cfg: SuiteConfig):
         dd = int(dd)
         if dd < 2:
             continue
-        worst = 0.0
-        for _ in range(20):
-            x = rng.uniform(-2, 2, dd)
-            _, r1, r2 = eigenfunction_residuals(dd, x)
-            r3, r4 = log_rho_identities(dd, x)
-            worst = max(worst, r1, r2, r3, r4)
-        yield _residual_record("sphere-identities", {"d": dd}, worst)
+        x = rng.uniform(-2, 2, (20, dd))
+        residuals = eigenfunction_residuals(dd, x)[1:] + log_rho_identities(dd, x)
+        yield _residual_record("sphere-identities", {"d": dd},
+                               max(0.0, np.max(residuals)))
         for mm in cfg.m:
-            vals = np.array([constant_R(mm, dd, rng.uniform(-3, 3, dd))
-                             for _ in range(50)])
+            vals = constant_R(mm, dd, rng.uniform(-3, 3, (50, dd)))
             spread = float(np.std(vals) / np.mean(vals))
             closed = constant_R_closed_form(mm, dd)
             res = max(spread, abs(vals[0] / closed - 1.0))

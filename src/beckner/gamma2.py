@@ -3,9 +3,11 @@
 Operators are restricted to the conformal-Euclidean form a(x) Laplacian + X;
 that covers the Euclidean space, the half-space operator with its singular
 radial drift, and the stereographic sphere.  The iterated operator is
-assembled from partial derivatives of the field (order 3), so any object
-exposing ``partial(alpha, point)`` works: test fields, which give them all
-from one Taylor jet, as well as the kernel-differentiated harmonic extension.
+assembled from partial derivatives of the field (order 3), read through one
+protocol, ``partials(points, order)``: test fields give them all from one
+Taylor jet per point batch, the kernel-differentiated harmonic extension one
+integral per partial at a single point.  Every pointwise entry point takes one
+point (and returns floats) or an (n, dim) batch (and returns (n,) arrays).
 """
 from __future__ import annotations
 
@@ -56,9 +58,10 @@ class DiffusionOperator:
         self._ric = ric             # point -> (dim, dim) matrix or None
         self._xx = xx
 
-    def check_domain(self, point):
-        if self._domain_check is not None and not self._domain_check(point):
-            raise DomainError(f"point {point} outside the operator's domain")
+    def check_domain(self, points):
+        bad = ~self._domain_check(points) if self._domain_check is not None else False
+        if np.any(bad):
+            raise DomainError(f"points {points[bad]} outside the operator's domain")
 
     def ric(self, point):
         if self._ric is None:
@@ -74,7 +77,7 @@ class DiffusionOperator:
 @lru_cache(maxsize=None)
 def euclidean(d: int) -> DiffusionOperator:
     zero = [constant(0.0, d) for _ in range(d)]
-    z = lambda p: np.zeros((d, d))
+    z = lambda p: np.zeros(p.shape[:-1] + (d, d))
     return DiffusionOperator(d, constant(1.0, d), zero, f"euclidean({d})", ric=z, xx=z)
 
 
@@ -86,10 +89,14 @@ def halfspace_m(d: int, m: float) -> DiffusionOperator:
     xs = [constant(0.0, dim) for _ in range(d)]
     xs.append((1.0 - m) * DifferentiableField(dim, "pow", -1.0, (t,)))
 
-    def corner(c):   # p -> the (dim, dim) matrix with c / t^2 in its last entry
-        return lambda p: np.diag([0.0] * d + [c / p[-1] ** 2])
+    def corner(c):   # p -> (dim, dim) matrices with c / t^2 in their last entry
+        def tensor(p):
+            out = np.zeros(p.shape[:-1] + (dim, dim))
+            out[..., -1, -1] = c / p[..., -1] ** 2
+            return out
+        return tensor
     return DiffusionOperator(dim, constant(1.0, dim), xs, f"halfspace_m({d},{m})",
-                             domain_check=lambda p: float(np.atleast_1d(p)[-1]) > 0,
+                             domain_check=lambda p: p[..., -1] > 0,
                              ric=corner(1.0 - m), xx=corner((1.0 - m) ** 2), m=float(m))
 
 
@@ -106,23 +113,21 @@ def sphere_stereo(d: int) -> DiffusionOperator:
 # -- the pointwise calculus ------------------------------------------------
 
 class _Jet:
-    """The partials of order <= ``order`` of one field at one point: ``J(i, j, ...)``
-    along the listed axes, ``J()`` the value.  A DifferentiableField gives them
-    all from one jet; another field is asked for each partial once, when read."""
+    """The partials of order <= ``order`` of one field at a point or an (n, dim)
+    batch, from one ``field.partials`` call: ``J(i, j, ...)`` along the listed
+    axes, ``J()`` the value; floats at a point, (n,) arrays on a batch."""
 
     def __init__(self, field, x, order):
-        self.field, self.x, self.dim = field, x, len(x)
-        self._vals = field.partials(x, order) if hasattr(field, "partials") else {}
+        self.x, self.dim = x, x.shape[-1]
+        self._vals = field.partials(x, order)
 
     def __call__(self, *axes):
-        alpha = tuple(axes.count(i) for i in range(self.dim))
-        if alpha not in self._vals:
-            self._vals[alpha] = float(self.field.partial(alpha, self.x))
-        return self._vals[alpha]
+        return self._vals[tuple(axes.count(i) for i in range(self.dim))]
 
 
 def _jets(op: DiffusionOperator, f, x, order):
-    """Jets at x of f to ``order``, of a and each drift component to ``order - 1``."""
+    """Jets at x (a point or a batch) of f to ``order``, of a and each drift
+    component to ``order - 1``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     op.check_domain(x)
     low = max(order - 1, 0)
@@ -172,7 +177,7 @@ def _gamma2(jf, ja, jx):
     return 0.5 * _L(ja, jx, _gamma_grad(jf, ja), g_pure2) - _gamma(ja, f1, grad_lf)
 
 
-def op_L(op: DiffusionOperator, f, x) -> float:
+def op_L(op: DiffusionOperator, f, x) -> float | np.ndarray:
     """L f = a Laplacian(f) + X . grad f at x."""
     return _lf(*_jets(op, f, x, 2))
 
@@ -184,30 +189,31 @@ def value_L_gamma(op: DiffusionOperator, f, x):
     return jf(), _lf(jf, ja, jx), _gamma(ja, f1, f1)
 
 
-def carre_du_champ(op: DiffusionOperator, f, g, x) -> float:
+def carre_du_champ(op: DiffusionOperator, f, g, x) -> float | np.ndarray:
     """Gamma(f, g) = a grad f . grad g for conformal operators."""
     jf, ja, _ = _jets(op, f, x, 1)
     return _gamma(ja, _grad(jf), _grad(_Jet(g, jf.x, 1)))
 
 
-def gamma(op: DiffusionOperator, f, x) -> float:
+def gamma(op: DiffusionOperator, f, x) -> float | np.ndarray:
     return value_L_gamma(op, f, x)[2]
 
 
-def gamma2(op: DiffusionOperator, f, x) -> float:
+def gamma2(op: DiffusionOperator, f, x) -> float | np.ndarray:
     """Gamma_2(f) = (1/2) L Gamma(f) - Gamma(f, Lf) from the definition."""
     return _gamma2(*_jets(op, f, x, 3))
 
 
-def gamma2_bochner(op: DiffusionOperator, f, x) -> float:
+def gamma2_bochner(op: DiffusionOperator, f, x) -> float | np.ndarray:
     """Hessian-norm + Ric(L) form; only for builtins with a == 1."""
     jf, _, _ = _jets(op, f, x, 2)
     hess = np.array([[jf(i, j) for j in range(jf.dim)] for i in range(jf.dim)])
-    grad = np.array(_grad(jf))
-    return float(np.sum(hess * hess) + grad @ op.ric(jf.x) @ grad)
+    grad = np.array(_grad(jf))   # the point axis, if any, last, as in hess
+    return (np.sum(hess * hess, axis=(0, 1))
+            + np.einsum("i...,...ij,j...->...", grad, op.ric(jf.x), grad))
 
 
-def cd_residual(op: DiffusionOperator, f, x, rho: float, n: float) -> float:
+def cd_residual(op: DiffusionOperator, f, x, rho: float, n: float) -> float | np.ndarray:
     """Gamma_2(f) - rho Gamma(f) - (Lf)^2 / n; >= 0 is the certificate."""
     if n == 0:
         raise DomainError("n = 0 has no 1/n term; use the tensor form")
@@ -217,13 +223,15 @@ def cd_residual(op: DiffusionOperator, f, x, rho: float, n: float) -> float:
 
 
 def qm_residual(op: DiffusionOperator, x) -> float:
-    """Largest entry of (n - dim) Ric(L) - X (x) X for the half-space builtin.
+    """Largest entry of (n - dim) Ric(L) - X (x) X for the half-space builtin,
+    over all points of a batch.
 
     With n = (base dimension) - m + 2 the identity is exact; the returned
     residual should vanish to machine precision.
     """
     if op.m is None:
         raise DomainError("the quasi-model identity targets the half-space operator")
+    x = np.asarray(x, dtype=float)
     op.check_domain(x)
     n = (op.dim - 1) - op.m + 2.0
     T = (n - op.dim) * op.ric(x) - op.xx(x)
@@ -279,7 +287,7 @@ def phi_conditions(phi: PhiSurface, n: float, d: int, grid, rho: float = 0.0):
     return ok, records
 
 
-def subharmonic_residual(op: DiffusionOperator, F, beta: float, point) -> float:
+def subharmonic_residual(op: DiffusionOperator, F, beta: float, point) -> float | np.ndarray:
     """L(F^beta Gamma(F)) for a harmonic F, assembled without differencing F.
 
     Uses the diffusion identity
@@ -289,8 +297,8 @@ def subharmonic_residual(op: DiffusionOperator, F, beta: float, point) -> float:
     """
     jf, ja, jx = _jets(op, F, point, 3)
     y = jf()
-    if y <= 0:
-        raise DomainError("F must be strictly positive at the point")
+    if np.any(y <= 0):
+        raise DomainError("F must be strictly positive at every point")
     f1, g_grad = _grad(jf), _gamma_grad(jf, ja)
     z = _gamma(ja, f1, f1)
     s = power_surface(beta)
@@ -301,7 +309,7 @@ def subharmonic_residual(op: DiffusionOperator, F, beta: float, point) -> float:
 
 # -- pointwise curvature checks from the small-t expansion ----------------
 
-def cd1_residual(f: DifferentiableField, beta: float, d: int, x) -> float:
+def cd1_residual(f: DifferentiableField, beta: float, d: int, x) -> float | np.ndarray:
     """Pointwise gap of the beta-weighted curvature inequality (Euclidean).
 
     Gamma_2(f) >= (beta+1)/(d(beta+1)-2beta) (Lap f)^2
@@ -311,8 +319,8 @@ def cd1_residual(f: DifferentiableField, beta: float, d: int, x) -> float:
         raise DomainError("beta must lie in (-1, 0]")
     jf, ja, jx = _jets(euclidean(d), f, x, 3)
     fx = jf()
-    if fx <= 0:
-        raise DomainError("f must be positive at the point")
+    if np.any(fx <= 0):
+        raise DomainError("f must be positive at every point")
     lap, f1 = _lf(jf, ja, jx), _grad(jf)
     gam = _gamma(ja, f1, f1)
     rhs = ((beta + 1.0) / (d * (beta + 1.0) - 2.0 * beta) * lap ** 2
@@ -321,15 +329,15 @@ def cd1_residual(f: DifferentiableField, beta: float, d: int, x) -> float:
     return _gamma2(jf, ja, jx) - rhs
 
 
-def reinforced_cd_residual(f: DifferentiableField, d: int, x) -> float:
+def reinforced_cd_residual(f: DifferentiableField, d: int, x) -> float | np.ndarray:
     """Gap of the reinforced flat curvature bound (needs Gamma(f) > 0, d >= 2)."""
     if d < 2:
         raise DomainError("the reinforced bound needs d >= 2")
     jf, ja, jx = _jets(euclidean(d), f, x, 3)
     f1 = _grad(jf)
     gam = _gamma(ja, f1, f1)
-    if gam <= 0:
-        raise DomainError("Gamma(f) vanishes at the point; bound undefined")
+    if np.any(gam <= 0):
+        raise DomainError("Gamma(f) vanishes at a point; bound undefined")
     lap = _lf(jf, ja, jx)
     gamma_f_gf = _gamma(ja, f1, _gamma_grad(jf, ja))
     rhs = (lap ** 2 / d

@@ -21,7 +21,6 @@ from .fields import (DifferentiableField, affine_precompose, falling_factorial,
                      grad_norm_squared, growth_degree, make_power_of_rho)
 from .measures import CauchyMeasure, GaussianMeasure, TKernel, log_norm_const
 from .numerics import Estimate, QuadratureConfig
-from .qtm import QtmParams, qtm_quadrature
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,8 @@ def admissibility_check(spec: PhiEntropySpec, grid):
 def phi_entropy_deficit(f: DifferentiableField, spec: PhiEntropySpec,
                         m: float, t: float, x,
                         cfg: QuadratureConfig | None = None) -> DeficitReport:
-    """Deficit of the entropy inequality for the extension operator.
+    """Deficit of the entropy inequality for the extension operator, the row
+    with sq = Phi(f) = f^q, mid = f and p = q once Phi is admissible:
 
     Q_t^m(Phi(f)) - Phi(Q_t^m f) <= (t^2/(2(m-2))) Q_t^{m-2}(Phi''(f) |grad f|^2)
     """
@@ -197,7 +197,7 @@ def phi_entropy_deficit(f: DifferentiableField, spec: PhiEntropySpec,
     x = tuple(np.atleast_1d(np.asarray(x, dtype=float)))
     # admissibility over the observed range of f near the evaluation point
     rng_pts = np.asarray(x, dtype=float) + np.linspace(-6, 6, 41)[:, None] * np.ones(d)
-    vals = np.asarray(f.value(rng_pts), dtype=float)
+    vals = f.value(rng_pts)
     lo, hi = float(vals.min()), float(vals.max())
     pad = 0.05 * (hi - lo) + 1e-9
     grid = np.linspace(lo - pad, hi + pad, 101)
@@ -205,22 +205,12 @@ def phi_entropy_deficit(f: DifferentiableField, spec: PhiEntropySpec,
     if not ok:
         raise AdmissibilityError(
             f"profile fails admissibility on [{lo:.3g}, {hi:.3g}] (margin {worst:.3g})")
-    phi_of_f = f.power(spec.q)
-    ent_first = qtm_quadrature(phi_of_f, QtmParams(m, d, t, x), cfg)
-    mean = qtm_quadrature(f, QtmParams(m, d, t, x), cfg)
-    phi_at_mean = float(spec.derivative(0)(mean.value))
-    dphi_at_mean = abs(float(spec.derivative(1)(mean.value)))
-    lhs_val = ent_first.value - phi_at_mean
-    lhs_err = ent_first.error_bound + dphi_at_mean * mean.error_bound
-    weight = spec.q * (spec.q - 1.0) * f.power(spec.q - 2.0) * grad_norm_squared(f)
-    energy = qtm_quadrature(weight, QtmParams(m - 2.0, d, t, x), cfg)
-    c = t ** 2 / (2.0 * (m - 2.0))
-    return DeficitReport(
-        lhs=Estimate(lhs_val, lhs_err, ent_first.n_evals + mean.n_evals),
-        rhs=Estimate(c * energy.value, c * energy.error_bound, energy.n_evals),
-        params={"check": "phi-entropy", "d": d, "m": m, "t": t, "x": list(x),
-                "n": spec.n},
-    )
+    q = spec.q
+    return beckner_deficit(BecknerRow(
+        TKernel(d, m, t, x), TKernel(d, m - 2.0, t, x), f.power(q), f,
+        q * (q - 1.0) * f.power(q - 2.0) * grad_norm_squared(f),
+        1.0, 1.0, t ** 2 / (2.0 * (m - 2.0)), q, True,
+        {"check": "phi-entropy", "d": d, "m": m, "t": t, "x": list(x), "n": spec.n}), cfg)
 
 
 RAYLEIGH_BASIS_SIZE = 9    # trial fields in the Rayleigh-quotient span

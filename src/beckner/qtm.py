@@ -169,13 +169,18 @@ class QtmField:
         self.dim = self.d + 1
         self.cfg = cfg or QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11)
         self._nu = CauchyMeasure(self.d, 0.5 * (self.m + self.d))
-        self._cache = {}
 
     def value(self, point):
         return self.partial((0,) * self.dim, point)
 
     def __call__(self, point):
         return self.value(point)
+
+    def partials(self, point, order: int) -> dict:
+        """Every partial of order <= ``order`` at one point, as {alpha: float};
+        one integral each.  A batch of points raises ``DomainError``."""
+        return {alpha: self.partial(alpha, point)
+                for alpha in multi_indices(self.dim, order)}
 
     def partial(self, alpha, point):
         alpha = tuple(int(a) for a in alpha)
@@ -185,9 +190,6 @@ class QtmField:
         x, t = point[:-1], float(point[-1])
         if t <= 0:
             raise DomainError("the extension field lives on t > 0")
-        key = (alpha, tuple(x), t)
-        if key in self._cache:
-            return self._cache[key]
         ax, j = alpha[:-1], alpha[-1]
         # (d/dt)^j f(x+tz) = sum_{|gamma|=j} j!/gamma! z^gamma (D^{gamma+ax} f)(x+tz)
         terms = [(math.factorial(j) / math.prod(map(math.factorial, g)), np.array(g),
@@ -201,9 +203,7 @@ class QtmField:
         # derivative integrands of bounded fields: a heuristic growth that
         # keeps a positive decay rather than rejecting high orders outright
         growth = min(2.0 + j, self.m - 0.5)
-        val = self._nu.integrate(integrand, self.cfg, growth=growth).value
-        self._cache[key] = val
-        return val
+        return self._nu.integrate(integrand, self.cfg, growth=growth).value
 
 
 _STEP = 5e-3  # spacing h: the positive_bump residual at t = 0.05, d = 3 is 6.7e-6 < 1e-4

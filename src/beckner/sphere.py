@@ -34,13 +34,14 @@ def _log_rho(d: int) -> DifferentiableField:
 
 
 def _log_rho_terms(d: int, x):
-    """(u(x), Delta_S log rho, Gamma_S log rho) at a chart point."""
+    """(u(x), Delta_S log rho, Gamma_S log rho) at a chart point or batch."""
     _, lap, gam = value_L_gamma(sphere_stereo(d), _log_rho(d), x)
-    return float(eigenfunction_u(d).value(x)), lap, gam
+    return eigenfunction_u(d).value(x), lap, gam
 
 
 def eigenfunction_residuals(d: int, x):
-    """(u(x), |Delta_S u + d u|, |Gamma_S(u) - (1 - u^2)|) at a chart point."""
+    """(u(x), |Delta_S u + d u|, |Gamma_S(u) - (1 - u^2)|) at a chart point or
+    batch."""
     uv, lap, gam = value_L_gamma(sphere_stereo(d), eigenfunction_u(d), x)
     return uv, abs(lap + d * uv), abs(gam - (1.0 - uv ** 2))
 
@@ -53,8 +54,9 @@ def log_rho_identities(d: int, x):
     return lap_res, gam_res
 
 
-def constant_R(m: float, d: int, x) -> float:
-    """Pointwise value of the chart function that collapses to a constant.
+def constant_R(m: float, d: int, x):
+    """Pointwise value (at a chart point or batch) of the chart function that
+    collapses to a constant.
 
     K = (m-d)^2 (2 Delta_S log rho / (d-m-2) + Gamma_S log rho);
     R = (c(d,d)/c(m,d)) (2/(1+u) - 4 (m-d+2)/(m-d)^2 K/(m-2+d)).

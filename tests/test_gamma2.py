@@ -11,7 +11,7 @@ from beckner.gamma2 import (carre_du_champ, cd1_residual, cd_residual,
                             euclidean, gamma, gamma2, gamma2_bochner,
                             halfspace_m, op_L, phi_conditions, power_surface,
                             qm_residual, reinforced_cd_residual,
-                            sphere_stereo, subharmonic_residual)
+                            sphere_stereo, subharmonic_residual, value_L_gamma)
 from beckner.qtm import QtmField
 
 
@@ -181,3 +181,90 @@ def test_each_partial_evaluated_once_per_point(call, monkeypatch):
     monkeypatch.setattr(DifferentiableField, "_eval", counting)
     call(f, np.array([0.4, -0.2, 0.7]))
     assert seen == Counter(id(g) for g in [f, op.a, *op.X])
+
+
+# -- point batches ----------------------------------------------------------
+
+def _batch(op, n=6, seed=0):
+    """n points of op's domain: the box [-1.5, 1.5]^dim, with t in [0.2, 2]
+    on the half-space."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.5, 1.5, (n, op.dim))
+    if op.m is not None:
+        x[:, -1] = rng.uniform(0.2, 2.0, n)
+    return x
+
+
+def _assert_batch_is_loop(call, x, rtol=0.0):
+    """One call on the batch x equals the per-point loop (to the last bit
+    unless ``rtol`` says otherwise)."""
+    loop = np.stack([np.array(call(xi)) for xi in x], axis=-1)
+    np.testing.assert_allclose(np.array(call(x)), loop, rtol=rtol, atol=0.0)
+
+
+_OPS = ([euclidean(d) for d in (1, 2, 3)] + [halfspace_m(d, d + 4.0) for d in (1, 2, 3)]
+        + [sphere_stereo(d) for d in (2, 3)])
+_RIC_OPS = [op for op in _OPS if op._ric is not None]
+
+
+def _fields(op):
+    dim = op.dim
+    return positive_bump(1.0, [0.3] * dim, dim), gaussian_bump(0.7, [-0.2] * dim, dim)
+
+
+@pytest.mark.parametrize("op", _OPS, ids=lambda op: op.tag)
+@pytest.mark.parametrize("call,rtol", [
+    (lambda op, f, g, x: op_L(op, f, x), 0.0),
+    (lambda op, f, g, x: value_L_gamma(op, f, x), 0.0),
+    (lambda op, f, g, x: gamma(op, f, x), 0.0),
+    (lambda op, f, g, x: carre_du_champ(op, f, g, x), 0.0),
+    (lambda op, f, g, x: gamma2(op, f, x), 0.0),
+    (lambda op, f, g, x: cd_residual(op, f, x, 0.5, -2.0), 0.0),
+    # y^beta at beta = -1/2 is numpy's vectorised pow on a batch and the C
+    # library's pow at a point: the two may differ in the last bit
+    (lambda op, f, g, x: subharmonic_residual(op, f, -0.5, x), 1e-15),
+], ids=["op_L", "value_L_gamma", "gamma", "carre_du_champ", "gamma2", "cd_residual",
+        "subharmonic_residual"])
+def test_batch_matches_points(op, call, rtol):
+    f, g = _fields(op)
+    _assert_batch_is_loop(lambda x: call(op, f, g, x), _batch(op), rtol)
+
+
+@pytest.mark.parametrize("op", _RIC_OPS, ids=lambda op: op.tag)
+def test_bochner_batch_matches_points(op):
+    f, _ = _fields(op)
+    # np.sum and einsum reduce a (dim, dim) block and a batch in different orders
+    _assert_batch_is_loop(lambda x: gamma2_bochner(op, f, x), _batch(op), 1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_euclidean_residuals_batch_matches_points(d):
+    f, _ = _fields(euclidean(d))
+    x = _batch(euclidean(d))
+    _assert_batch_is_loop(lambda p: cd1_residual(f, -0.5, d, p), x)
+    if d >= 2:
+        _assert_batch_is_loop(lambda p: reinforced_cd_residual(f, d, p), x)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_qm_residual_of_a_batch_is_its_worst_point(d):
+    op = halfspace_m(d, d + 4.0)
+    x = _batch(op)
+    assert qm_residual(op, x) == max(qm_residual(op, xi) for xi in x)
+
+
+def test_batch_guards_catch_one_bad_point():
+    op = halfspace_m(2, 6.0)
+    f, _ = _fields(op)
+    x = _batch(op)
+    x[3, -1] = -0.1
+    with pytest.raises(DomainError):
+        op_L(op, f, x)
+    with pytest.raises(DomainError):
+        qm_residual(op, x)
+    x = _batch(euclidean(2))
+    x[2] = 0.0
+    with pytest.raises(DomainError):   # f = |y|^2 - 1/2 is negative at y = 0
+        cd1_residual(quadratic(2) - 0.5, -0.5, 2, x)
+    with pytest.raises(DomainError):   # Gamma(|y|^2) vanishes at y = 0
+        reinforced_cd_residual(quadratic(2), 2, x)

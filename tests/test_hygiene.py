@@ -61,6 +61,12 @@ def test_no_library_module_calls_fd_derivative():
     assert set(_callers("fd_derivative")) <= {"numerics.py"}
 
 
+def test_gamma_calculus_reads_partials_through_the_batch_protocol():
+    # only the fields themselves call ``partial``; gamma2 and sphere read
+    # every partial from one ``partials(points, order)`` call per field
+    assert set(_callers("partial")) <= {"fields.py", "qtm.py"}
+
+
 def test_tailless_integrators_are_gone():
     assert not hasattr(sphere, "SphereGeometry")
     assert not hasattr(inequalities, "_gaussian_integrate")

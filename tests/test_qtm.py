@@ -99,6 +99,20 @@ def test_qtm_field_partials_match_fd():
         assert G.partial(alpha, pt) == pytest.approx(fd, abs=2e-4)
 
 
+def test_qtm_field_partials_are_its_partial():
+    G = QtmField(positive_bump(1.0, [0.3], 1), 6.0, 1)
+    pt = np.array([0.2, 0.8])
+    jet = G.partials(pt, 2)
+    assert set(jet) == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
+    assert all(jet[alpha] == G.partial(alpha, pt) for alpha in jet)
+
+
+def test_qtm_field_partials_take_one_point():
+    G = QtmField(positive_bump(1.0, [0.3], 1), 6.0, 1)
+    with pytest.raises(DomainError):
+        G.partials(np.array([[0.2, 0.8], [0.1, 0.5]]), 1)
+
+
 def test_qtm_field_rejects_boundary():
     G = QtmField(positive_bump(1.0, [0.0], 1), 6.0, 1)
     with pytest.raises(DomainError):

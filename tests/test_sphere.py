@@ -237,3 +237,15 @@ def test_one_jet_build_per_field_and_point(call, builds, monkeypatch):
     monkeypatch.setattr(DifferentiableField, "_eval", counting)
     call(np.array([0.4, -0.2, 0.7]))
     assert len(seen) == builds and set(seen.values()) == {1}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("call", [
+    lambda d, x: eigenfunction_residuals(d, x),
+    lambda d, x: log_rho_identities(d, x),
+    lambda d, x: constant_R(d + 4.0, d, x),
+], ids=["eigenfunction_residuals", "log_rho_identities", "constant_R"])
+def test_batch_matches_points(call, d):
+    x = np.random.default_rng(1).uniform(-3, 3, (6, d))
+    loop = np.stack([np.array(call(d, xi)) for xi in x], axis=-1)
+    np.testing.assert_array_equal(np.array(call(d, x)), loop)
