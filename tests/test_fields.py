@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from beckner.errors import DomainError
-from beckner.fields import (affine_precompose, coordinate, coords, exp, gaussian_bump,
-                            grad_norm_squared, growth_degree, laplacian,
-                            make_power_of_rho, multi_indices, positive_bump,
+from beckner.fields import (_BLOCK, affine_precompose, constant, coordinate, coords,
+                            cos, exp, gaussian_bump, grad_norm_squared, growth_degree,
+                            laplacian, make_power_of_rho, multi_indices, positive_bump,
                             quadratic, standard_library, trig)
 from beckner.gamma2 import euclidean, halfspace_m, sphere_stereo
 from beckner.measures import CauchyMeasure
@@ -118,8 +119,19 @@ def test_partials_match_sympy(d):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_library_growth_degrees(d):
     degrees = {name: growth_degree(f) for name, f in standard_library(d).items()}
-    assert degrees == {"one": 0.0, "coordinate": 1.0, "quadratic": 2.0, "trig": 1.0,
+    assert degrees == {"one": 0.0, "coordinate": 1.0, "quadratic": 2.0, "trig": 0.0,
                        "gaussian_bump": 0.0, "positive_bump": 0.0, "power_of_rho": 0.0}
+
+
+def test_cosine_growth_is_structural():
+    x, y = coords(2)
+    assert trig([math.pi / 2000, 0.0], 2).growth == 0
+    assert (cos(x * y) * quadratic(2) + x).growth == 2
+    assert growth_degree(cos(x).power(2) * 3.0) == 0.0
+    # the partials of cos(x y) grow with |(x, y)|: no structural bound, so sampled
+    g = laplacian(cos(x * y))
+    assert g.degree is None and g.growth is None
+    assert growth_degree(cos(x * y) * 0.0 + x) == 1.0
 
 
 def test_growth_degree_probes_off_the_diagonal():
@@ -219,3 +231,94 @@ def test_trig_bounded(x, y):
 def test_positive_bump_positive(a, x):
     f = positive_bump(a, [0.0], 1)
     assert f.value([x]) > 1.0
+
+
+# -- blockwise jets and constant jets -----------------------------------------
+
+_SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+
+
+def _pts(n, d, seed=0):
+    return np.random.default_rng(seed).uniform(-2.0, 2.0, (n, d))
+
+
+def _assert_same_jets(got, want, order):
+    """Bitwise at orders <= 1.  Above, a jet product sums its pairs through one
+    matrix product (BLAS), whose rounding may depend on a column's place in the
+    block: to 1e-15 of the largest entry, where a sum cancels."""
+    for alpha in want:
+        tol = 1e-15 * np.max(np.abs(want[alpha]), initial=0.0) if order > 1 else 0.0
+        np.testing.assert_allclose(got[alpha], want[alpha], rtol=0, atol=tol,
+                                   err_msg=str(alpha))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_jets_do_not_depend_on_block_boundaries(d):
+    """A batch that spans blocks gives the jets of its slices, cut off the
+    block boundaries, side by side; grad_norm_squared, whose values pull a jet
+    under d_i, gives the values of its rows."""
+    for n in _SIZES:
+        pts = _pts(n, d)
+        cuts = [0, 7, _BLOCK // 2 + 1, n - 2, n]
+        for name, f in standard_library(d).items():
+            for order in range(5):
+                whole = f.partials(pts, order)
+                parts = [f.partials(pts[a:b], order) for a, b in zip(cuts, cuts[1:])]
+                _assert_same_jets(whole, {a: np.concatenate([p[a] for p in parts])
+                                          for a in whole}, order)
+            g = grad_norm_squared(f)
+            vals = g.value(pts)
+            rows = [0, _BLOCK - 2, n - 1] + [i for i in (_BLOCK - 1, _BLOCK) if i < n]
+            np.testing.assert_array_equal(vals[rows], [g.value(pts[i]) for i in rows],
+                                          err_msg=name)
+            np.testing.assert_array_equal(
+                vals, np.concatenate([g.value(pts[a:b]) for a, b in zip(cuts, cuts[1:])]))
+
+
+@given(st.integers(1, 3 * _BLOCK), st.integers(0, 3 * _BLOCK))
+@settings(max_examples=15, deadline=None)
+def test_jet_of_a_batch_is_the_jets_of_its_halves(n, cut):
+    f = standard_library(3)["positive_bump"].power(-0.5)
+    pts, cut = _pts(n, 3, seed=n), min(cut, n)
+    whole, a, b = f.partials(pts, 2), f.partials(pts[:cut], 2), f.partials(pts[cut:], 2)
+    _assert_same_jets(whole, {k: np.concatenate([a[k], b[k]]) for k in whole}, 2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_constant_jets(d):
+    pts, c = _pts(5, d), 2.5
+    f = standard_library(d)["positive_bump"]
+    for order in range(5):
+        jet = constant(c, d).partials(pts, order)
+        for alpha, v in jet.items():
+            assert v.shape == (5,)
+            np.testing.assert_array_equal(v, c if sum(alpha) == 0 else 0.0)
+        df = f.partials(pts, order)
+        scaled, shifted = (3.0 * f).partials(pts, order), (f + 2.0).partials(pts, order)
+        for alpha in df:
+            np.testing.assert_array_equal(scaled[alpha], 3.0 * df[alpha])
+            np.testing.assert_array_equal(shifted[alpha],
+                                          df[alpha] + (2.0 if sum(alpha) == 0 else 0.0))
+    np.testing.assert_array_equal(laplacian(constant(c, d)).value(pts), np.zeros(5))
+    np.testing.assert_array_equal(grad_norm_squared(constant(c, d)).value(pts), np.zeros(5))
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, pts: (grad_norm_squared(f) * make_power_of_rho(2.0, 3)).value(pts),
+    lambda f, pts: f.partials(pts, 1),
+], ids=["energy_density", "partials_1"])
+def test_jet_memory_is_bounded(call):
+    """The energy density and the order-1 jet of positive_bump on 17 280 points
+    in d = 3, the batch of one integrate_rd panel.  With a memo of every node's jet on the whole
+    batch they peaked at 13.3 and 12.7 MB of traced memory; with a memo of the
+    shared jets only, at 2.1 and 2.5 MB; block by block, at 0.7 and 1.2 MB (the
+    order-1 jet itself is 0.55 MB)."""
+    f, pts = standard_library(3)["positive_bump"], _pts(17280, 3)
+    call(f, pts)   # bases and memo plans are built once
+    tracemalloc.start()
+    try:
+        call(f, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.8e6
