@@ -11,7 +11,7 @@ from .numerics import Estimate, MonteCarloConfig, QuadratureConfig
 from .fields import DifferentiableField, affine_precompose, standard_library
 from .measures import (CauchyMeasure, GaussianMeasure, HittingTimeLaw, Measure,
                        SphereMeasure, TKernel, norm_const)
-from .qtm import QtmField, QtmParams, qtm_mc, qtm_quadrature, qtm_subordinated
+from .qtm import QtmField, qtm_mc, qtm_quadrature, qtm_subordinated
 from .inequalities import (BecknerRow, DeficitReport, PhiEntropySpec,
                            admissibility_check, beckner_cauchy_deficit,
                            beckner_deficit, beckner_qt_deficit,

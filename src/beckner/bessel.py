@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import DomainError, Inconclusive
 from .fields import DifferentiableField
-from .numerics import (MonteCarloConfig, QuadratureConfig, spawn_rngs,
-                       substreams)
-from .qtm import QtmParams, qtm_quadrature
+from .measures import TKernel
+from .numerics import MonteCarloConfig, QuadratureConfig, pooled, spawn_rngs
+from .qtm import qtm_quadrature
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,8 @@ def simulate_joint_paths(cfg: BesselSimConfig, rng, n_paths: int, d: int, x):
 
 
 def empirical_hitting_times(cfg: BesselSimConfig, mc: MonteCarloConfig):
-    """Hitting times pooled over reproducible substreams."""
-    runs = [simulate_joint_paths(cfg, rng, n, 0, ())[1:]
-            for rng, n in substreams(mc)]
-    return np.concatenate([t for t, _ in runs]), np.concatenate([h for _, h in runs])
+    """Hitting times and hit flags pooled over reproducible substreams."""
+    return pooled(lambda rng, n: simulate_joint_paths(cfg, rng, n, 0, ())[1:], mc)
 
 
 def dynkin_check(f: DifferentiableField, cfg: BesselSimConfig, n_paths: int,
@@ -119,7 +117,7 @@ def dynkin_check(f: DifferentiableField, cfg: BesselSimConfig, n_paths: int,
     if miss > 1e-3:
         raise Inconclusive(f"non-hit fraction {miss:.2e} exceeds 0.1%")
     avg = float(np.mean(f.value(pos[hit])))
-    ref = qtm_quadrature(f, QtmParams(cfg.m, d, cfg.t0, tuple(x)),
+    ref = qtm_quadrature(f, TKernel(d, cfg.m, cfg.t0, tuple(x)),
                          quad_cfg or QuadratureConfig()).value
     return abs(avg - ref)
 

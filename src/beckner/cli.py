@@ -21,11 +21,10 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NonConvergence, UnknownCheck
 from .fields import coordinate, make_power_of_rho, standard_library
-from .numerics import MonteCarloConfig, QuadratureConfig
-from .measures import (CauchyMeasure, HittingTimeLaw, log_norm_const,
-                       sample_hitting, second_moment)
-from .qtm import QtmParams, harmonicity_residual, qtm_mc, qtm_quadrature, \
-    qtm_subordinated
+from .numerics import MonteCarloConfig, QuadratureConfig, pooled
+from .measures import (CauchyMeasure, HittingTimeLaw, TKernel, log_norm_const,
+                       second_moment)
+from .qtm import harmonicity_residual, qtm_mc, qtm_quadrature, qtm_subordinated
 from .bessel import BesselSimConfig, dynkin_check
 from .gamma2 import (cd1_residual, phi_conditions, power_surface, qm_residual,
                      halfspace_m, reinforced_cd_residual)
@@ -129,6 +128,10 @@ class SuiteConfig:
         for name in ("b", "m", "p", "t"):
             if not all(math.isfinite(v) for v in getattr(self, name)):
                 raise ConfigError(f"{name} grid must be finite")
+        if any(tt <= 0 for tt in self.t):
+            raise ConfigError("t grid must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.suite in ("cauchy", "all"):
             for dd in self.d:
                 for bb in self.b:
@@ -192,21 +195,21 @@ def _suite_qtm(cfg: SuiteConfig):
         f = standard_library(dd)["positive_bump"]
         for mm in cfg.m:
             for tt in cfg.t:
-                params = QtmParams(mm, dd, tt, (0.0,) * dd)
-                q = qtm_quadrature(f, params)
-                s = qtm_subordinated(f, params)
+                kernel = TKernel(dd, mm, tt, (0.0,) * dd)
+                q = qtm_quadrature(f, kernel)
+                s = qtm_subordinated(f, kernel)
                 gap = abs(q.value - s.value)
                 budget = q.error_bound + s.error_bound
                 yield _record("qtm-crosspath",
                               {"d": dd, "m": mm, "t": tt, "field": "positive_bump"},
                               gap, 0.0, budget, 0.0, "pass" if gap <= budget else "fail")
-                mc = qtm_mc(f, params, MonteCarloConfig(100_000, cfg.seed))
+                mc = qtm_mc(f, kernel, MonteCarloConfig(100_000, cfg.seed))
                 z = abs(mc.value - q.value) / max(mc.error_bound, 1e-300)
                 yield _record("qtm-mc", {"d": dd, "m": mm, "t": tt, "sigma": z},
                               abs(mc.value - q.value), mc.error_bound,
                               3.0 * mc.error_bound, 0.0,
                               "pass" if z <= 3.0 else "inconclusive")
-                res = harmonicity_residual(f, params)
+                res = harmonicity_residual(f, kernel)
                 scale = max(abs(q.value), 1.0)
                 yield _residual_record("qtm-harmonic", {"d": dd, "m": mm, "t": tt},
                                        res.value / scale)
@@ -215,9 +218,9 @@ def _suite_qtm(cfg: SuiteConfig):
 def _suite_bessel(cfg: SuiteConfig):
     for mm in cfg.m:
         law = HittingTimeLaw(mm, 1.0)
-        samples = np.sort(sample_hitting(law, MonteCarloConfig(20_000, cfg.seed)))
+        samples = np.sort(pooled(law.draw, MonteCarloConfig(20_000, cfg.seed)))
         grid = samples[:: max(len(samples) // 200, 1)]
-        cdf = np.atleast_1d(law.cdf(grid))
+        cdf = law.cdf(grid)
         emp = np.searchsorted(samples, grid, side="right") / len(samples)
         ks = float(np.max(np.abs(cdf - emp)))
         crit = 1.63 / np.sqrt(len(samples))  # 1% asymptotic KS critical value

@@ -1,10 +1,13 @@
 """Cauchy-type measures, the heavy-tailed extension kernel and hitting times.
 
 Normalization constants are kept in log space (log-Gamma) so that large
-index parameters stay representable.  Samplers are exact: the kernel draw is
-a Gaussian scale mixture over a Gamma variate and the hitting time is an
-inverse-Gamma transform of the same variate, which also provides the coupled
-pair (S, X_S).
+index parameters stay representable.  ``TKernel(d, m, t, x)`` is the kernel
+q_t(x, .) of the extension operator, and every evaluation path of Q_t takes
+one.  Draws are exact and live on the law they sample: ``TKernel.draw`` is a
+Gaussian scale mixture over a Gamma variate, ``HittingTimeLaw.draw`` the
+inverse-Gamma transform t^2/(4G) of the same variate, and
+``TKernel.draw_coupled`` the pair (S, X_S).  Each takes ``(rng, n)``;
+``numerics.pooled`` runs it over the substreams of a ``MonteCarloConfig``.
 """
 from __future__ import annotations
 
@@ -14,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import (_GK_WK, _GK_X, Estimate, MonteCarloConfig,
-                       QuadratureConfig, integrate_rd, substreams)
+from .numerics import _GK_WK, _GK_X, Estimate, QuadratureConfig, integrate_rd
 
 
 def log_norm_const(m: float, d: int) -> float:
@@ -138,7 +140,8 @@ class GaussianMeasure(Measure):
 
 @dataclass(frozen=True)
 class TKernel:
-    """The kernel q_t(x, .) : Cauchy-type measure pushed through y -> t y + x."""
+    """The kernel q_t(x, .) of the extension of index m on R^d: the law of
+    x + t z with z ~ nu_{(m+d)/2}, the only object that holds (d, m, t, x)."""
     d: int
     m: float
     t: float
@@ -147,6 +150,8 @@ class TKernel:
     def __post_init__(self):
         if self.m <= 0 or self.t <= 0:
             raise DomainError("need m > 0 and t > 0")
+        if len(self.x) != self.d:
+            raise DomainError(f"x must have d = {self.d} coordinates, got {len(self.x)}")
 
     @property
     def center(self):
@@ -155,19 +160,37 @@ class TKernel:
     def base_measure(self) -> CauchyMeasure:
         return CauchyMeasure(self.d, (self.m + self.d) / 2.0)
 
+    def tail_scale(self, f, growth: float, scale: float) -> float:
+        """Scale of the tail bound of f(x + t z) against the base measure:
+        |f(x + t z)| <= (scale (1 + |x| + t)^growth + |f(x)|) |z|^growth."""
+        x = self.center
+        return (scale * (1.0 + float(np.max(np.abs(x))) + self.t) ** growth
+                + abs(float(f(x[None, :])[0])))
+
     def integrate(self, f, config: QuadratureConfig, growth: float = 0.0,
                   scale: float = 1.0) -> Estimate:
-        """The measure protocol: the base measure's integral of f(x + t z), whose
-        tail bound takes |f(x + t z)| <= (scale (1 + |x| + t)^growth + |f(x)|) |z|^growth."""
+        """The measure protocol: the base measure's integral of f(x + t z), at
+        the ``tail_scale`` of f."""
         x, t = self.center, self.t
-        scale = (scale * (1.0 + float(np.max(np.abs(x))) + t) ** growth
-                 + abs(float(f(x[None, :])[0])))
-        return self.base_measure().integrate(lambda z: f(x + t * z), config,
-                                             growth=growth, scale=scale)
+        return self.base_measure().integrate(lambda z: f(x + t * z), config, growth=growth,
+                                             scale=self.tail_scale(f, growth, scale))
 
     def density(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return self.base_measure().density((pts - self.center) / self.t) / self.t ** self.d
+
+    def draw(self, rng, n: int):
+        """n exact draws x + t Z / sqrt(2 G), G ~ Gamma(m/2): Z first, then G."""
+        z = rng.standard_normal((n, self.d))
+        g = rng.standard_gamma(self.m / 2.0, n)
+        return self.center + self.t * z / np.sqrt(2.0 * g)[:, None]
+
+    def draw_coupled(self, rng, n: int):
+        """n coupled pairs (S, x + sqrt(2 S) Z): S from ``HittingTimeLaw(m, t)``
+        first, then Z.  The second component has this kernel's law, the
+        probabilistic face of the subordination identity."""
+        s = HittingTimeLaw(self.m, self.t).draw(rng, n)
+        return s, self.center + np.sqrt(2.0 * s)[:, None] * rng.standard_normal((n, self.d))
 
 
 @dataclass(frozen=True)
@@ -197,70 +220,27 @@ class HittingTimeLaw:
         return self.t ** 2 / (2.0 * (self.m - 2.0))
 
     def cdf(self, s):
-        """CDF at the given points by cumulative quadrature of the density.
+        """CDF at the given points by cumulative quadrature of the density: a
+        float for a scalar, an array of the input's shape otherwise.
 
         Deliberately independent of the sampler's Gamma transform: the
         density is integrated with one fixed Kronrod panel per gap.
         """
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        order = np.argsort(s)
-        edges = np.concatenate([[0.0], s[order]])
+        s = np.asarray(s, dtype=float)
+        flat = s.reshape(-1)
+        order = np.argsort(flat)
+        edges = np.concatenate([[0.0], flat[order]])
         lo, hi = edges[:-1], edges[1:]
         h = 0.5 * (hi - lo)
         nodes = lo[:, None] + (1.0 + _GK_X)[None, :] * h[:, None]
         with np.errstate(divide="ignore"):
             vals = self.density(nodes.reshape(-1)).reshape(nodes.shape)
         panel = h * (vals @ _GK_WK)
-        out = np.empty_like(s)
+        out = np.empty_like(flat)
         out[order] = np.cumsum(panel)
-        return np.clip(out, 0.0, 1.0) if out.size > 1 else float(np.clip(out[0], 0, 1))
+        out = np.clip(out, 0.0, 1.0)
+        return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
-
-def sample_gamma(rng, shape: float, n: int):
-    """Gamma(shape, 1) variates (Marsaglia-Tsang rejection inside numpy)."""
-    if shape <= 0:
-        raise DomainError("gamma shape must be positive")
-    return rng.standard_gamma(shape, size=n)
-
-
-def draw_tkernel(rng, n: int, d: int, m: float, t: float, x):
-    """n draws of x + t Z / sqrt(2 G) from one generator: Z first, then G."""
-    z = rng.standard_normal((n, d))
-    g = sample_gamma(rng, m / 2.0, n)
-    return x + t * z / np.sqrt(2.0 * g)[:, None]
-
-
-def draw_coupled(rng, n: int, d: int, m: float, t: float, x):
-    """n coupled pairs (S, x + sqrt(2 S) Z) from one generator.
-
-    G is drawn first and S = t^2 / (4 G), then Z.  With d = 0 the (n, 0)
-    normal draw does not advance the generator, so S alone is drawn.
-    """
-    g = sample_gamma(rng, m / 2.0, n)
-    s = t ** 2 / (4.0 * g)
-    z = rng.standard_normal((n, d))
-    return s, x + np.sqrt(2.0 * s)[:, None] * z
-
-
-def sample_tkernel(k: TKernel, cfg: MonteCarloConfig):
-    """Exact draws from q_t(x, .): x + t Z / sqrt(2 G), G ~ Gamma(m/2)."""
-    return np.concatenate([draw_tkernel(rng, n, k.d, k.m, k.t, k.center)
-                           for rng, n in substreams(cfg)], axis=0)
-
-
-def sample_hitting(h: HittingTimeLaw, cfg: MonteCarloConfig):
-    """Exact draws of the hitting time: S = t^2 / (4 G), G ~ Gamma(m/2)."""
-    return np.concatenate([draw_coupled(rng, n, 0, h.m, h.t, 0.0)[0]
-                           for rng, n in substreams(cfg)])
-
-
-def sample_coupled(d: int, m: float, t: float, x, cfg: MonteCarloConfig):
-    """Coupled draws (S, X_S) with X_S = x + sqrt(2 S) Z.
-
-    The marginal of X_S is the t-kernel; this is the probabilistic face of
-    the subordination identity.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    draws = [draw_coupled(rng, n, d, m, t, x) for rng, n in substreams(cfg)]
-    return (np.concatenate([s for s, _ in draws]),
-            np.concatenate([xs for _, xs in draws], axis=0))
+    def draw(self, rng, n: int):
+        """n exact draws t^2 / (4 G), G ~ Gamma(m/2), from one generator."""
+        return self.t ** 2 / (4.0 * rng.standard_gamma(self.m / 2.0, n))

@@ -6,7 +6,8 @@ r = s/(1-s) first and truncated at a cutoff radius that every caller passes
 in, together with its own bound on the tail beyond it.  Full-space integrals
 over R^d (d <= 3) are reduced to a radial integral of an angular product rule
 of order ``ANGULAR_ORDER``.  Monte Carlo draws use numpy substreams spawned
-from a single seed so parallel draws stay reproducible.
+from a single seed so parallel draws stay reproducible; ``pooled`` and
+``mc_estimate`` are the only loops over them.
 """
 from __future__ import annotations
 
@@ -70,6 +71,8 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.n_samples < 1 or self.n_streams < 1:
             raise DomainError("n_samples and n_streams must be >= 1")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -276,6 +279,15 @@ def substreams(cfg: MonteCarloConfig):
         n = per + (i < extra)
         if n:
             yield rng, n
+
+
+def pooled(draw, cfg: MonteCarloConfig):
+    """``draw(rng, n)`` over every substream of ``cfg``, concatenated in
+    stream order; a draw that returns a tuple is concatenated componentwise."""
+    parts = [draw(rng, n) for rng, n in substreams(cfg)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    return np.concatenate(parts)
 
 
 def mc_estimate(sample_fn, cfg: MonteCarloConfig) -> Estimate:

@@ -7,6 +7,7 @@ as a generalized Gauss-Laguerre rule in the Gamma variable times a
 Gauss-Hermite product rule for the Gaussian convolution.
 Path 3 is plain Monte Carlo over exact kernel draws.  The three paths share
 nothing beyond the integrand, which is the point: agreement certifies each.
+Each takes the kernel as one ``measures.TKernel(d, m, t, x)``, so t > 0.
 The harmonicity check applies a finite-difference stencil of the half-space
 operator under the integral sign of path 1, so no quadrature is differenced.
 """
@@ -20,39 +21,17 @@ import numpy as np
 
 from .errors import DegenerateFit, DomainError
 from .fields import DifferentiableField, growth_degree, laplacian, multi_indices
-from .measures import CauchyMeasure, TKernel, draw_coupled, draw_tkernel
+from .measures import TKernel
 from .numerics import (Estimate, MonteCarloConfig, QuadratureConfig,
                        integrate_radial, mc_estimate)
 
 
-@dataclass(frozen=True)
-class QtmParams:
-    m: float
-    d: int
-    t: float
-    x: tuple
-
-    def __post_init__(self):
-        if self.m <= 0:
-            raise DomainError("index m must be positive")
-        if self.t < 0:
-            raise DomainError("t must be nonnegative")
-        if len(self.x) != self.d:
-            raise DomainError("x has wrong dimension")
-
-    @property
-    def center(self):
-        return np.asarray(self.x, dtype=float)
-
-
-def qtm_quadrature(f: DifferentiableField, p: QtmParams,
+def qtm_quadrature(f: DifferentiableField, k: TKernel,
                    cfg: QuadratureConfig | None = None) -> Estimate:
     """The defining integral: the average of f(x + t z) over z ~ nu_{(m+d)/2},
     which is ``TKernel.integrate`` at the growth degree of f."""
     cfg = cfg or QuadratureConfig()
-    if p.t == 0.0:
-        return Estimate(float(f.value(p.center)), 0.0, 1)
-    return TKernel(p.d, p.m, p.t, p.x).integrate(f, cfg, growth=growth_degree(f))
+    return k.integrate(f, cfg, growth=growth_degree(f))
 
 
 _HERMITE_ORDER = {1: 48, 2: 32, 3: 18}
@@ -99,10 +78,10 @@ def _heat_value(f, x, s_values, d, order):
     return vals @ weights
 
 
-def _subordinated_value(f, p: QtmParams, cfg: QuadratureConfig, n_her):
+def _subordinated_value(f, k: TKernel, cfg: QuadratureConfig, n_her):
     """Adaptive integral over the Gamma variable u = t^2/(4s)."""
-    log_gamma_m2 = math.lgamma(p.m / 2.0)
-    x, t, d, m = p.center, p.t, p.d, p.m
+    log_gamma_m2 = math.lgamma(k.m / 2.0)
+    x, t, d, m = k.center, k.t, k.d, k.m
     evals = 0
 
     def integrand(u):
@@ -118,7 +97,7 @@ def _subordinated_value(f, p: QtmParams, cfg: QuadratureConfig, n_her):
     return est, evals
 
 
-def qtm_subordinated(f: DifferentiableField, p: QtmParams,
+def qtm_subordinated(f: DifferentiableField, k: TKernel,
                      cfg: QuadratureConfig | None = None) -> Estimate:
     """Subordination path: heat semigroup averaged over the hitting-time law.
 
@@ -128,26 +107,17 @@ def qtm_subordinated(f: DifferentiableField, p: QtmParams,
     the reported error bound.
     """
     cfg = cfg or QuadratureConfig()
-    if p.t == 0.0:
-        return Estimate(float(f.value(p.center)), 0.0, 1)
-    hi, n_hi = _subordinated_value(f, p, cfg, _HERMITE_ORDER[p.d])
-    lo, n_lo = _subordinated_value(f, p, cfg, _HERMITE_ORDER_LO[p.d])
+    hi, n_hi = _subordinated_value(f, k, cfg, _HERMITE_ORDER[k.d])
+    lo, n_lo = _subordinated_value(f, k, cfg, _HERMITE_ORDER_LO[k.d])
     err = hi.error_bound + abs(hi.value - lo.value) + 1e-14 * (1.0 + abs(hi.value))
     return Estimate(hi.value, err, n_hi + n_lo)
 
 
-def qtm_mc(f: DifferentiableField, p: QtmParams,
+def qtm_mc(f: DifferentiableField, k: TKernel,
            cfg: MonteCarloConfig | None = None) -> Estimate:
     """Monte Carlo average of f over exact kernel draws."""
     cfg = cfg or MonteCarloConfig()
-    if p.t == 0.0:
-        return Estimate(float(f.value(p.center)), 0.0, 1, kind="monte-carlo")
-    x, t, d, m = p.center, p.t, p.d, p.m
-
-    def sample(rng, n):
-        return f.value(draw_tkernel(rng, n, d, m, t, x))
-
-    return mc_estimate(sample, cfg)
+    return mc_estimate(lambda rng, n: f.value(k.draw(rng, n)), cfg)
 
 
 class QtmField:
@@ -168,7 +138,6 @@ class QtmField:
         self.d = int(d)
         self.dim = self.d + 1
         self.cfg = cfg or QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11)
-        self._nu = CauchyMeasure(self.d, 0.5 * (self.m + self.d))
 
     def value(self, point):
         return self.partial((0,) * self.dim, point)
@@ -188,8 +157,7 @@ class QtmField:
         if len(alpha) != self.dim or point.shape != (self.dim,):
             raise DomainError("bad multi-index or point for the extension field")
         x, t = point[:-1], float(point[-1])
-        if t <= 0:
-            raise DomainError("the extension field lives on t > 0")
+        nu = TKernel(self.d, self.m, t, tuple(x)).base_measure()
         ax, j = alpha[:-1], alpha[-1]
         # (d/dt)^j f(x+tz) = sum_{|gamma|=j} j!/gamma! z^gamma (D^{gamma+ax} f)(x+tz)
         terms = [(math.factorial(j) / math.prod(map(math.factorial, g)), np.array(g),
@@ -203,26 +171,27 @@ class QtmField:
         # derivative integrands of bounded fields: a heuristic growth that
         # keeps a positive decay rather than rejecting high orders outright
         growth = min(2.0 + j, self.m - 0.5)
-        return self._nu.integrate(integrand, self.cfg, growth=growth).value
+        return nu.integrate(integrand, self.cfg, growth=growth).value
 
 
 _STEP = 5e-3  # spacing h: the positive_bump residual at t = 0.05, d = 3 is 6.7e-6 < 1e-4
 
 
-def harmonicity_residual(f: DifferentiableField, p: QtmParams,
+def harmonicity_residual(f: DifferentiableField, k: TKernel,
                          cfg: QuadratureConfig | None = None) -> Estimate:
     """(Laplacian_x + d^2/dt^2 + ((1-m)/t) d/dt) Q_t f at (x, t) by a stencil
     (second differences of spacing 2h on the d+1 axes, the central t-difference
     of spacing h) under the integral sign: each point (x_k, t_k) averages
-    f(x_k + t_k z) over one z ~ nu_{(m+d)/2}, so the stencil is one integral,
-    whose tail scale sums the points' ``TKernel.integrate`` scales by |weight|."""
-    if p.t - 2 * _STEP <= 0:
+    f(x_k + t_k z) over one z ~ nu_{(m+d)/2}, the base measure of ``k``, so the
+    stencil is one integral, whose tail scale sums the points' ``TKernel``
+    tail scales by |weight|."""
+    if k.t - 2 * _STEP <= 0:
         raise DomainError(f"the harmonicity stencil needs t > {2 * _STEP}")
-    h, x, t, growth = _STEP, p.center, p.t, growth_degree(f)
-    c2, c1 = 1.0 / (4.0 * h * h), (1.0 - p.m) / (2.0 * h * t)
-    stencil = [(x, t, -2.0 * (p.d + 1) * c2), (x, t + 2 * h, c2), (x, t - 2 * h, c2),
+    h, x, t, growth = _STEP, k.center, k.t, growth_degree(f)
+    c2, c1 = 1.0 / (4.0 * h * h), (1.0 - k.m) / (2.0 * h * t)
+    stencil = [(x, t, -2.0 * (k.d + 1) * c2), (x, t + 2 * h, c2), (x, t - 2 * h, c2),
                (x, t + h, c1), (x, t - h, -c1)]
-    stencil += [(x + s * e, t, c2) for e in 2 * h * np.eye(p.d) for s in (1.0, -1.0)]
+    stencil += [(x + s * e, t, c2) for e in 2 * h * np.eye(k.d) for s in (1.0, -1.0)]
 
     def integrand(z):
         acc = np.zeros(len(z))
@@ -230,10 +199,10 @@ def harmonicity_residual(f: DifferentiableField, p: QtmParams,
             acc += ck * f.value(xk + tk * z)
         return acc
 
-    scale = sum(abs(ck) * ((1.0 + np.max(np.abs(xk)) + tk) ** growth
-                           + abs(f.value(xk[None, :])[0])) for xk, tk, ck in stencil)
-    est = CauchyMeasure(p.d, 0.5 * (p.m + p.d)).integrate(
-        integrand, cfg or QuadratureConfig(), growth=growth, scale=float(scale))
+    scale = sum(abs(ck) * TKernel(k.d, k.m, tk, tuple(xk)).tail_scale(f, growth, 1.0)
+                for xk, tk, ck in stencil)
+    est = k.base_measure().integrate(integrand, cfg or QuadratureConfig(),
+                                     growth=growth, scale=scale)
     return Estimate(est.value, est.error_bound, est.n_evals * len(stencil))
 
 
@@ -272,7 +241,7 @@ def _laguerre_rule(n: int, alpha: float):
     return nodes, weights
 
 
-def moment_identity_gap(g: DifferentiableField, p_exp: float, params: QtmParams,
+def moment_identity_gap(g: DifferentiableField, p_exp: float, k: TKernel,
                         cfg: QuadratureConfig | None = None,
                         mc: MonteCarloConfig | None = None) -> MomentIdentityReport:
     """Both sides of the hitting-time moment identity.
@@ -281,10 +250,10 @@ def moment_identity_gap(g: DifferentiableField, p_exp: float, params: QtmParams,
     Carlo over the coupled (S, X_S) sampler.  RHS: the log-Gamma prefactor
     times the extension at index m - 2p.
     """
-    if not 0 < p_exp < params.m / 2.0:
+    if not 0 < p_exp < k.m / 2.0:
         raise DomainError("need 0 < p < m/2")
     mc = mc or MonteCarloConfig(n_samples=400_000)
-    m, d, t, x = params.m, params.d, params.t, params.center
+    m, d, t, x = k.m, k.d, k.t, k.center
 
     # double quadrature: E(S^p g(X_S)) = (t^{2p}/4^p) E_U[U^{-p} P_{t^2/4U} g(x)]
     u, w = _laguerre_rule(64, m / 2.0 - p_exp - 1.0)
@@ -293,7 +262,7 @@ def moment_identity_gap(g: DifferentiableField, p_exp: float, params: QtmParams,
     lhs_quad = (t ** (2 * p_exp) / 4.0 ** p_exp) * float(np.dot(w, heat))
 
     def sample(rng, n):
-        s, xs = draw_coupled(rng, n, d, m, t, x)
+        s, xs = k.draw_coupled(rng, n)
         return s ** p_exp * g.value(xs)
 
     est = mc_estimate(sample, mc)
@@ -301,7 +270,7 @@ def moment_identity_gap(g: DifferentiableField, p_exp: float, params: QtmParams,
     log_pref = (2 * p_exp * math.log(t) + math.lgamma(m / 2.0 - p_exp)
                 - p_exp * math.log(4.0) - math.lgamma(m / 2.0))
     rhs = math.exp(log_pref) * qtm_quadrature(
-        g, QtmParams(m - 2 * p_exp, d, t, params.x), cfg).value
+        g, TKernel(d, m - 2 * p_exp, t, k.x), cfg).value
     return MomentIdentityReport(lhs_quad, est.value, est.error_bound, rhs)
 
 
@@ -330,7 +299,7 @@ def taylor_remainder_order(f: DifferentiableField, m: float, d: int, x,
     rem = np.empty_like(t_grid)
     noise = 0.0
     for i, t in enumerate(t_grid):
-        est = qtm_quadrature(f, QtmParams(m, d, float(t), tuple(x)), cfg)
+        est = qtm_quadrature(f, TKernel(d, m, float(t), tuple(x)), cfg)
         rem[i] = (est.value - f0 - t ** 2 * lap / (2.0 * (m - 2.0))
                   - t ** 4 * bih / (8.0 * (m - 2.0) * (m - 4.0)))
         noise += est.error_bound

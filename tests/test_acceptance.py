@@ -18,11 +18,11 @@ from beckner.inequalities import (PhiEntropySpec, admissibility_check,
                                   gaussian_limit_probe, limit_rate,
                                   optimal_constant_rayleigh, p_grid,
                                   phi_entropy_deficit, poincare_cauchy_deficit)
-from beckner.measures import (CauchyMeasure, HittingTimeLaw, log_norm_const,
-                              sample_hitting, second_moment)
+from beckner.measures import (CauchyMeasure, HittingTimeLaw, TKernel, log_norm_const,
+                              second_moment)
 from beckner.bessel import BesselSimConfig, empirical_hitting_times
-from beckner.numerics import MonteCarloConfig, QuadratureConfig
-from beckner.qtm import (QtmField, QtmParams, harmonicity_residual,
+from beckner.numerics import MonteCarloConfig, QuadratureConfig, pooled
+from beckner.qtm import (QtmField, harmonicity_residual,
                          moment_identity_gap, qtm_mc, qtm_quadrature,
                          qtm_subordinated, taylor_remainder_order)
 from beckner.sphere import (SphereBecknerParams, classical_beckner_deficit,
@@ -70,7 +70,7 @@ def test_02_crosspath_grid():
     worst_z = 0.0
     for m, d, t, x in _PARAM_GRID:
         lib = standard_library(d)
-        params = QtmParams(m, d, t, x)
+        params = TKernel(d, m, t, x)
         for name in _FIELD_NAMES:
             f = lib[name]
             q = qtm_quadrature(f, params)
@@ -94,7 +94,7 @@ def test_03_harmonicity():
     worst = 0.0
     for m, d, t in [(6.0, 2, 1.0), (8.0, 1, 0.5)]:
         f = positive_bump(1.0, [0.3] * d, d)
-        params = QtmParams(m, d, t, (0.0,) * d)
+        params = TKernel(d, m, t, (0.0,) * d)
         scale = max(abs(qtm_quadrature(f, params).value), 1.0)
         worst = max(worst, abs(harmonicity_residual(f, params).value) / scale)
     m, d = 6.0, 2
@@ -114,7 +114,7 @@ def test_04_moment_identity():
     worst_quad = worst_z = 0.0
     for m, d in [(6.0, 1), (8.0, 2)]:
         g = positive_bump(1.0, [0.3] * d, d)
-        rep = moment_identity_gap(g, 1.0, QtmParams(m, d, 1.0, (0.0,) * d))
+        rep = moment_identity_gap(g, 1.0, TKernel(d, m, 1.0, (0.0,) * d))
         worst_quad = max(worst_quad, rep.gap_quadrature / abs(rep.rhs))
         worst_z = max(worst_z, rep.gap_mc / max(rep.mc_sigma, 1e-300))
     ok = worst_quad < 1e-6 and worst_z < 3.0
@@ -125,8 +125,8 @@ def test_04_moment_identity():
 def test_05_hitting_time_law():
     law = HittingTimeLaw(6.0, 1.0)
     n = 100_000
-    samples = np.sort(sample_hitting(law, MonteCarloConfig(n, seed=2)))
-    cdf = np.atleast_1d(law.cdf(samples))
+    samples = np.sort(pooled(law.draw, MonteCarloConfig(n, seed=2)))
+    cdf = law.cdf(samples)
     i = np.arange(1, n + 1)
     ks = float(max(np.max(np.abs(cdf - i / n)), np.max(np.abs(cdf - (i - 1) / n))))
     crit = 1.628 / math.sqrt(n)  # asymptotic 1% critical value

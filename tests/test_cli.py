@@ -201,3 +201,23 @@ def test_csv_format_via_main(tmp_path):
     text = out.read_text()
     assert text.startswith("check_id,")
     assert "measure-mass" in text
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    # numpy's SeedSequence rejects it mid-run with a bare ValueError
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        run_suite(small_cfg(suite="qtm", seed=-1))
+    assert main(["run", "--suite", "bessel", "--d", "1", "--seed", "-1"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    cfgfile = tmp_path / "neg.cfg"
+    cfgfile.write_text("suite = sphere\nd = 2\nseed = -1\n")
+    assert main(["run", "--config", str(cfgfile)]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", ["0", "-1"])
+def test_non_positive_t_is_a_config_error(t, capsys):
+    with pytest.raises(ConfigError, match="t grid must be positive"):
+        run_suite(small_cfg(suite="qtm", t=[float(t)]))
+    assert main(["run", "--suite", "qtm", "--d", "1", "--t", t]) == 2
+    assert "t grid must be positive" in capsys.readouterr().err

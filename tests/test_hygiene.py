@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from beckner import inequalities, sphere
+from beckner import inequalities, measures, qtm, sphere
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "beckner"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -71,3 +71,23 @@ def test_tailless_integrators_are_gone():
     assert not hasattr(sphere, "SphereGeometry")
     assert not hasattr(inequalities, "_gaussian_integrate")
     assert not hasattr(inequalities, "_weighted_energy")
+
+
+def test_loose_kernel_signatures_are_gone():
+    # the kernel is one TKernel(d, m, t, x); its draws are its methods
+    assert not hasattr(qtm, "QtmParams")
+    for name in ("sample_gamma", "draw_tkernel", "draw_coupled", "sample_tkernel",
+                 "sample_coupled", "sample_hitting"):
+        assert not hasattr(measures, name), name
+
+
+def test_tkernel_is_the_only_class_holding_d_m_t_x():
+    holders = [node.name for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef) and {"d", "m", "t", "x"} <= {
+                   n.target.id for n in node.body if isinstance(n, ast.AnnAssign)}]
+    assert holders == ["TKernel"]
+
+
+def test_substreams_are_looped_over_in_numerics_only():
+    # ``pooled`` and ``mc_estimate`` are the two loops over the substreams
+    assert _callers("substreams") == ["numerics.py"]

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from beckner.errors import DomainError
 from beckner.measures import (CauchyMeasure, GaussianMeasure, HittingTimeLaw,
                               TKernel, heavy_tail_cutoff, log_norm_const, norm_const,
-                              sample_coupled, sample_gamma, sample_hitting,
-                              sample_tkernel, second_moment, surface_area)
-from beckner.numerics import MonteCarloConfig, QuadratureConfig, spawn_rngs
+                              second_moment, surface_area)
+from beckner.numerics import MonteCarloConfig, QuadratureConfig, pooled
 
 
 def test_norm_const_closed_values():
@@ -106,18 +105,47 @@ def test_hitting_law_mean_and_cdf():
         HittingTimeLaw(2.0, 1.0).mean()
 
 
-def test_gamma_sampler_moments():
-    rng = spawn_rngs(0, 1)[0]
-    g = sample_gamma(rng, 3.0, 200_000)
-    assert np.mean(g) == pytest.approx(3.0, rel=0.01)
-    assert np.var(g) == pytest.approx(3.0, rel=0.05)
-    with pytest.raises(DomainError):
-        sample_gamma(rng, -1.0, 10)
+def test_hitting_law_cdf_keeps_the_input_shape():
+    law = HittingTimeLaw(6.0, 1.0)
+    assert isinstance(law.cdf(0.3), float)
+    one = law.cdf(np.array([0.3]))
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    assert one[0] == law.cdf(0.3)
+    grid = np.array([[0.3, 0.1], [2.0, 0.05]])
+    out = law.cdf(grid)
+    assert out.shape == (2, 2)
+    assert np.array_equal(out.ravel(), law.cdf(grid.ravel()))
+
+
+# The draw order is pinned with numpy alone: a seed's stream is part of every
+# Monte Carlo record, so a reordered draw would move reports silently.
+def test_tkernel_draw_is_normal_first():
+    k = TKernel(2, 5.0, 0.7, (0.3, -0.1))
+    ref = np.random.default_rng(42)
+    z = ref.standard_normal((7, 2))
+    g = ref.standard_gamma(2.5, 7)
+    expected = np.array([0.3, -0.1]) + 0.7 * z / np.sqrt(2.0 * g)[:, None]
+    assert np.array_equal(k.draw(np.random.default_rng(42), 7), expected)
+
+
+def test_tkernel_draw_coupled_is_gamma_first():
+    k = TKernel(2, 5.0, 0.7, (0.3, -0.1))
+    ref = np.random.default_rng(42)
+    s = 0.7 ** 2 / (4.0 * ref.standard_gamma(2.5, 7))
+    xs = np.array([0.3, -0.1]) + np.sqrt(2.0 * s)[:, None] * ref.standard_normal((7, 2))
+    s_got, xs_got = k.draw_coupled(np.random.default_rng(42), 7)
+    assert np.array_equal(s_got, s) and np.array_equal(xs_got, xs)
+
+
+def test_hitting_law_draw_is_inverse_gamma():
+    expected = 0.8 ** 2 / (4.0 * np.random.default_rng(42).standard_gamma(3.5, 7))
+    assert np.array_equal(HittingTimeLaw(7.0, 0.8).draw(np.random.default_rng(42), 7),
+                          expected)
 
 
 def test_tkernel_sampler_matches_density_moments():
     k = TKernel(1, 6.0, 1.0, (0.5,))
-    draws = sample_tkernel(k, MonteCarloConfig(n_samples=400_000, seed=2))
+    draws = pooled(k.draw, MonteCarloConfig(n_samples=400_000, seed=2))
     # mean = x; variance of the t-kernel = t^2 d/(m-2)
     assert np.mean(draws) == pytest.approx(0.5, abs=0.01)
     assert np.var(draws) == pytest.approx(1.0 / 4.0, rel=0.03)
@@ -125,12 +153,12 @@ def test_tkernel_sampler_matches_density_moments():
 
 def test_hitting_sampler_matches_mean():
     law = HittingTimeLaw(8.0, 1.0)
-    s = sample_hitting(law, MonteCarloConfig(n_samples=200_000, seed=5))
+    s = pooled(law.draw, MonteCarloConfig(n_samples=200_000, seed=5))
     assert np.mean(s) == pytest.approx(law.mean(), rel=0.02)
 
 
 def test_coupled_sampler_marginals():
-    s, xs = sample_coupled(1, 6.0, 1.0, [0.2], MonteCarloConfig(300_000, seed=7))
+    s, xs = pooled(TKernel(1, 6.0, 1.0, (0.2,)).draw_coupled, MonteCarloConfig(300_000, seed=7))
     # S has the hitting law; X_S has the t-kernel law
     assert np.mean(s) == pytest.approx(HittingTimeLaw(6.0, 1.0).mean(), rel=0.03)
     assert np.mean(xs) == pytest.approx(0.2, abs=0.01)
@@ -140,13 +168,13 @@ def test_coupled_sampler_marginals():
 @pytest.mark.parametrize("n_samples,n_streams", [(1001, 4), (3, 5)])
 def test_hitting_sampler_is_coupled_time(n_samples, n_streams):
     cfg = MonteCarloConfig(n_samples, seed=11, n_streams=n_streams)
-    s = sample_hitting(HittingTimeLaw(7.0, 0.8), cfg)
-    s_coupled, _ = sample_coupled(2, 7.0, 0.8, [0.1, -0.3], cfg)
+    s = pooled(HittingTimeLaw(7.0, 0.8).draw, cfg)
+    s_coupled, _ = pooled(TKernel(2, 7.0, 0.8, (0.1, -0.3)).draw_coupled, cfg)
     assert np.array_equal(s, s_coupled)
 
 
 def test_sampler_reproducibility():
     k = TKernel(2, 5.0, 1.0, (0.0, 0.0))
-    a = sample_tkernel(k, MonteCarloConfig(1000, seed=9))
-    b = sample_tkernel(k, MonteCarloConfig(1000, seed=9))
+    a = pooled(k.draw, MonteCarloConfig(1000, seed=9))
+    b = pooled(k.draw, MonteCarloConfig(1000, seed=9))
     assert np.array_equal(a, b)

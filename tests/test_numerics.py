@@ -8,7 +8,7 @@ from beckner.errors import DomainError, NonConvergence
 from beckner.numerics import (Estimate, MonteCarloConfig, QuadratureConfig,
                               angular_rule, fd_derivative, integrate_interval,
                               integrate_radial, integrate_rd, mc_estimate,
-                              pairwise_sum, spawn_rngs, substreams)
+                              pairwise_sum, pooled, spawn_rngs, substreams)
 
 
 def test_config_validation():
@@ -16,6 +16,8 @@ def test_config_validation():
         QuadratureConfig(abs_tol=0.0)
     with pytest.raises(DomainError):
         MonteCarloConfig(n_samples=0)
+    with pytest.raises(DomainError, match="seed"):
+        MonteCarloConfig(seed=-1)
     with pytest.raises(DomainError):
         Estimate(1.0, -1.0, 3)
     with pytest.raises(DomainError):
@@ -114,6 +116,16 @@ def test_substreams_split(n_samples, n_streams):
     # each yielded generator is the matching spawned stream
     for (rng, _), ref in zip(substreams(cfg), spawn_rngs(5, n_streams)):
         assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_pooled_concatenates_in_stream_order():
+    cfg = MonteCarloConfig(n_samples=10, seed=5, n_streams=4)
+    ref = [g.standard_normal(n) for g, n in zip(spawn_rngs(5, 4), (3, 3, 2, 2))]
+    assert np.array_equal(pooled(lambda rng, n: rng.standard_normal(n), cfg),
+                          np.concatenate(ref))
+    # a tuple draw is pooled componentwise, each component along its first axis
+    sizes, pts = pooled(lambda rng, n: (np.full(n, n), rng.standard_normal((n, 2))), cfg)
+    assert sizes.tolist() == [3, 3, 3, 3, 3, 3, 2, 2, 2, 2] and pts.shape == (10, 2)
 
 
 @given(st.lists(st.floats(-1e6, 1e6), max_size=200))

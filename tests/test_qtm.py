@@ -7,10 +7,11 @@ import pytest
 from beckner.errors import DomainError
 from beckner.fields import (constant, gaussian_bump, positive_bump, quadratic,
                             standard_library, trig)
-from beckner.measures import Measure, TKernel, sample_tkernel
-from beckner.numerics import Estimate, MonteCarloConfig, QuadratureConfig, fd_derivative
+from beckner.measures import Measure, TKernel
+from beckner.numerics import (Estimate, MonteCarloConfig, QuadratureConfig, fd_derivative,
+                              pooled)
 from beckner import qtm
-from beckner.qtm import (QtmField, QtmParams, biharmonic, harmonicity_residual,
+from beckner.qtm import (QtmField, biharmonic, harmonicity_residual,
                          moment_identity_gap, qtm_mc, qtm_quadrature,
                          qtm_subordinated, taylor_remainder_order)
 from oracles import half_space_operator_fd
@@ -22,7 +23,7 @@ def exact_quadratic_extension(m, d, t, x):
 
 
 def test_constant_fixed_point():
-    p = QtmParams(6.0, 2, 1.3, (0.4, -0.2))
+    p = TKernel(2, 6.0, 1.3, (0.4, -0.2))
     for op in (qtm_quadrature, qtm_subordinated):
         assert op(constant(1.0, 2), p).value == pytest.approx(1.0, abs=1e-10)
 
@@ -31,7 +32,7 @@ def test_constant_fixed_point():
 @pytest.mark.parametrize("t,x0", [(1.0, 0.0), (0.5, 0.3)])
 def test_mass_error_within_bound(d, t, x0):
     one = standard_library(d)["one"]
-    est = qtm_quadrature(one, QtmParams(6.0, d, t, (x0,) * d))
+    est = qtm_quadrature(one, TKernel(d, 6.0, t, (x0,) * d))
     assert abs(est.value - 1.0) <= est.error_bound
 
 
@@ -53,14 +54,14 @@ def _long_wave_mean():
 def test_long_wave_cosine_has_growth_zero():
     # two samples of cos(pi y/2000) read growth 6, and the quadrature raised
     # DomainError: integrand growth defeats the tail decay
-    est = qtm_quadrature(trig([math.pi / 2000], 1), QtmParams(3.0, 1, 1.0, (0.0,)))
+    est = qtm_quadrature(trig([math.pi / 2000], 1), TKernel(1, 3.0, 1.0, (0.0,)))
     assert abs(est.value - _long_wave_mean()) <= 1e-9
 
 
 @pytest.mark.xfail(strict=True, reason="G7/K15 error estimate (200|K-G|)^1.5 is not "
                    "relative to the panel's size: claims 3.9e-11, off by 3.3e-10")
 def test_long_wave_cosine_within_bound():
-    est = qtm_quadrature(trig([math.pi / 2000], 1), QtmParams(3.0, 1, 1.0, (0.0,)))
+    est = qtm_quadrature(trig([math.pi / 2000], 1), TKernel(1, 3.0, 1.0, (0.0,)))
     assert abs(est.value - _long_wave_mean()) <= est.error_bound
 
 
@@ -70,10 +71,10 @@ def test_extension_of_one_is_one(d):
     assert abs(G.value([0.3] * d + [0.7]) - 1.0) <= 1e-9
 
 
-def test_t_zero_is_identity():
-    f = gaussian_bump(1.0, [0.0], 1)
-    p = QtmParams(6.0, 1, 0.0, (0.3,))
-    assert qtm_quadrature(f, p).value == pytest.approx(float(f.value([0.3])))
+def test_t_zero_is_rejected():
+    # Q_0 is the identity, but a kernel needs t > 0: no path special-cases t = 0
+    with pytest.raises(DomainError):
+        TKernel(1, 6.0, 0.0, (0.3,))
 
 
 @pytest.mark.parametrize("m,d,t,x", [(6.0, 1, 1.0, (0.0,)),
@@ -81,7 +82,7 @@ def test_t_zero_is_identity():
                                      (7.0, 3, 1.2, (0.0, 0.2, 0.1))])
 def test_quadratic_extension_all_paths(m, d, t, x):
     f = quadratic(d)
-    p = QtmParams(m, d, t, x)
+    p = TKernel(d, m, t, x)
     exact = exact_quadratic_extension(m, d, t, x)
     q = qtm_quadrature(f, p)
     s = qtm_subordinated(f, p)
@@ -93,16 +94,16 @@ def test_quadratic_extension_all_paths(m, d, t, x):
 
 def test_mc_path_averages_kernel_draws():
     f = gaussian_bump(1.0, [0.3, 0.0], 2)
-    p = QtmParams(6.0, 2, 0.7, (0.1, -0.2))
+    p = TKernel(2, 6.0, 0.7, (0.1, -0.2))
     cfg = MonteCarloConfig(n_samples=5001, seed=3)
-    draws = sample_tkernel(TKernel(p.d, p.m, p.t, p.x), cfg)
+    draws = pooled(p.draw, cfg)
     assert qtm_mc(f, p, cfg).value == pytest.approx(np.mean(f.value(draws)),
                                                      rel=1e-12)
 
 
 def test_crosspath_agreement_bump():
     f = positive_bump(1.0, [0.3], 1)
-    p = QtmParams(6.0, 1, 1.0, (0.0,))
+    p = TKernel(1, 6.0, 1.0, (0.0,))
     q = qtm_quadrature(f, p)
     s = qtm_subordinated(f, p)
     assert abs(q.value - s.value) <= q.error_bound + s.error_bound
@@ -110,9 +111,11 @@ def test_crosspath_agreement_bump():
 
 def test_index_guard():
     with pytest.raises(DomainError):
-        QtmParams(0.0, 1, 1.0, (0.0,))
+        TKernel(1, 0.0, 1.0, (0.0,))
     with pytest.raises(DomainError):
-        QtmParams(6.0, 1, -1.0, (0.0,))
+        TKernel(1, 6.0, -1.0, (0.0,))
+    with pytest.raises(DomainError, match="coordinates"):
+        TKernel(6.0, 1, 1.0, (0.0,))  # (m, d) in the wrong order
 
 
 def test_qtm_field_partials_match_fd():
@@ -121,7 +124,7 @@ def test_qtm_field_partials_match_fd():
     pt = np.array([0.2, 0.8])  # (x, t)
 
     def g(p):
-        return qtm_quadrature(f, QtmParams(6.0, 1, float(p[1]), (float(p[0]),)),
+        return qtm_quadrature(f, TKernel(1, 6.0, float(p[1]), (float(p[0]),)),
                               QuadratureConfig(1e-12, 1e-12)).value
 
     for alpha in [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]:
@@ -151,7 +154,7 @@ def test_qtm_field_rejects_boundary():
 
 def test_harmonicity_bump():
     f = positive_bump(1.0, [0.3] * 2, 2)
-    res = harmonicity_residual(f, QtmParams(6.0, 2, 1.0, (0.0, 0.0)))
+    res = harmonicity_residual(f, TKernel(2, 6.0, 1.0, (0.0, 0.0)))
     assert abs(res.value) < 1e-4
 
 
@@ -175,7 +178,7 @@ def _reference_residual(f, p, cfg):
     def G(pt):
         key = tuple(np.atleast_1d(pt).tolist())
         if key not in ests:
-            ests[key] = qtm_quadrature(f, QtmParams(p.m, p.d, key[-1], key[:-1]), cfg)
+            ests[key] = qtm_quadrature(f, TKernel(p.d, p.m, key[-1], key[:-1]), cfg)
         return ests[key].value
 
     point = np.append(p.center, p.t)
@@ -192,7 +195,7 @@ def _reference_residual(f, p, cfg):
 @pytest.mark.parametrize("name", ["positive_bump", "gaussian_bump"])
 def test_harmonicity_matches_reference_stencil(name, d, t):
     f = standard_library(d)[name]
-    p = QtmParams(6.0, d, t, (0.1,) * d)
+    p = TKernel(d, 6.0, t, (0.1,) * d)
     ref, budget = _reference_residual(f, p, QuadratureConfig(1e-12, 1e-12))
     est = harmonicity_residual(f, p)
     assert abs(est.value - ref) <= budget + est.error_bound
@@ -203,7 +206,7 @@ def test_harmonicity_matches_reference_stencil(name, d, t):
 @pytest.mark.parametrize("name", ["one", "quadratic"])
 def test_harmonicity_exact_on_polynomial_extensions(name, d, t):
     # Q_t 1 = 1 and Q_t |y|^2 = |x|^2 + t^2 d/(m-2): the stencil is exact on both
-    est = harmonicity_residual(standard_library(d)[name], QtmParams(6.0, d, t, (0.1,) * d))
+    est = harmonicity_residual(standard_library(d)[name], TKernel(d, 6.0, t, (0.1,) * d))
     assert abs(est.value) <= est.error_bound
 
 
@@ -221,14 +224,14 @@ def test_harmonicity_is_one_integral(monkeypatch):
     monkeypatch.setattr(Measure, "integrate", counted)
     monkeypatch.setattr(qtm, "qtm_quadrature", forbidden)
     est = harmonicity_residual(standard_library(2)["positive_bump"],
-                               QtmParams(6.0, 2, 0.7, (0.1, 0.1)))
+                               TKernel(2, 6.0, 0.7, (0.1, 0.1)))
     assert len(calls) == 1 and isinstance(est, Estimate)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.005, 0.01])
 def test_harmonicity_stencil_must_stay_above_boundary(t):
     with pytest.raises(DomainError):
-        harmonicity_residual(standard_library(1)["positive_bump"], QtmParams(6.0, 1, t, (0.0,)))
+        harmonicity_residual(standard_library(1)["positive_bump"], TKernel(1, 6.0, t, (0.0,)))
 
 
 def _heat_value_per_s(f, x, s_values, d, order):
@@ -259,7 +262,7 @@ def test_heat_rule_broadcast_matches_loop(d):
 
 def test_moment_identity():
     g = positive_bump(1.0, [0.3], 1)
-    rep = moment_identity_gap(g, 1.0, QtmParams(6.0, 1, 1.0, (0.0,)))
+    rep = moment_identity_gap(g, 1.0, TKernel(1, 6.0, 1.0, (0.0,)))
     assert rep.gap_quadrature / abs(rep.rhs) < 1e-6
     assert rep.gap_mc < 3.0 * rep.mc_sigma
 
@@ -267,7 +270,7 @@ def test_moment_identity():
 def test_moment_identity_p_guard():
     g = constant(1.0, 1)
     with pytest.raises(DomainError):
-        moment_identity_gap(g, 4.0, QtmParams(6.0, 1, 1.0, (0.0,)))
+        moment_identity_gap(g, 4.0, TKernel(1, 6.0, 1.0, (0.0,)))
 
 
 def test_taylor_remainder_slope():
