@@ -70,15 +70,15 @@ def test_02_crosspath_grid():
     worst_z = 0.0
     for m, d, t, x in _PARAM_GRID:
         lib = standard_library(d)
-        params = TKernel(d, m, t, x)
+        kernel = TKernel(d, m, t, x)
         for name in _FIELD_NAMES:
             f = lib[name]
-            q = qtm_quadrature(f, params)
-            s = qtm_subordinated(f, params)
+            q = qtm_quadrature(f, kernel)
+            s = qtm_subordinated(f, kernel)
             gap = abs(q.value - s.value)
             budget = q.error_bound + s.error_bound + 1e-12
             worst_gap_ratio = max(worst_gap_ratio, gap / budget)
-            mc = qtm_mc(f, params, MonteCarloConfig(1_000_000, seed=0))
+            mc = qtm_mc(f, kernel, MonteCarloConfig(1_000_000, seed=0))
             # discount the quadrature's own error bound before scoring the
             # MC discrepancy (constant fields have zero MC variance)
             excess = max(abs(mc.value - q.value) - q.error_bound, 0.0)
@@ -94,9 +94,9 @@ def test_03_harmonicity():
     worst = 0.0
     for m, d, t in [(6.0, 2, 1.0), (8.0, 1, 0.5)]:
         f = positive_bump(1.0, [0.3] * d, d)
-        params = TKernel(d, m, t, (0.0,) * d)
-        scale = max(abs(qtm_quadrature(f, params).value), 1.0)
-        worst = max(worst, abs(harmonicity_residual(f, params).value) / scale)
+        kernel = TKernel(d, m, t, (0.0,) * d)
+        scale = max(abs(qtm_quadrature(f, kernel).value), 1.0)
+        worst = max(worst, abs(harmonicity_residual(f, kernel).value) / scale)
     m, d = 6.0, 2
 
     def F(p):
