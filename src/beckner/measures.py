@@ -65,16 +65,14 @@ class Measure:
     """The measure protocol: ``integrate(f, config, growth, scale)`` integrates a
     vectorized f with ``|f(y)| <= scale |y|^growth`` at infinity up to a radius R,
     and its error bound always includes the tail beyond R.  A subclass gives ``d``,
-    ``log_density(|y|^2)`` and ``truncation(abs_tol, growth, scale) -> (R, tail)``."""
+    ``log_density(|y|^2)`` and ``truncation(abs_tol, growth, scale) -> (R, tail)``.
+    The density depends on |y| alone, so ``integrate_rd`` applies it once per
+    radius of its radial rule, as a weight on the angular sum of f."""
 
     def integrate(self, f, config: QuadratureConfig, growth: float = 0.0,
                   scale: float = 1.0) -> Estimate:
-        def g(pts):
-            r2 = np.sum(pts * pts, axis=1)
-            return np.asarray(f(pts), dtype=float) * np.exp(self.log_density(r2))
-
         cutoff, tail = self.truncation(config.abs_tol, growth, scale)
-        est = integrate_rd(g, self.d, config, cutoff=cutoff)
+        est = integrate_rd(f, self.log_density, self.d, config, cutoff=cutoff)
         return Estimate(est.value, est.error_bound + tail, est.n_evals, est.kind)
 
 

@@ -1,13 +1,14 @@
-"""Quadrature, Monte Carlo and finite-difference primitives.
+"""Quadrature and Monte Carlo primitives.
 
 All deterministic integration goes through an adaptive Gauss-Kronrod (G7/K15)
 rule on finite intervals; improper radial integrals are mapped to [0,1) by
 r = s/(1-s) first and truncated at a cutoff radius that every caller passes
 in, together with its own bound on the tail beyond it.  Full-space integrals
-over R^d (d <= 3) are reduced to a radial integral of an angular product rule
-of order ``ANGULAR_ORDER``.  Monte Carlo draws use numpy substreams spawned
-from a single seed so parallel draws stay reproducible; ``pooled`` and
-``mc_estimate`` are the only loops over them.
+over R^d (d <= 3) against a radial density are reduced to a radial integral
+of an angular product rule of order ``ANGULAR_ORDER``; the density is a
+weight applied once per radius, not once per point.  Monte Carlo draws use
+numpy substreams spawned from a single seed so parallel draws stay
+reproducible; ``pooled`` and ``mc_estimate`` are the only loops over them.
 """
 from __future__ import annotations
 
@@ -193,12 +194,15 @@ def angular_rule(d: int, order: int):
     return nodes, w
 
 
-def integrate_rd(g, d: int, config: QuadratureConfig, cutoff: float) -> Estimate:
-    """Integral of a vectorized g : R^d -> R over the ball of radius ``cutoff``.
+def integrate_rd(g, log_density, d: int, config: QuadratureConfig,
+                 cutoff: float) -> Estimate:
+    """Integral of g(y) exp(log_density(|y|^2)) over the ball of radius ``cutoff``.
 
-    ``g`` must accept an (n, d) array of points.  Reduction: radial adaptive
-    quadrature of the angular average r^{d-1} * sum_j w_j g(r w_j); as in
-    ``integrate_radial``, the tail beyond the cutoff is the caller's.
+    ``g`` must accept an (n, d) array of points, ``log_density`` an array of
+    squared radii.  Reduction: radial adaptive quadrature of
+    r^{d-1} exp(log_density(r^2)) sum_j w_j g(r w_j), so the density is
+    evaluated once per radius, never per point; as in ``integrate_radial``,
+    the tail beyond the cutoff is the caller's.
     """
     nodes, w = angular_rule(d, ANGULAR_ORDER)
 
@@ -206,46 +210,10 @@ def integrate_rd(g, d: int, config: QuadratureConfig, cutoff: float) -> Estimate
         r = np.atleast_1d(np.asarray(r, dtype=float))
         pts = r[:, None, None] * nodes[None, :, :]
         vals = np.asarray(g(pts.reshape(-1, d)), dtype=float).reshape(len(r), -1)
-        return (r ** (d - 1)) * (vals @ w)
+        return (r ** (d - 1) * np.exp(log_density(r * r))) * (vals @ w)
 
     est = integrate_radial(radial, config, cutoff)
     return Estimate(est.value, est.error_bound, est.n_evals * len(w))
-
-
-def fd_derivative(field, point, multi_index, step: float | None = None,
-                  domain=None) -> float:
-    """Central finite difference of ``field`` at ``point``.
-
-    ``multi_index`` is a tuple of per-coordinate derivative orders with total
-    order <= 4; the error is O(step^2).  ``domain`` is an optional predicate;
-    a stencil point outside it raises DomainError.
-    """
-    point = np.atleast_1d(np.asarray(point, dtype=float))
-    alpha = tuple(int(a) for a in multi_index)
-    order = sum(alpha)
-    if order > 4:
-        raise DomainError("finite differences support order <= 4")
-    if any(a < 0 for a in alpha):
-        raise DomainError("multi_index entries must be nonnegative")
-    if step is None:
-        scale = max(1.0, float(np.max(np.abs(point))))
-        step = _EPS ** (1.0 / (order + 2)) * scale
-    if step <= 0:
-        raise DomainError("step must be positive")
-
-    def rec(p, a):
-        for i, ai in enumerate(a):
-            if ai > 0:
-                e = np.zeros_like(p)
-                e[i] = step
-                a2 = list(a)
-                a2[i] -= 1
-                return (rec(p + e, a2) - rec(p - e, a2)) / (2.0 * step)
-        if domain is not None and not domain(p):
-            raise DomainError(f"stencil point {p} outside the field's domain")
-        return float(field(p if p.size > 1 else p[0]))
-
-    return rec(point, alpha)
 
 
 def spawn_rngs(seed: int, n_streams: int):

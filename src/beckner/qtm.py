@@ -194,9 +194,11 @@ def harmonicity_residual(f: DifferentiableField, k: TKernel,
     stencil += [(x + s * e, t, c2) for e in 2 * h * np.eye(k.d) for s in (1.0, -1.0)]
 
     def integrand(z):
-        acc = np.zeros(len(z))
+        acc, pts = np.zeros(len(z)), np.empty_like(z)
         for xk, tk, ck in stencil:
-            acc += ck * f.value(xk + tk * z)
+            np.multiply(z, tk, out=pts)   # one buffer for every stencil point
+            pts += xk
+            acc += ck * f.value(pts)
         return acc
 
     scale = sum(abs(ck) * TKernel(k.d, k.m, tk, tuple(xk)).tail_scale(f, growth, 1.0)

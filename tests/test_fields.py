@@ -12,8 +12,9 @@ from beckner.fields import (_BLOCK, affine_precompose, constant, coordinate, coo
                             quadratic, standard_library, trig)
 from beckner.gamma2 import euclidean, halfspace_m, sphere_stereo
 from beckner.measures import CauchyMeasure
-from beckner.numerics import QuadratureConfig, fd_derivative
+from beckner.numerics import QuadratureConfig
 from beckner.sphere import _log_rho, eigenfunction_u
+from oracles import fd_derivative
 
 
 def test_value_and_partials_quadratic():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from beckner.inequalities import (DeficitReport, PhiEntropySpec,
                                   poincare_cauchy_deficit, radial_moment)
 from beckner.measures import CauchyMeasure
 from beckner.numerics import Estimate, QuadratureConfig, integrate_rd
+from oracles import cauchy_mean_mp
 
 
 def test_report_verdicts():
@@ -204,12 +206,10 @@ def test_gaussian_beckner_constant_field():
 
 def _gaussian_integral_before_the_measure(g, d):
     """The Gaussian integral as computed before GaussianMeasure: the same
-    integrand and radius 12, without a tail term."""
-    def h(pts):
-        r2 = np.sum(pts * pts, axis=1)
-        return np.asarray(g(pts), dtype=float) * np.exp(
-            -0.5 * r2 - 0.5 * d * math.log(2.0 * math.pi))
-    return integrate_rd(h, d, QuadratureConfig(), cutoff=12.0)
+    integrand, density (applied once per radius) and radius 12, without a
+    tail term."""
+    return integrate_rd(g, lambda r2: -0.5 * r2 - 0.5 * d * math.log(2.0 * math.pi), d,
+                        QuadratureConfig(), cutoff=12.0)
 
 
 @pytest.mark.parametrize("d,p", [(1, 1.5), (2, 1.8)])
@@ -244,3 +244,51 @@ def test_gaussian_limit_rejects_a_non_finite_b():
     f = positive_bump(1.0, [0.3], 1)
     with pytest.raises(DomainError):
         gaussian_limit_probe(f, [math.nan], 1.5, 1)
+
+
+def _bump_mp(y):
+    """positive_bump(1, [0.3], 1) and its derivative, in mpmath."""
+    c = mp.mpf(0.3)   # the double nearest 0.3, as in the library field
+    e = mp.exp(-(y - c) ** 2)
+    return 1 + e, -2 * (y - c) * e
+
+
+# The d = 1 integrands of the cauchy suite's default grid (b in {3, 4},
+# p in {1.5, 2}): the library field and the same function in mpmath.
+_D1_CASES = [("beckner-cauchy", b, p, name) for b in (3.0, 4.0) for p in (1.5, 2.0)
+             for name in ("sq", "mid", "energy")]
+_D1_CASES += [("poincare-cauchy", b, None, name) for b in (3.0, 4.0)
+              for name in ("sq", "mid", "energy")]
+
+
+def _d1_integrand(check, p, name):
+    if check == "poincare-cauchy":
+        f = coordinate(0, 1)
+        return {"sq": (f.power(2), lambda y: y * y), "mid": (f, lambda y: y),
+                "energy": (grad_norm_squared(f) * make_power_of_rho(2.0, 1),
+                           lambda y: 1 + y * y)}[name]
+    f = positive_bump(1.0, [0.3], 1)
+    return {"sq": (f.power(2), lambda y: _bump_mp(y)[0] ** 2),
+            "mid": (f.power(2.0 / p), lambda y: _bump_mp(y)[0] ** (2 / mp.mpf(p))),
+            "energy": (grad_norm_squared(f) * make_power_of_rho(2.0, 1),
+                       lambda y: _bump_mp(y)[1] ** 2 * (1 + y * y))}[name]
+
+
+def _d1_case(case):
+    if case == ("poincare-cauchy", 3.0, None, "energy"):
+        # the tail takes all but 3.2e-15 of the bound, and the G7/K15 estimate
+        # (ROADMAP item 1) has no roundoff floor: the value misses 4/3 by
+        # 1.0005e-11 against a bound of 1.0003e-11
+        return pytest.param(*case, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 1: G7/K15 error estimate has no roundoff floor"))
+    return case
+
+
+@pytest.mark.parametrize("check,b,p,name", [_d1_case(c) for c in _D1_CASES])
+def test_cauchy_d1_integrals_within_bound_of_mpmath(check, b, p, name):
+    # each integral of the d = 1 cauchy-suite rows, as beckner_deficit takes
+    # it, against mpmath at 30 digits: the error bound must hold
+    g, h = _d1_integrand(check, p, name)
+    est = CauchyMeasure(1, b).integrate(g, QuadratureConfig(), growth=growth_degree(g))
+    oracle = cauchy_mean_mp(h, b, breaks=(-10.0, 0.3, 10.0))
+    assert abs(est.value - oracle) <= est.error_bound, (est, oracle)

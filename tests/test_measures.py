@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beckner.errors import DomainError
+from beckner.fields import growth_degree, standard_library
 from beckner.measures import (CauchyMeasure, GaussianMeasure, HittingTimeLaw,
-                              TKernel, heavy_tail_cutoff, log_norm_const, norm_const,
-                              second_moment, surface_area)
-from beckner.numerics import MonteCarloConfig, QuadratureConfig, pooled
+                              SphereMeasure, TKernel, heavy_tail_cutoff, log_norm_const,
+                              norm_const, second_moment, surface_area)
+from beckner.numerics import (ANGULAR_ORDER, Estimate, MonteCarloConfig, QuadratureConfig,
+                              angular_rule, integrate_rd, pooled)
 
 
 def test_norm_const_closed_values():
@@ -20,10 +22,9 @@ def test_norm_const_closed_values():
 
 def test_norm_const_is_the_integral():
     # independent check by direct quadrature of (1+|y|^2)^{-(m+d)/2}
-    from beckner.numerics import integrate_rd
     for m, d in [(3.0, 1), (4.0, 2)]:
         est = integrate_rd(
-            lambda pts: (1.0 + np.sum(pts ** 2, axis=1)) ** (-(m + d) / 2.0),
+            lambda pts: np.ones(len(pts)), lambda r2: -(m + d) / 2.0 * np.log1p(r2),
             d, QuadratureConfig(), cutoff=heavy_tail_cutoff(m, d, 1e-10))
         assert est.value == pytest.approx(norm_const(m, d), rel=1e-9)
 
@@ -87,8 +88,7 @@ def test_second_moment_divergence_guard():
 
 def test_tkernel_density_normalized():
     k = TKernel(1, 5.0, 0.7, (0.3,))
-    from beckner.numerics import integrate_rd
-    est = integrate_rd(lambda pts: k.density(pts), 1, QuadratureConfig(),
+    est = integrate_rd(k.density, np.zeros_like, 1, QuadratureConfig(),
                        cutoff=heavy_tail_cutoff(5.0, 1, 1e-10) + 1.0)
     assert est.value == pytest.approx(1.0, abs=1e-8)
     assert k.base_measure().b == pytest.approx(3.0)
@@ -178,3 +178,58 @@ def test_sampler_reproducibility():
     a = pooled(k.draw, MonteCarloConfig(1000, seed=9))
     b = pooled(k.draw, MonteCarloConfig(1000, seed=9))
     assert np.array_equal(a, b)
+
+
+def _per_point_integral(measure, f, config, growth, scale):
+    """``Measure.integrate`` with the density applied at every point of the
+    angular rule, as it was before the density became a per-radius weight."""
+    def g(pts):
+        r2 = np.sum(pts * pts, axis=1)
+        return np.asarray(f(pts), dtype=float) * np.exp(measure.log_density(r2))
+
+    cutoff, tail = measure.truncation(config.abs_tol, growth, scale)
+    est = integrate_rd(g, np.zeros_like, measure.d, config, cutoff=cutoff)
+    return Estimate(est.value, est.error_bound + tail, est.n_evals)
+
+
+_RADIAL_MEASURES = ([CauchyMeasure(d, d + 2.0) for d in (1, 2, 3)]
+                    + [SphereMeasure(d) for d in (2, 3)]
+                    + [GaussianMeasure(d) for d in (1, 2, 3)]
+                    + [TKernel(2, 6.0, 0.7, (0.2, -0.4))])
+
+
+@pytest.mark.parametrize("mu", _RADIAL_MEASURES, ids=repr)
+def test_per_radius_density_matches_per_point(mu):
+    cfg = QuadratureConfig()
+    for name, f in standard_library(mu.d).items():
+        growth = growth_degree(f)
+        if isinstance(mu, TKernel):   # the base measure's integral of f(x + t z)
+            nu, g = mu.base_measure(), lambda z: f(mu.center + mu.t * z)
+            scale = mu.tail_scale(f, growth, 1.0)
+        else:
+            nu, g, scale = mu, f, 1.0
+        try:
+            nu.truncation(cfg.abs_tol, growth, scale)
+        except DomainError:
+            continue   # f grows faster than the measure's tail decays
+        est = mu.integrate(f, cfg, growth=growth)
+        ref = _per_point_integral(nu, g, cfg, growth, scale)
+        # relative to the mean of |g|, the scale of a cancelling integral
+        size = _per_point_integral(nu, lambda p: np.abs(g(p)), cfg, growth, scale).value
+        assert abs(est.value - ref.value) <= 1e-13 * size, (name, est, ref)
+        assert est.n_evals == ref.n_evals, name
+
+
+@pytest.mark.parametrize("mu", [CauchyMeasure(3, 5.0), SphereMeasure(3), GaussianMeasure(3),
+                                TKernel(3, 6.0, 1.0, (0.1, 0.2, 0.3))], ids=repr)
+def test_log_density_sees_only_the_radii_of_a_panel(monkeypatch, mu):
+    # one call per G7/K15 panel, on its 15 radii, never on the panel's points
+    sizes = []
+    for cls in (CauchyMeasure, GaussianMeasure):
+        def spy(self, r2, original=cls.log_density):
+            sizes.append(np.shape(r2))
+            return original(self, r2)
+        monkeypatch.setattr(cls, "log_density", spy)
+    est = mu.integrate(standard_library(3)["positive_bump"], QuadratureConfig())
+    assert sizes and set(sizes) == {(15,)}
+    assert est.n_evals == 15 * len(sizes) * len(angular_rule(3, ANGULAR_ORDER)[1])

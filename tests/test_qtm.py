@@ -8,13 +8,12 @@ from beckner.errors import DomainError
 from beckner.fields import (constant, gaussian_bump, positive_bump, quadratic,
                             standard_library, trig)
 from beckner.measures import Measure, TKernel
-from beckner.numerics import (Estimate, MonteCarloConfig, QuadratureConfig, fd_derivative,
-                              pooled)
+from beckner.numerics import Estimate, MonteCarloConfig, QuadratureConfig, pooled
 from beckner import qtm
 from beckner.qtm import (QtmField, biharmonic, harmonicity_residual,
                          moment_identity_gap, qtm_mc, qtm_quadrature,
                          qtm_subordinated, taylor_remainder_order)
-from oracles import half_space_operator_fd
+from oracles import fd_derivative, half_space_operator_fd
 
 
 def exact_quadratic_extension(m, d, t, x):
