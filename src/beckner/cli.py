@@ -193,26 +193,27 @@ def _suite_qtm(cfg: SuiteConfig):
     for dd in cfg.d:
         dd = int(dd)
         f = standard_library(dd)["positive_bump"]
-        for mm in cfg.m:
-            for tt in cfg.t:
-                kernel = TKernel(dd, mm, tt, (0.0,) * dd)
-                q = qtm_quadrature(f, kernel)
-                s = qtm_subordinated(f, kernel)
-                gap = abs(q.value - s.value)
-                budget = q.error_bound + s.error_bound
-                yield _record("qtm-crosspath",
-                              {"d": dd, "m": mm, "t": tt, "field": "positive_bump"},
-                              gap, 0.0, budget, 0.0, "pass" if gap <= budget else "fail")
-                mc = qtm_mc(f, kernel, MonteCarloConfig(100_000, cfg.seed))
-                z = abs(mc.value - q.value) / max(mc.error_bound, 1e-300)
-                yield _record("qtm-mc", {"d": dd, "m": mm, "t": tt, "sigma": z},
-                              abs(mc.value - q.value), mc.error_bound,
-                              3.0 * mc.error_bound, 0.0,
-                              "pass" if z <= 3.0 else "inconclusive")
-                res = harmonicity_residual(f, kernel)
-                scale = max(abs(q.value), 1.0)
-                yield _residual_record("qtm-harmonic", {"d": dd, "m": mm, "t": tt},
-                                       res.value / scale)
+        grid = [(mm, tt) for mm in cfg.m for tt in cfg.t]
+        kernels = [TKernel(dd, mm, tt, (0.0,) * dd) for mm, tt in grid]
+        # one subordination pass serves every (m, t) kernel of this d
+        subordinated = qtm_subordinated(f, kernels)
+        for (mm, tt), kernel, s in zip(grid, kernels, subordinated):
+            q = qtm_quadrature(f, kernel)
+            gap = abs(q.value - s.value)
+            budget = q.error_bound + s.error_bound
+            yield _record("qtm-crosspath",
+                          {"d": dd, "m": mm, "t": tt, "field": "positive_bump"},
+                          gap, 0.0, budget, 0.0, "pass" if gap <= budget else "fail")
+            mc = qtm_mc(f, kernel, MonteCarloConfig(100_000, cfg.seed))
+            z = abs(mc.value - q.value) / max(mc.error_bound, 1e-300)
+            yield _record("qtm-mc", {"d": dd, "m": mm, "t": tt, "sigma": z},
+                          abs(mc.value - q.value), mc.error_bound,
+                          3.0 * mc.error_bound, 0.0,
+                          "pass" if z <= 3.0 else "inconclusive")
+            res = harmonicity_residual(f, kernel)
+            scale = max(abs(q.value), 1.0)
+            yield _residual_record("qtm-harmonic", {"d": dd, "m": mm, "t": tt},
+                                   res.value / scale)
 
 
 def _suite_bessel(cfg: SuiteConfig):

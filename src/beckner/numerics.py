@@ -3,7 +3,10 @@
 All deterministic integration goes through an adaptive Gauss-Kronrod (G7/K15)
 rule on finite intervals; improper radial integrals are mapped to [0,1) by
 r = s/(1-s) first and truncated at a cutoff radius that every caller passes
-in, together with its own bound on the tail beyond it.  Full-space integrals
+in, together with its own bound on the tail beyond it.  An integrand may
+return an (n, k) stack of k components instead of n values: they share every
+abscissa and one subdivision, each meets its own tolerance, and each is
+reduced with the arithmetic of a scalar integrand.  Full-space integrals
 over R^d (d <= 3) against a radial density are reduced to a radial integral
 of an angular product rule of order ``ANGULAR_ORDER``; the density is a
 weight applied once per radius, not once per point.  Monte Carlo draws use
@@ -13,6 +16,7 @@ reproducible; ``pooled`` and ``mc_estimate`` are the only loops over them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -81,7 +85,8 @@ class Estimate:
     """A value with an error bound.
 
     ``kind`` records whether ``error_bound`` is a one-sided quadrature bound
-    or a 1-sigma Monte Carlo standard error.
+    or a 1-sigma Monte Carlo standard error.  The integral of a stack of k
+    integrands (see ``integrate_interval``) holds (k,) arrays of both.
     """
     value: float
     error_bound: float
@@ -89,49 +94,72 @@ class Estimate:
     kind: str = "quadrature"
 
     def __post_init__(self):
-        if self.error_bound < 0:
+        bound = self.error_bound
+        if (bound < 0).any() if isinstance(bound, np.ndarray) else bound < 0:
             raise DomainError("error_bound must be nonnegative")
 
 
 def _gk_panel(f, a, b):
-    """One G7/K15 evaluation of ``f`` (vectorized) on [a, b]."""
+    """One G7/K15 evaluation of ``f`` (vectorized) on [a, b]: the value and
+    the error estimate of each component of ``f`` (one for a 1-D ``f``), as
+    lists of floats, and whether ``f`` returned a stack."""
     h = 0.5 * (b - a)
     x = a + (_GK_X + 1.0) * h
     y = np.asarray(f(x), dtype=float)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise DomainError("integrand returned non-finite values")
-    g7 = h * float(np.dot(_GK_WG, y))
-    k15 = h * float(np.dot(_GK_WK, y))
-    err = (200.0 * abs(g7 - k15)) ** 1.5
-    return k15, min(err, abs(g7 - k15) * 200.0 + _EPS)
+    h = float(h)   # the same value; float arithmetic is cheaper than numpy scalars
+    vals, errs = [], []
+    for col in np.ascontiguousarray(y.reshape(len(x), -1).T):
+        g7 = h * float(np.dot(_GK_WG, col))
+        k15 = h * float(np.dot(_GK_WK, col))
+        err = (200.0 * abs(g7 - k15)) ** 1.5
+        vals.append(k15)
+        errs.append(min(err, abs(g7 - k15) * 200.0 + _EPS))
+    return vals, errs, y.ndim == 2
 
 
 def integrate_interval(f, a, b, config: QuadratureConfig) -> Estimate:
-    """Adaptive G7/K15 integral of a vectorized ``f`` over [a, b]."""
+    """Adaptive G7/K15 integral of a vectorized ``f`` over [a, b].
+
+    ``f`` maps n points to n values, or to an (n, k) stack of k integrands
+    that share one subdivision (Genz & Malik 1980).  A panel is split while
+    any unconverged component carries more than its share of that
+    component's budget, and the pass ends when every component meets its own
+    max(abs_tol, rel_tol |value|).  A stack gives one ``Estimate`` whose
+    value and bound are (k,) arrays; ``n_evals`` counts abscissae either way.
+    """
     edges = np.linspace(a, b, MIN_PANELS + 1)
     intervals = []
     n_evals = 0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _gk_panel(f, lo, hi)
+        val, err, stacked = _gk_panel(f, lo, hi)
         intervals.append((lo, hi, val, err))
         n_evals += 15
     while True:
-        total = math.fsum(iv[2] for iv in intervals)
-        err = math.fsum(iv[3] for iv in intervals)
-        tol = max(config.abs_tol, config.rel_tol * abs(total))
-        if err <= tol:
-            return Estimate(total, err, n_evals)
+        total = [math.fsum(c) for c in zip(*(iv[2] for iv in intervals))]
+        err = [math.fsum(c) for c in zip(*(iv[3] for iv in intervals))]
+        tol = [max(config.abs_tol, config.rel_tol * abs(v)) for v in total]
+        converged = [e <= t for e, t in zip(err, tol)]
+        if all(converged):
+            if stacked:
+                return Estimate(np.array(total), np.array(err), n_evals)
+            return Estimate(total[0], err[0], n_evals)
         if n_evals + 30 > config.max_evals:
+            j = max(range(len(err)), key=lambda j: err[j] / tol[j])
             raise NonConvergence(
-                f"quadrature error {err:.3e} > tol {tol:.3e} after {n_evals} evals")
-        # split every interval carrying more than its share of the budget
-        cut = max(tol / (2 * len(intervals)), err / (4 * len(intervals)))
+                f"quadrature error {err[j]:.3e} > tol {tol[j]:.3e} after {n_evals} evals")
+        # split every interval carrying more than its share of the budget of
+        # a component that has not converged
+        n = len(intervals)
+        cut = [math.inf if c else max(t / (2 * n), e / (4 * n))
+               for c, e, t in zip(converged, err, tol)]
         fresh = []
         for lo, hi, val, e in intervals:
-            if e > cut and n_evals + 30 <= config.max_evals:
+            if any(map(operator.gt, e, cut)) and n_evals + 30 <= config.max_evals:
                 mid = 0.5 * (lo + hi)
-                v1, e1 = _gk_panel(f, lo, mid)
-                v2, e2 = _gk_panel(f, mid, hi)
+                v1, e1, _ = _gk_panel(f, lo, mid)
+                v2, e2, _ = _gk_panel(f, mid, hi)
                 n_evals += 30
                 fresh.append((lo, mid, v1, e1))
                 fresh.append((mid, hi, v2, e2))
@@ -155,7 +183,8 @@ def integrate_radial(integrand, config: QuadratureConfig, cutoff: float) -> Esti
         s = np.asarray(s, dtype=float)
         r = s / (1.0 - s)
         jac = 1.0 / (1.0 - s) ** 2
-        return np.asarray(integrand(r), dtype=float) * jac
+        vals = np.asarray(integrand(r), dtype=float)
+        return vals * (jac[:, None] if vals.ndim == 2 else jac)
 
     return integrate_interval(mapped, 0.0, s_max, config)
 

@@ -2,9 +2,11 @@
 
 Path 1 integrates the defining heavy-tailed average directly, against the
 Cauchy-type measure nu_{(m+d)/2} (adaptive radial-angular quadrature).
-Path 2 subordinates the heat semigroup over the hitting-time law, realized
-as a generalized Gauss-Laguerre rule in the Gamma variable times a
-Gauss-Hermite product rule for the Gaussian convolution.
+Path 2 subordinates the heat semigroup over the hitting-time law: adaptive
+G7/K15 quadrature in the Gamma variable of a Gauss-Hermite product rule for
+the Gaussian convolution.  The heat values depend on neither m nor t, so all
+kernels that share (d, x) are integrated in one pass over a stack of
+integrands, one per kernel and rule order.
 Path 3 is plain Monte Carlo over exact kernel draws.  The three paths share
 nothing beyond the integrand, which is the point: agreement certifies each.
 Each takes the kernel as one ``measures.TKernel(d, m, t, x)``, so t > 0.
@@ -78,39 +80,46 @@ def _heat_value(f, x, s_values, d, order):
     return vals @ weights
 
 
-def _subordinated_value(f, k: TKernel, cfg: QuadratureConfig, n_her):
-    """Adaptive integral over the Gamma variable u = t^2/(4s)."""
-    log_gamma_m2 = math.lgamma(k.m / 2.0)
-    x, t, d, m = k.center, k.t, k.d, k.m
-    evals = 0
+def qtm_subordinated(f: DifferentiableField, kernels,
+                     cfg: QuadratureConfig | None = None) -> list[Estimate]:
+    """Subordination path for a sequence of kernels with one d and one x:
+    the heat semigroup averaged over each kernel's hitting-time law.
+
+    The substitution u = t0^2/(4s), with t0 the smallest t, maps kernel k's
+    hitting-time density to the weight c^2 gamma_{m/2}(c^2 u), c = t/t0, so
+    P_s f(x), which depends on neither m nor t, is computed once per
+    abscissa for every kernel: one adaptive pass integrates the stack of each
+    kernel's integrand under two Gauss-Hermite product rule orders.  Each
+    kernel's bound adds the rule-order sensitivity |hi - lo| to the
+    quadrature bound; ``n_evals`` counts the shared pass's field evaluations.
+    Returns one ``Estimate`` per kernel, in order.
+    """
+    kernels = list(kernels)
+    if not kernels:
+        raise DomainError("qtm_subordinated needs at least one kernel")
+    d, x = kernels[0].d, kernels[0].center
+    if any(k.d != d or not np.array_equal(k.center, x) for k in kernels):
+        raise DomainError("kernels of one subordination pass must share d and x")
+    cfg = cfg or QuadratureConfig()
+    t0 = min(k.t for k in kernels)
+    c2 = np.array([(k.t / t0) ** 2 for k in kernels])
+    shape = np.array([k.m / 2.0 for k in kernels])
+    log_norm = np.log(c2) - np.array([math.lgamma(a) for a in shape])
+    orders = (_HERMITE_ORDER[d], _HERMITE_ORDER_LO[d])
 
     def integrand(u):
-        nonlocal evals
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        heat = _heat_value(f, x, t ** 2 / (4.0 * u), d, n_her)
-        evals += len(u) * n_her ** d
+        cu = np.multiply.outer(u, c2)
         with np.errstate(divide="ignore"):
-            logw = (m / 2.0 - 1.0) * np.log(u) - u - log_gamma_m2
-        return heat * np.exp(logw)
+            weight = np.exp((shape - 1.0) * np.log(cu) - cu + log_norm)
+        s = t0 ** 2 / (4.0 * u)
+        return np.concatenate([_heat_value(f, x, s, d, n)[:, None] * weight
+                               for n in orders], axis=1)
 
     est = integrate_radial(integrand, cfg, cutoff=2000.0)
-    return est, evals
-
-
-def qtm_subordinated(f: DifferentiableField, k: TKernel,
-                     cfg: QuadratureConfig | None = None) -> Estimate:
-    """Subordination path: heat semigroup averaged over the hitting-time law.
-
-    The substitution u = t^2/(4s) maps the heavy-tailed hitting-time density
-    to a Gamma(m/2) weight; the Gaussian convolution itself uses a
-    Gauss-Hermite product rule, with the rule-order sensitivity folded into
-    the reported error bound.
-    """
-    cfg = cfg or QuadratureConfig()
-    hi, n_hi = _subordinated_value(f, k, cfg, _HERMITE_ORDER[k.d])
-    lo, n_lo = _subordinated_value(f, k, cfg, _HERMITE_ORDER_LO[k.d])
-    err = hi.error_bound + abs(hi.value - lo.value) + 1e-14 * (1.0 + abs(hi.value))
-    return Estimate(hi.value, err, n_hi + n_lo)
+    n_evals = est.n_evals * sum(n ** d for n in orders)
+    hi, lo = np.split(est.value, 2)
+    err = est.error_bound[:len(hi)] + np.abs(hi - lo) + 1e-14 * (1.0 + np.abs(hi))
+    return [Estimate(float(v), float(e), n_evals) for v, e in zip(hi, err)]
 
 
 def qtm_mc(f: DifferentiableField, k: TKernel,

@@ -78,3 +78,20 @@ def cauchy_mean_mp(h, b, breaks) -> float:
         pts = [-mp.inf] + [mp.mpf(x) for x in breaks] + [mp.inf]
         num = mp.quad(lambda y: h(y) * (1 + y * y) ** -b, pts)
         return float(num / (mp.sqrt(mp.pi) * mp.gamma(b - 0.5) / mp.gamma(b)))
+
+
+def extension_bump_mp(a, c, d: int, m, t, x) -> float:
+    """Q_t f(x) for f = 1 + exp(-a|y - c|^2) (``positive_bump``) at index m,
+    by mpmath at 30 digits: the heat semigroup of the bump in closed form,
+    averaged over u ~ Gamma(m/2),
+    1 + int_0^inf (1 + a t^2/u)^{-d/2} e^{-a|x-c|^2 u/(u + a t^2)} gamma_{m/2}(u) du."""
+    with mp.workdps(30):
+        a, t, k = mp.mpf(a), mp.mpf(t), mp.mpf(m) / 2
+        r2 = mp.fsum((mp.mpf(xi) - mp.mpf(ci)) ** 2 for xi, ci in zip(x, c))
+        at2 = a * t * t
+
+        def integrand(u):
+            return ((1 + at2 / u) ** (-mp.mpf(d) / 2) * mp.exp(-a * r2 * u / (u + at2))
+                    * u ** (k - 1) * mp.exp(-u))
+
+        return float(1 + mp.quad(integrand, [0, 1, 4, 16, mp.inf]) / mp.gamma(k))

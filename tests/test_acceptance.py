@@ -74,7 +74,7 @@ def test_02_crosspath_grid():
         for name in _FIELD_NAMES:
             f = lib[name]
             q = qtm_quadrature(f, kernel)
-            s = qtm_subordinated(f, kernel)
+            (s,) = qtm_subordinated(f, [kernel])
             gap = abs(q.value - s.value)
             budget = q.error_bound + s.error_bound + 1e-12
             worst_gap_ratio = max(worst_gap_ratio, gap / budget)

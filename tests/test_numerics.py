@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from beckner import numerics
 from beckner.errors import DomainError, NonConvergence
 from beckner.numerics import (Estimate, MonteCarloConfig, QuadratureConfig,
                               angular_rule, integrate_interval,
@@ -55,6 +56,94 @@ def test_radial_heavy_tail():
                            cutoff=1e6)
     # the truncation radius leaves a ~1e-6 analytic tail
     assert abs(est.value - math.pi / 2) < 2e-6
+
+
+def _scalar_integral(f, a, b, config):
+    """The adaptive G7/K15 integrator as it was before stacked integrands."""
+    def panel(lo, hi):
+        h = 0.5 * (hi - lo)
+        y = np.asarray(f(lo + (numerics._GK_X + 1.0) * h), dtype=float)
+        g7 = h * float(np.dot(numerics._GK_WG, y))
+        k15 = h * float(np.dot(numerics._GK_WK, y))
+        return k15, min((200.0 * abs(g7 - k15)) ** 1.5,
+                        abs(g7 - k15) * 200.0 + numerics._EPS)
+
+    edges = np.linspace(a, b, numerics.MIN_PANELS + 1)
+    intervals = [(lo, hi, *panel(lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+    n_evals = 15 * len(intervals)
+    while True:
+        total = math.fsum(iv[2] for iv in intervals)
+        err = math.fsum(iv[3] for iv in intervals)
+        tol = max(config.abs_tol, config.rel_tol * abs(total))
+        if err <= tol:
+            return Estimate(total, err, n_evals)
+        cut = max(tol / (2 * len(intervals)), err / (4 * len(intervals)))
+        fresh = []
+        for lo, hi, val, e in intervals:
+            if e > cut:
+                mid = 0.5 * (lo + hi)
+                fresh += [(lo, mid, *panel(lo, mid)), (mid, hi, *panel(mid, hi))]
+                n_evals += 30
+            else:
+                fresh.append((lo, hi, val, e))
+        intervals = fresh
+
+
+_SCALAR_CASES = [(np.cos, 0.0, 10.0), (lambda x: np.abs(x - 0.3) ** 0.7, 0.0, 1.0),
+                 (lambda x: np.exp(-x) / (1e-3 + (x - 1.3) ** 2), 0.0, 5.0)]
+
+
+@pytest.mark.parametrize("f,a,b", _SCALAR_CASES)
+def test_scalar_integrand_keeps_its_arithmetic(f, a, b):
+    cfg = QuadratureConfig()
+    est, ref = integrate_interval(f, a, b, cfg), _scalar_integral(f, a, b, cfg)
+    assert type(est.value) is float and type(est.error_bound) is float
+    assert (est.value, est.error_bound, est.n_evals) == (ref.value, ref.error_bound,
+                                                          ref.n_evals)
+
+
+@pytest.mark.parametrize("f,a,b", _SCALAR_CASES)
+def test_one_column_stack_is_the_scalar_integral(f, a, b):
+    cfg = QuadratureConfig()
+    scalar = integrate_interval(f, a, b, cfg)
+    stack = integrate_interval(lambda x: f(x)[:, None], a, b, cfg)
+    assert stack.value.shape == stack.error_bound.shape == (1,)
+    assert stack.value[0] == scalar.value and stack.error_bound[0] == scalar.error_bound
+    assert stack.n_evals == scalar.n_evals
+    radial = integrate_radial(lambda r: np.exp(-r) * f(r), cfg, cutoff=100.0)
+    column = integrate_radial(lambda r: (np.exp(-r) * f(r))[:, None], cfg, cutoff=100.0)
+    assert (column.value[0], column.error_bound[0], column.n_evals) == (
+        radial.value, radial.error_bound, radial.n_evals)
+
+
+def test_stack_components_meet_their_own_tolerance():
+    # an absolute tolerance far below both values makes each component's
+    # tolerance relative, so the 1e-6 copy and the peak each set their own
+    cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-10)
+    parts = [lambda x: np.exp(-x) * np.cos(7 * x), lambda x: 1e-6 * np.exp(-x) * np.cos(7 * x),
+             lambda x: 1e-2 / (1e-4 + (x - 1.3) ** 2)]
+    est = integrate_interval(lambda x: np.stack([g(x) for g in parts], axis=1), 0.0, 5.0, cfg)
+    assert est.value.shape == (3,) and est.n_evals % 15 == 0
+    for k, g in enumerate(parts):
+        assert est.error_bound[k] <= max(cfg.abs_tol, cfg.rel_tol * abs(est.value[k]))
+        alone = integrate_interval(g, 0.0, 5.0, cfg)
+        assert abs(est.value[k] - alone.value) <= est.error_bound[k] + alone.error_bound
+
+
+def test_stack_nonconvergence():
+    cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14, max_evals=150)
+    with pytest.raises(NonConvergence):
+        integrate_interval(lambda x: np.stack([x, np.abs(x - math.pi / 10) ** 0.1], axis=1),
+                           0.0, 1.0, cfg)
+
+
+def test_stacked_radial_integral():
+    # int_0^inf r^j exp(-r) dr = j! for j = 0, 1, 2
+    est = integrate_radial(lambda r: np.stack([r ** j * np.exp(-r) for j in range(3)],
+                                              axis=1), QuadratureConfig(), cutoff=1e3)
+    assert isinstance(est, Estimate) and est.n_evals > 0
+    np.testing.assert_allclose(est.value, [1.0, 1.0, 2.0], rtol=0, atol=1e-12)
+    assert np.all(est.error_bound <= 1e-10 * np.maximum(1.0, est.value))
 
 
 @pytest.mark.parametrize("d,area", [(1, 2.0), (2, 2 * math.pi), (3, 4 * math.pi)])

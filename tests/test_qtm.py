@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from beckner.errors import DomainError
+from beckner import numerics
 from beckner.fields import (constant, gaussian_bump, positive_bump, quadratic,
                             standard_library, trig)
 from beckner.measures import Measure, TKernel
@@ -13,7 +14,7 @@ from beckner import qtm
 from beckner.qtm import (QtmField, biharmonic, harmonicity_residual,
                          moment_identity_gap, qtm_mc, qtm_quadrature,
                          qtm_subordinated, taylor_remainder_order)
-from oracles import fd_derivative, half_space_operator_fd
+from oracles import extension_bump_mp, fd_derivative, half_space_operator_fd
 
 
 def exact_quadratic_extension(m, d, t, x):
@@ -23,8 +24,10 @@ def exact_quadratic_extension(m, d, t, x):
 
 def test_constant_fixed_point():
     p = TKernel(2, 6.0, 1.3, (0.4, -0.2))
-    for op in (qtm_quadrature, qtm_subordinated):
-        assert op(constant(1.0, 2), p).value == pytest.approx(1.0, abs=1e-10)
+    one = constant(1.0, 2)
+    (s,) = qtm_subordinated(one, [p])
+    for est in (qtm_quadrature(one, p), s):
+        assert est.value == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -84,7 +87,7 @@ def test_quadratic_extension_all_paths(m, d, t, x):
     p = TKernel(d, m, t, x)
     exact = exact_quadratic_extension(m, d, t, x)
     q = qtm_quadrature(f, p)
-    s = qtm_subordinated(f, p)
+    (s,) = qtm_subordinated(f, [p])
     assert q.value == pytest.approx(exact, abs=max(1e-9, 10 * q.error_bound))
     assert s.value == pytest.approx(exact, abs=max(1e-8, 10 * s.error_bound))
     mc = qtm_mc(f, p, MonteCarloConfig(n_samples=200_000, seed=1))
@@ -104,8 +107,79 @@ def test_crosspath_agreement_bump():
     f = positive_bump(1.0, [0.3], 1)
     p = TKernel(1, 6.0, 1.0, (0.0,))
     q = qtm_quadrature(f, p)
-    s = qtm_subordinated(f, p)
+    (s,) = qtm_subordinated(f, [p])
     assert abs(q.value - s.value) <= q.error_bound + s.error_bound
+
+
+# the qtm grid of the benchmark's numeric workload: positive_bump at x = 0
+_QTM_GRID = [(m, t) for m in (6.0, 9.0) for t in (0.5, 1.0, 2.0)]
+
+
+def _grid_kernels(d):
+    return [TKernel(d, m, t, (0.0,) * d) for m, t in _QTM_GRID]
+
+
+@lru_cache(maxsize=None)
+def _bump_oracle(d, m, t):
+    return extension_bump_mp(1.0, [0.3] * d, d, m, t, [0.0] * d)
+
+
+@lru_cache(maxsize=None)
+def _shared_pass(d):
+    return qtm_subordinated(standard_library(d)["positive_bump"], _grid_kernels(d))
+
+
+@pytest.mark.parametrize("m,t", _QTM_GRID)
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("path", ["quadrature", "subordination"])
+def test_bump_extension_within_bound_of_mpmath(path, d, m, t):
+    # ROADMAP item 1: both deterministic paths against a closed-form oracle
+    if path == "quadrature":
+        est = qtm_quadrature(standard_library(d)["positive_bump"],
+                             TKernel(d, m, t, (0.0,) * d))
+    else:
+        est = _shared_pass(d)[_QTM_GRID.index((m, t))]
+    assert abs(est.value - _bump_oracle(d, m, t)) <= est.error_bound
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_shared_pass_matches_one_kernel_passes(d):
+    f = standard_library(d)["positive_bump"]
+    for k, shared in zip(_grid_kernels(d), _shared_pass(d)):
+        (alone,) = qtm_subordinated(f, [k])
+        assert abs(shared.value - alone.value) <= shared.error_bound + alone.error_bound
+
+
+@pytest.mark.parametrize("n_kernels", [1, 6])
+def test_heat_rule_runs_twice_per_panel(monkeypatch, n_kernels):
+    calls = {"heat": 0, "panel": 0}
+    heat, panel = qtm._heat_value, numerics._gk_panel
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(qtm, "_heat_value", counted("heat", heat))
+    monkeypatch.setattr(numerics, "_gk_panel", counted("panel", panel))
+    ests = qtm_subordinated(standard_library(1)["positive_bump"],
+                            _grid_kernels(1)[:n_kernels])
+    assert len(ests) == n_kernels and calls["panel"] > 0
+    assert calls["heat"] == 2 * calls["panel"]
+    # every kernel reports the shared pass's evaluations: 15 per panel per rule node
+    orders = qtm._HERMITE_ORDER[1] + qtm._HERMITE_ORDER_LO[1]
+    assert all(e.n_evals == 15 * calls["panel"] * orders for e in ests)
+
+
+def test_subordination_needs_one_d_and_one_x():
+    f = standard_library(1)["positive_bump"]
+    with pytest.raises(DomainError):
+        qtm_subordinated(f, [])
+    with pytest.raises(DomainError):
+        qtm_subordinated(f, [TKernel(1, 6.0, 1.0, (0.0,)), TKernel(2, 6.0, 1.0, (0.0, 0.0))])
+    with pytest.raises(DomainError):
+        qtm_subordinated(f, [TKernel(1, 6.0, 1.0, (0.0,)), TKernel(1, 6.0, 1.0, (0.1,))])
 
 
 def test_index_guard():
