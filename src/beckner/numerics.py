@@ -173,7 +173,8 @@ def integrate_radial(integrand, config: QuadratureConfig, cutoff: float) -> Esti
 
     The half-line is mapped to [0,1) by r = s/(1-s) and cut at r = ``cutoff``.
     The returned bound covers the quadrature only: the caller chooses the
-    cutoff and accounts for the tail beyond it.
+    cutoff and accounts for the tail beyond it.  ``integrand`` may return an
+    (n, k) stack, as in ``integrate_interval``.
     """
     if not 0.0 < cutoff < math.inf:
         raise DomainError(f"cutoff must be positive and finite, got {cutoff}")

@@ -103,14 +103,14 @@ def qtm_subordinated(f: DifferentiableField, kernels,
     cfg = cfg or QuadratureConfig()
     t0 = min(k.t for k in kernels)
     c2 = np.array([(k.t / t0) ** 2 for k in kernels])
-    shape = np.array([k.m / 2.0 for k in kernels])
-    log_norm = np.log(c2) - np.array([math.lgamma(a) for a in shape])
+    half_m = np.array([k.m / 2.0 for k in kernels])
+    log_norm = np.log(c2) - np.array([math.lgamma(a) for a in half_m])
     orders = (_HERMITE_ORDER[d], _HERMITE_ORDER_LO[d])
 
     def integrand(u):
         cu = np.multiply.outer(u, c2)
         with np.errstate(divide="ignore"):
-            weight = np.exp((shape - 1.0) * np.log(cu) - cu + log_norm)
+            weight = np.exp((half_m - 1.0) * np.log(cu) - cu + log_norm)
         s = t0 ** 2 / (4.0 * u)
         return np.concatenate([_heat_value(f, x, s, d, n)[:, None] * weight
                                for n in orders], axis=1)
