@@ -86,10 +86,12 @@ class Estimate:
 
     ``kind`` records whether ``error_bound`` is a one-sided quadrature bound
     or a 1-sigma Monte Carlo standard error.  The integral of a stack of k
-    integrands (see ``integrate_interval``) holds (k,) arrays of both.
+    integrands holds (k,) arrays of both; only ``integrate_interval`` and
+    ``integrate_radial`` return one, and only for a stacked integrand, whose
+    one caller (``qtm.qtm_subordinated``) unpacks it into float estimates.
     """
-    value: float
-    error_bound: float
+    value: float | np.ndarray
+    error_bound: float | np.ndarray
     n_evals: int
     kind: str = "quadrature"
 

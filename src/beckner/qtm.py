@@ -80,19 +80,28 @@ def _heat_value(f, x, s_values, d, order):
     return vals @ weights
 
 
+# The widest t_max / t_min of one shared pass: the numeric qtm grid's
+# spread, within which every Gamma weight stays resolved (200 is not).
+_T_SPREAD = 4.0
+
+
 def qtm_subordinated(f: DifferentiableField, kernels,
                      cfg: QuadratureConfig | None = None) -> list[Estimate]:
     """Subordination path for a sequence of kernels with one d and one x:
     the heat semigroup averaged over each kernel's hitting-time law.
 
-    The substitution u = t0^2/(4s), with t0 the smallest t, maps kernel k's
-    hitting-time density to the weight c^2 gamma_{m/2}(c^2 u), c = t/t0, so
-    P_s f(x), which depends on neither m nor t, is computed once per
-    abscissa for every kernel: one adaptive pass integrates the stack of each
-    kernel's integrand under two Gauss-Hermite product rule orders.  Each
-    kernel's bound adds the rule-order sensitivity |hi - lo| to the
-    quadrature bound; ``n_evals`` counts the shared pass's field evaluations.
-    Returns one ``Estimate`` per kernel, in order.
+    The substitution u = t0^2/(4s), with t0 the smallest t of a pass, maps
+    kernel k's hitting-time density to the weight c^2 gamma_{m/2}(c^2 u),
+    c = t/t0, so P_s f(x), which depends on neither m nor t, is computed once
+    per abscissa for every kernel of the pass: one adaptive pass integrates
+    the stack of each kernel's integrand under two Gauss-Hermite product rule
+    orders.  The weight of kernel k is the base one squeezed toward u = 0 by
+    c^2; once that is large, the first panel's G7/K15 nodes all miss its
+    mass and both rules agree on 0.  So the kernels, sorted by t, share a
+    pass only while t / t0 <= ``_T_SPREAD``, and a wider t grid takes one
+    pass per such group.  Each kernel's bound adds the rule-order sensitivity
+    |hi - lo| to the quadrature bound; ``n_evals`` counts its pass's field
+    evaluations.  Returns one ``Estimate`` per kernel, in order.
     """
     kernels = list(kernels)
     if not kernels:
@@ -101,25 +110,32 @@ def qtm_subordinated(f: DifferentiableField, kernels,
     if any(k.d != d or not np.array_equal(k.center, x) for k in kernels):
         raise DomainError("kernels of one subordination pass must share d and x")
     cfg = cfg or QuadratureConfig()
-    t0 = min(k.t for k in kernels)
-    c2 = np.array([(k.t / t0) ** 2 for k in kernels])
-    half_m = np.array([k.m / 2.0 for k in kernels])
-    log_norm = np.log(c2) - np.array([math.lgamma(a) for a in half_m])
     orders = (_HERMITE_ORDER[d], _HERMITE_ORDER_LO[d])
+    out = [None] * len(kernels)
+    pending = sorted(range(len(kernels)), key=lambda i: kernels[i].t)
+    while pending:
+        t0 = kernels[pending[0]].t
+        group = [i for i in pending if kernels[i].t <= _T_SPREAD * t0]
+        pending = pending[len(group):]
+        c2 = np.array([(kernels[i].t / t0) ** 2 for i in group])
+        half_m = np.array([kernels[i].m / 2.0 for i in group])
+        log_norm = np.log(c2) - np.array([math.lgamma(a) for a in half_m])
 
-    def integrand(u):
-        cu = np.multiply.outer(u, c2)
-        with np.errstate(divide="ignore"):
-            weight = np.exp((half_m - 1.0) * np.log(cu) - cu + log_norm)
-        s = t0 ** 2 / (4.0 * u)
-        return np.concatenate([_heat_value(f, x, s, d, n)[:, None] * weight
-                               for n in orders], axis=1)
+        def integrand(u):
+            cu = np.multiply.outer(u, c2)
+            with np.errstate(divide="ignore"):
+                weight = np.exp((half_m - 1.0) * np.log(cu) - cu + log_norm)
+            s = t0 ** 2 / (4.0 * u)
+            return np.concatenate([_heat_value(f, x, s, d, n)[:, None] * weight
+                                   for n in orders], axis=1)
 
-    est = integrate_radial(integrand, cfg, cutoff=2000.0)
-    n_evals = est.n_evals * sum(n ** d for n in orders)
-    hi, lo = np.split(est.value, 2)
-    err = est.error_bound[:len(hi)] + np.abs(hi - lo) + 1e-14 * (1.0 + np.abs(hi))
-    return [Estimate(float(v), float(e), n_evals) for v, e in zip(hi, err)]
+        est = integrate_radial(integrand, cfg, cutoff=2000.0)
+        n_evals = est.n_evals * sum(n ** d for n in orders)
+        hi, lo = np.split(est.value, 2)
+        err = est.error_bound[:len(hi)] + np.abs(hi - lo) + 1e-14 * (1.0 + np.abs(hi))
+        for i, v, e in zip(group, hi, err):
+            out[i] = Estimate(float(v), float(e), n_evals)
+    return out
 
 
 def qtm_mc(f: DifferentiableField, k: TKernel,

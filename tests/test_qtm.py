@@ -150,6 +150,36 @@ def test_shared_pass_matches_one_kernel_passes(d):
         assert abs(shared.value - alone.value) <= shared.error_bound + alone.error_bound
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_wide_t_grid_is_resolved(d):
+    # t_max / t_min = 200: in one shared variable the t = 2 weight would sit
+    # below the first panel's nodes and integrate to 0, so it takes its own pass
+    f = standard_library(d)["positive_bump"]
+    kernels = [TKernel(d, 6.0, t, (0.0,) * d) for t in (2.0, 0.01)]
+    for k, shared in zip(kernels, qtm_subordinated(f, kernels)):
+        oracle = extension_bump_mp(1.0, [0.3] * d, d, 6.0, k.t, [0.0] * d)
+        assert abs(shared.value - oracle) <= shared.error_bound
+        (alone,) = qtm_subordinated(f, [k])
+        assert abs(shared.value - alone.value) <= shared.error_bound + alone.error_bound
+
+
+def test_passes_split_at_the_t_spread(monkeypatch):
+    passes = []
+    radial = qtm.integrate_radial
+
+    def counted(integrand, cfg, cutoff):
+        est = radial(integrand, cfg, cutoff)
+        passes.append(len(est.value) // 2)
+        return est
+
+    monkeypatch.setattr(qtm, "integrate_radial", counted)
+    f = standard_library(1)["positive_bump"]
+    ts = (0.5, 2.0, 0.01, 0.04, 2.01)
+    ests = qtm_subordinated(f, [TKernel(1, 6.0, t, (0.0,)) for t in ts])
+    # sorted by t: {0.01, 0.04}, {0.5, 2.0}, {2.01}
+    assert passes == [2, 2, 1] and len(ests) == len(ts)
+
+
 @pytest.mark.parametrize("n_kernels", [1, 6])
 def test_heat_rule_runs_twice_per_panel(monkeypatch, n_kernels):
     calls = {"heat": 0, "panel": 0}
