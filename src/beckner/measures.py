@@ -116,6 +116,22 @@ class SphereMeasure(CauchyMeasure):
         return radius, heavy_tail_bound(self.d, self.d, radius, scale, growth)
 
 
+def integrate_stack(g, measures, config: QuadratureConfig, growth: float,
+                    scales) -> list[Estimate]:
+    """Column j of the (n, k) stack ``g(y)`` integrated against ``measures[j]``,
+    measures on one R^d, with |column j| <= ``scales[j]`` |y|^growth at
+    infinity: one ``integrate_rd`` pass, each column weighted by its own
+    density, out to the largest of the columns' truncation radii.  A tail
+    bound also holds beyond its own radius, so each column's bound adds the
+    tail of its own truncation.  Returns one float ``Estimate`` per column;
+    ``n_evals`` counts the pass's points."""
+    cuts = [mu.truncation(config.abs_tol, growth, s) for mu, s in zip(measures, scales)]
+    est = integrate_rd(g, lambda r2: np.stack([mu.log_density(r2) for mu in measures], axis=1),
+                       measures[0].d, config, cutoff=max(radius for radius, _ in cuts))
+    return [Estimate(float(v), float(e) + tail, est.n_evals)
+            for v, e, (_, tail) in zip(est.value, est.error_bound, cuts)]
+
+
 @dataclass(frozen=True)
 class GaussianMeasure(Measure):
     """The standard Gaussian measure on R^d, truncated at radius 12."""

@@ -86,9 +86,12 @@ class Estimate:
 
     ``kind`` records whether ``error_bound`` is a one-sided quadrature bound
     or a 1-sigma Monte Carlo standard error.  The integral of a stack of k
-    integrands holds (k,) arrays of both; only ``integrate_interval`` and
-    ``integrate_radial`` return one, and only for a stacked integrand, whose
-    one caller (``qtm.qtm_subordinated``) unpacks it into float estimates.
+    integrands holds (k,) arrays of both; only ``integrate_interval``,
+    ``integrate_radial`` and ``integrate_rd`` return one, and only for a
+    stacked integrand.  Its two callers unpack it into float estimates:
+    ``qtm.qtm_subordinated`` (``integrate_radial``) and
+    ``measures.integrate_stack`` (``integrate_rd``), which serves
+    ``qtm.harmonicity_residual``.
     """
     value: float | np.ndarray
     error_bound: float | np.ndarray
@@ -234,15 +237,24 @@ def integrate_rd(g, log_density, d: int, config: QuadratureConfig,
     squared radii.  Reduction: radial adaptive quadrature of
     r^{d-1} exp(log_density(r^2)) sum_j w_j g(r w_j), so the density is
     evaluated once per radius, never per point; as in ``integrate_radial``,
-    the tail beyond the cutoff is the caller's.
+    the tail beyond the cutoff is the caller's.  ``g`` may return an (n, k)
+    stack, integrated on one shared subdivision as in ``integrate_interval``;
+    then ``log_density`` returns either one column for every component or
+    one per component, (n_r, k), and each component is reduced with the
+    arithmetic of a 1-D ``g``.  ``n_evals`` counts points either way.
     """
     nodes, w = angular_rule(d, ANGULAR_ORDER)
 
     def radial(r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
         pts = r[:, None, None] * nodes[None, :, :]
-        vals = np.asarray(g(pts.reshape(-1, d)), dtype=float).reshape(len(r), -1)
-        return (r ** (d - 1) * np.exp(log_density(r * r))) * (vals @ w)
+        vals = np.asarray(g(pts.reshape(-1, d)), dtype=float)
+        weight = r ** (d - 1) * np.exp(log_density(r * r)).T   # (n_r,) or (k, n_r)
+        if vals.ndim == 1:
+            return weight * (vals.reshape(len(r), -1) @ w)
+        # one contiguous (radius, node) block per component, reduced as a 1-D g
+        cols = np.ascontiguousarray(np.moveaxis(vals.reshape(len(r), len(w), -1), -1, 0))
+        return (weight * (cols @ w)).T
 
     est = integrate_radial(radial, config, cutoff)
     return Estimate(est.value, est.error_bound, est.n_evals * len(w))

@@ -12,6 +12,9 @@ nothing beyond the integrand, which is the point: agreement certifies each.
 Each takes the kernel as one ``measures.TKernel(d, m, t, x)``, so t > 0.
 The harmonicity check applies a finite-difference stencil of the half-space
 operator under the integral sign of path 1, so no quadrature is differenced.
+The stencil's centre is path 1's own integrand and no stencil point depends
+on m, so the kernels that share (d, x, t) share one pass, which returns
+path 1's value next to each kernel's residual.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateFit, DomainError
 from .fields import DifferentiableField, growth_degree, laplacian, multi_indices
-from .measures import TKernel
+from .measures import TKernel, integrate_stack
 from .numerics import (Estimate, MonteCarloConfig, QuadratureConfig,
                        integrate_radial, mc_estimate)
 
@@ -202,35 +205,73 @@ class QtmField:
 _STEP = 5e-3  # spacing h: the positive_bump residual at t = 0.05, d = 3 is 6.7e-6 < 1e-4
 
 
-def harmonicity_residual(f: DifferentiableField, k: TKernel,
-                         cfg: QuadratureConfig | None = None) -> Estimate:
-    """(Laplacian_x + d^2/dt^2 + ((1-m)/t) d/dt) Q_t f at (x, t) by a stencil
-    (second differences of spacing 2h on the d+1 axes, the central t-difference
-    of spacing h) under the integral sign: each point (x_k, t_k) averages
-    f(x_k + t_k z) over one z ~ nu_{(m+d)/2}, the base measure of ``k``, so the
-    stencil is one integral, whose tail scale sums the points' ``TKernel``
-    tail scales by |weight|."""
-    if k.t - 2 * _STEP <= 0:
+def harmonicity_residual(f: DifferentiableField, kernels,
+                         cfg: QuadratureConfig | None = None) -> list[tuple[Estimate, Estimate]]:
+    """Q_t f(x) and (Laplacian_x + d^2/dt^2 + ((1-m)/t) d/dt) Q_t f at (x, t)
+    for a sequence of kernels with one d and one x.
+
+    The residual is a stencil (second differences of spacing 2h on the d+1
+    axes, the central t-difference of spacing h) under the integral sign:
+    each point (x_k, t_k) averages f(x_k + t_k z) over z ~ nu_{(m+d)/2}, the
+    base measure of the kernel.  No stencil point depends on m, and the
+    centre is Q_t f's own integrand, so the kernels that share a t share one
+    pass: each point is evaluated once per batch and added into two
+    components per kernel, the centre value and sum_k c_k(m) f(x_k + t_k z),
+    each against its own nu (``measures.integrate_stack``).  The value's tail
+    scale is ``qtm_quadrature``'s, the residual's sums the points' ``TKernel``
+    tail scales by |c_k|.  Returns one ``(value, residual)`` pair of
+    ``Estimate``s per kernel, in order; ``n_evals`` counts the field
+    evaluations of its pass.
+    """
+    kernels = list(kernels)
+    if not kernels:
+        raise DomainError("harmonicity_residual needs at least one kernel")
+    d, x = kernels[0].d, kernels[0].center
+    if any(k.d != d or not np.array_equal(k.center, x) for k in kernels):
+        raise DomainError("kernels of one harmonicity pass must share d and x")
+    if min(k.t for k in kernels) - 2 * _STEP <= 0:
         raise DomainError(f"the harmonicity stencil needs t > {2 * _STEP}")
-    h, x, t, growth = _STEP, k.center, k.t, growth_degree(f)
-    c2, c1 = 1.0 / (4.0 * h * h), (1.0 - k.m) / (2.0 * h * t)
-    stencil = [(x, t, -2.0 * (k.d + 1) * c2), (x, t + 2 * h, c2), (x, t - 2 * h, c2),
-               (x, t + h, c1), (x, t - h, -c1)]
-    stencil += [(x + s * e, t, c2) for e in 2 * h * np.eye(k.d) for s in (1.0, -1.0)]
+    cfg, h, growth = cfg or QuadratureConfig(), _STEP, growth_degree(f)
+    groups = {}
+    for i, k in enumerate(kernels):
+        groups.setdefault(k.t, []).append(i)
+    out = [None] * len(kernels)
+    for t, group in groups.items():
+        n = len(group)
+        c2 = np.full(n, 1.0 / (4.0 * h * h))
+        c1 = np.array([(1.0 - kernels[i].m) / (2.0 * h * t) for i in group])
+        # (x_k, t_k, c_k), the centre first; c_k holds point k's weight for every kernel
+        stencil = [(x, t, -2.0 * (d + 1) * c2), (x, t + 2 * h, c2), (x, t - 2 * h, c2),
+                   (x, t + h, c1), (x, t - h, -c1)]
+        stencil += [(x + s * e, t, c2) for e in 2 * h * np.eye(d) for s in (1.0, -1.0)]
 
-    def integrand(z):
-        acc, pts = np.zeros(len(z)), np.empty_like(z)
-        for xk, tk, ck in stencil:
-            np.multiply(z, tk, out=pts)   # one buffer for every stencil point
-            pts += xk
-            acc += ck * f.value(pts)
-        return acc
+        def integrand(z):
+            # one contiguous row per coordinate: adding x_k to (n, d) points
+            # broadcasts over a length-d inner loop, several times slower
+            z = np.ascontiguousarray(z.T)
+            stack, pts = np.zeros((2 * n, z.shape[1])), np.empty_like(z)
+            for k, (xk, tk, ck) in enumerate(stencil):
+                np.multiply(z, tk, out=pts)   # one buffer for every stencil point
+                pts += xk[:, None]
+                vals = f.value(pts.T)
+                if k == 0:   # the centre is Q_t f's own integrand
+                    stack[:n] = vals
+                stack[n:] += np.multiply.outer(ck, vals)
+            return stack.T
 
-    scale = sum(abs(ck) * TKernel(k.d, k.m, tk, tuple(xk)).tail_scale(f, growth, 1.0)
-                for xk, tk, ck in stencil)
-    est = k.base_measure().integrate(integrand, cfg or QuadratureConfig(),
-                                     growth=growth, scale=scale)
-    return Estimate(est.value, est.error_bound, est.n_evals * len(stencil))
+        # a tail scale depends on the point, not on m
+        point_scales = [TKernel(d, kernels[group[0]].m, tk, tuple(xk)).tail_scale(f, growth, 1.0)
+                        for xk, tk, _ in stencil]
+        scales = [point_scales[0]] * n + [
+            sum(abs(ck[j]) * sk for (_, _, ck), sk in zip(stencil, point_scales))
+            for j in range(n)]
+        nus = [kernels[i].base_measure() for i in group]
+        ests = integrate_stack(integrand, nus + nus, cfg, growth, scales)
+        n_evals = ests[0].n_evals * len(stencil)
+        for j, i in enumerate(group):
+            out[i] = tuple(Estimate(e.value, e.error_bound, n_evals)
+                           for e in (ests[j], ests[n + j]))
+    return out
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from beckner import numerics
 from beckner.errors import DomainError, NonConvergence
+from beckner.measures import CauchyMeasure
 from beckner.numerics import (Estimate, MonteCarloConfig, QuadratureConfig,
                               angular_rule, integrate_interval,
                               integrate_radial, integrate_rd, mc_estimate,
@@ -168,6 +169,67 @@ def test_full_space_gaussian(d):
     est = integrate_rd(lambda pts: np.ones(len(pts)), lambda r2: -r2, d,
                        QuadratureConfig(), cutoff=15.0)
     assert abs(est.value - math.pi ** (d / 2.0)) < 1e-9
+
+
+def _scalar_rd(g, log_density, d, config, cutoff):
+    """``integrate_rd`` as it was before stacked integrands."""
+    nodes, w = angular_rule(d, numerics.ANGULAR_ORDER)
+
+    def radial(r):
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        pts = r[:, None, None] * nodes[None, :, :]
+        vals = np.asarray(g(pts.reshape(-1, d)), dtype=float).reshape(len(r), -1)
+        return (r ** (d - 1) * np.exp(log_density(r * r))) * (vals @ w)
+
+    est = integrate_radial(radial, config, cutoff)
+    return Estimate(est.value, est.error_bound, est.n_evals * len(w))
+
+
+def _bump(pts):
+    return 1.0 + np.exp(-np.sum((pts - 0.3) ** 2, axis=1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rd_scalar_and_one_column_stack_keep_the_arithmetic(d):
+    nu, cfg = CauchyMeasure(d, d + 2.0), QuadratureConfig()
+    cutoff = nu.truncation(cfg.abs_tol, 0.0, 2.0)[0]
+    ref = _scalar_rd(_bump, nu.log_density, d, cfg, cutoff)
+    est = integrate_rd(_bump, nu.log_density, d, cfg, cutoff)
+    assert type(est.value) is float
+    assert (est.value, est.error_bound, est.n_evals) == (ref.value, ref.error_bound,
+                                                          ref.n_evals)
+    # an (n, 1) stack is the scalar estimate, with either shape of log-density
+    for log_density in (nu.log_density, lambda r2: nu.log_density(r2)[:, None]):
+        column = integrate_rd(lambda p: _bump(p)[:, None], log_density, d, cfg, cutoff)
+        assert column.value.shape == column.error_bound.shape == (1,)
+        assert (column.value[0], column.error_bound[0], column.n_evals) == (
+            ref.value, ref.error_bound, ref.n_evals)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rd_stack_weights_each_component_by_its_own_density(monkeypatch, d):
+    panels = []
+    panel = numerics._gk_panel
+
+    def counted(*args):
+        panels.append(args)
+        return panel(*args)
+
+    monkeypatch.setattr(numerics, "_gk_panel", counted)
+    nus, cfg = [CauchyMeasure(d, d / 2.0 + 1.5), CauchyMeasure(d, d / 2.0 + 4.0)], QuadratureConfig()
+    cutoff = max(nu.truncation(cfg.abs_tol, 0.0, 2.0)[0] for nu in nus)
+    parts = [_bump, lambda p: np.cos(p[:, 0])]
+    stack = integrate_rd(lambda p: np.stack([g(p) for g in parts], axis=1),
+                         lambda r2: np.stack([nu.log_density(r2) for nu in nus], axis=1),
+                         d, cfg, cutoff)
+    # n_evals counts points: 15 radii per panel, each on the whole angular rule
+    assert stack.n_evals == 15 * len(panels) * len(angular_rule(d, numerics.ANGULAR_ORDER)[1])
+    for j, (g, nu) in enumerate(zip(parts, nus)):
+        alone = integrate_rd(g, nu.log_density, d, cfg, cutoff)
+        assert abs(stack.value[j] - alone.value) <= stack.error_bound[j] + alone.error_bound
+    # the two densities differ, so each column saw its own weight
+    mixed = integrate_rd(parts[0], nus[1].log_density, d, cfg, cutoff)
+    assert abs(stack.value[0] - mixed.value) > 1e-3
 
 
 def test_fd_derivative_matches_analytic():

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from beckner.errors import DomainError
-from beckner import numerics
-from beckner.fields import (constant, gaussian_bump, positive_bump, quadratic,
-                            standard_library, trig)
-from beckner.measures import Measure, TKernel
-from beckner.numerics import Estimate, MonteCarloConfig, QuadratureConfig, pooled
+from beckner import measures, numerics
+from beckner.fields import (DifferentiableField, constant, gaussian_bump, positive_bump,
+                            quadratic, standard_library, trig)
+from beckner.measures import TKernel
+from beckner.numerics import (ANGULAR_ORDER, Estimate, MonteCarloConfig, QuadratureConfig,
+                              angular_rule, pooled)
 from beckner import qtm
 from beckner.qtm import (QtmField, biharmonic, harmonicity_residual,
                          moment_identity_gap, qtm_mc, qtm_quadrature,
@@ -129,17 +130,49 @@ def _shared_pass(d):
     return qtm_subordinated(standard_library(d)["positive_bump"], _grid_kernels(d))
 
 
+@lru_cache(maxsize=None)
+def _stencil_pass(d):
+    return harmonicity_residual(standard_library(d)["positive_bump"], _grid_kernels(d))
+
+
 @pytest.mark.parametrize("m,t", _QTM_GRID)
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("path", ["quadrature", "subordination"])
+@pytest.mark.parametrize("path", ["quadrature", "subordination", "stencil"])
 def test_bump_extension_within_bound_of_mpmath(path, d, m, t):
-    # ROADMAP item 1: both deterministic paths against a closed-form oracle
+    # ROADMAP item 1: the deterministic paths against a closed-form oracle;
+    # "stencil" is path 1's value from the shared harmonicity pass of one d
     if path == "quadrature":
         est = qtm_quadrature(standard_library(d)["positive_bump"],
                              TKernel(d, m, t, (0.0,) * d))
-    else:
+    elif path == "subordination":
         est = _shared_pass(d)[_QTM_GRID.index((m, t))]
+    else:
+        est, _ = _stencil_pass(d)[_QTM_GRID.index((m, t))]
     assert abs(est.value - _bump_oracle(d, m, t)) <= est.error_bound
+
+
+# positive_bump at x = 0, t = 8: one-kernel subordination misses the oracle by
+# 1.71x its bound at (d = 1, m = 3) and by 1.27x at (d = 2, m = 5)
+_LARGE_T = [(1, 3.0), (2, 5.0)]
+
+
+@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND line on qtm_subordinated at "
+                   "large t, ROADMAP item 1: the rule-order term |hi - lo| understates "
+                   "the Gauss-Hermite error at t = 8")
+@pytest.mark.parametrize("d,m", _LARGE_T)
+def test_subordination_within_bound_of_mpmath_at_large_t(d, m):
+    (est,) = qtm_subordinated(standard_library(d)["positive_bump"],
+                              [TKernel(d, m, 8.0, (0.0,) * d)])
+    oracle = extension_bump_mp(1.0, [0.3] * d, d, m, 8.0, [0.0] * d)
+    assert abs(est.value - oracle) <= est.error_bound
+
+
+@pytest.mark.parametrize("d,m", _LARGE_T)
+def test_quadrature_within_bound_of_mpmath_at_large_t(d, m):
+    # path 1 holds at the kernels where subordination does not
+    est = qtm_quadrature(standard_library(d)["positive_bump"], TKernel(d, m, 8.0, (0.0,) * d))
+    oracle = extension_bump_mp(1.0, [0.3] * d, d, m, 8.0, [0.0] * d)
+    assert abs(est.value - oracle) <= est.error_bound
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -257,7 +290,7 @@ def test_qtm_field_rejects_boundary():
 
 def test_harmonicity_bump():
     f = positive_bump(1.0, [0.3] * 2, 2)
-    res = harmonicity_residual(f, TKernel(2, 6.0, 1.0, (0.0, 0.0)))
+    ((_, res),) = harmonicity_residual(f, [TKernel(2, 6.0, 1.0, (0.0, 0.0))])
     assert abs(res.value) < 1e-4
 
 
@@ -297,11 +330,12 @@ def _reference_residual(f, p, cfg):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("name", ["positive_bump", "gaussian_bump"])
 def test_harmonicity_matches_reference_stencil(name, d, t):
+    # a two-m group at one t: each kernel's residual takes its own c_1 = (1-m)/(2ht)
     f = standard_library(d)[name]
-    p = TKernel(d, 6.0, t, (0.1,) * d)
-    ref, budget = _reference_residual(f, p, QuadratureConfig(1e-12, 1e-12))
-    est = harmonicity_residual(f, p)
-    assert abs(est.value - ref) <= budget + est.error_bound
+    kernels = [TKernel(d, m, t, (0.1,) * d) for m in (6.0, 9.0)]
+    for p, (_, est) in zip(kernels, harmonicity_residual(f, kernels)):
+        ref, budget = _reference_residual(f, p, QuadratureConfig(1e-12, 1e-12))
+        assert abs(est.value - ref) <= budget + est.error_bound
 
 
 @pytest.mark.parametrize("t", [0.05, 0.7, 1.0, 2.0])
@@ -309,32 +343,91 @@ def test_harmonicity_matches_reference_stencil(name, d, t):
 @pytest.mark.parametrize("name", ["one", "quadratic"])
 def test_harmonicity_exact_on_polynomial_extensions(name, d, t):
     # Q_t 1 = 1 and Q_t |y|^2 = |x|^2 + t^2 d/(m-2): the stencil is exact on both
-    est = harmonicity_residual(standard_library(d)[name], TKernel(d, 6.0, t, (0.1,) * d))
+    ((_, est),) = harmonicity_residual(standard_library(d)[name],
+                                       [TKernel(d, 6.0, t, (0.1,) * d)])
     assert abs(est.value) <= est.error_bound
 
 
-def test_harmonicity_is_one_integral(monkeypatch):
-    calls = []
-    integrate = Measure.integrate
-
-    def counted(self, *args, **kwargs):
-        calls.append(self)
-        return integrate(self, *args, **kwargs)
-
+def _forbid_qtm_quadrature(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("harmonicity_residual called qtm_quadrature")
 
-    monkeypatch.setattr(Measure, "integrate", counted)
     monkeypatch.setattr(qtm, "qtm_quadrature", forbidden)
-    est = harmonicity_residual(standard_library(2)["positive_bump"],
-                               TKernel(2, 6.0, 0.7, (0.1, 0.1)))
-    assert len(calls) == 1 and isinstance(est, Estimate)
+
+
+def _count_passes(monkeypatch):
+    """Spy on ``integrate_rd`` as the measures module calls it: the number of
+    components of each pass."""
+    passes = []
+    integrate = measures.integrate_rd
+
+    def counted(*args, **kwargs):
+        est = integrate(*args, **kwargs)
+        passes.append(len(est.value))
+        return est
+
+    monkeypatch.setattr(measures, "integrate_rd", counted)
+    return passes
+
+
+def test_harmonicity_is_one_integral(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    _forbid_qtm_quadrature(monkeypatch)
+    ((value, res),) = harmonicity_residual(standard_library(2)["positive_bump"],
+                                           [TKernel(2, 6.0, 0.7, (0.1, 0.1))])
+    assert passes == [2] and isinstance(value, Estimate) and isinstance(res, Estimate)
+
+
+def test_harmonicity_takes_one_pass_per_t(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    _forbid_qtm_quadrature(monkeypatch)
+    kernels = [TKernel(1, m, t, (0.0,)) for m in (6.0, 9.0) for t in (0.5, 1.0, 2.0)]
+    pairs = harmonicity_residual(standard_library(1)["positive_bump"], kernels)
+    # two kernels per t, each a value and a residual component
+    assert passes == [4, 4, 4] and len(pairs) == len(kernels)
+
+
+@pytest.mark.parametrize("ms", [(6.0,), (6.0, 9.0)], ids=["one-kernel", "two-kernels"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_harmonicity_evaluates_each_stencil_point_once_per_panel(monkeypatch, d, ms):
+    batch = 15 * len(angular_rule(d, ANGULAR_ORDER)[1])   # the points of one panel
+    calls = {"f": 0, "panel": 0}
+    value, panel = DifferentiableField.value, numerics._gk_panel
+
+    def counted_value(self, points):
+        calls["f"] += len(np.atleast_2d(points)) == batch
+        return value(self, points)
+
+    def counted_panel(*args):
+        calls["panel"] += 1
+        return panel(*args)
+
+    monkeypatch.setattr(DifferentiableField, "value", counted_value)
+    monkeypatch.setattr(numerics, "_gk_panel", counted_panel)
+    _forbid_qtm_quadrature(monkeypatch)
+    kernels = [TKernel(d, m, 0.7, (0.1,) * d) for m in ms]
+    pairs = harmonicity_residual(standard_library(d)["positive_bump"], kernels)
+    assert len(pairs) == len(ms) and calls["panel"] > 0
+    assert calls["f"] == (2 * d + 5) * calls["panel"]
+    assert all(e.n_evals == (2 * d + 5) * batch * calls["panel"] for pair in pairs for e in pair)
+
+
+def test_harmonicity_needs_one_d_and_one_x():
+    f = standard_library(1)["positive_bump"]
+    with pytest.raises(DomainError):
+        harmonicity_residual(f, [])
+    with pytest.raises(DomainError):
+        harmonicity_residual(f, [TKernel(1, 6.0, 1.0, (0.0,)),
+                                 TKernel(2, 6.0, 1.0, (0.0, 0.0))])
+    with pytest.raises(DomainError):
+        harmonicity_residual(f, [TKernel(1, 6.0, 1.0, (0.0,)), TKernel(1, 9.0, 1.0, (0.1,))])
 
 
 @pytest.mark.parametrize("t", [0.0, 0.005, 0.01])
 def test_harmonicity_stencil_must_stay_above_boundary(t):
     with pytest.raises(DomainError):
-        harmonicity_residual(standard_library(1)["positive_bump"], TKernel(1, 6.0, t, (0.0,)))
+        harmonicity_residual(standard_library(1)["positive_bump"],
+                             [TKernel(1, 6.0, 1.0, (0.0,)), TKernel(1, 6.0, t, (0.0,))])
 
 
 def _heat_value_per_s(f, x, s_values, d, order):
