@@ -199,13 +199,17 @@ def _suite_qtm(cfg: SuiteConfig):
         # every m, and one subordination pass serves every (m, t) kernel of this d
         harmonic = harmonicity_residual(f, kernels)
         subordinated = qtm_subordinated(f, kernels)
-        for (mm, tt), kernel, s, (q, res) in zip(grid, kernels, subordinated, harmonic):
+        # the kernels of one m (one run of len(t) in the grid) differ only in
+        # t, so they share their draws
+        mc_cfg, nt = MonteCarloConfig(100_000, cfg.seed), len(cfg.t)
+        mcs = [est for i in range(0, len(kernels), nt)
+               for est in qtm_mc(f, kernels[i:i + nt], mc_cfg)]
+        for (mm, tt), s, (q, res), mc in zip(grid, subordinated, harmonic, mcs):
             gap = abs(q.value - s.value)
             budget = q.error_bound + s.error_bound
             yield _record("qtm-crosspath",
                           {"d": dd, "m": mm, "t": tt, "field": "positive_bump"},
                           gap, 0.0, budget, 0.0, "pass" if gap <= budget else "fail")
-            mc = qtm_mc(f, kernel, MonteCarloConfig(100_000, cfg.seed))
             z = abs(mc.value - q.value) / max(mc.error_bound, 1e-300)
             yield _record("qtm-mc", {"d": dd, "m": mm, "t": tt, "sigma": z},
                           abs(mc.value - q.value), mc.error_bound,

@@ -197,7 +197,11 @@ class TKernel:
         """n exact draws x + t Z / sqrt(2 G), G ~ Gamma(m/2): Z first, then G."""
         z = rng.standard_normal((n, self.d))
         g = rng.standard_gamma(self.m / 2.0, n)
-        return self.center + self.t * z / np.sqrt(2.0 * g)[:, None]
+        # t z / sqrt(2 G) + x in the (d, n) row layout, where adding x is fast
+        rows = np.multiply(z.T, self.t, out=np.empty((self.d, n)))
+        rows /= np.sqrt(2.0 * g)
+        rows += self.center[:, None]
+        return rows.T
 
     def draw_coupled(self, rng, n: int):
         """n coupled pairs (S, x + sqrt(2 S) Z): S from ``HittingTimeLaw(m, t)``

@@ -8,8 +8,12 @@ return an (n, k) stack of k components instead of n values: they share every
 abscissa and one subdivision, each meets its own tolerance, and each is
 reduced with the arithmetic of a scalar integrand.  Full-space integrals
 over R^d (d <= 3) against a radial density are reduced to a radial integral
-of an angular product rule of order ``ANGULAR_ORDER``; the density is a
-weight applied once per radius, not once per point.  Monte Carlo draws use
+of an angular rule whose order each radial panel chooses from 8 to 128: a
+pair of orders N and N/2 (nested trapezoid rules on the circle, and on S^2
+their product with Gauss-Legendre rules in cos(theta)) estimates the angular
+error, the order doubles while that estimate exceeds the panel's share of
+the budget, and the estimate joins the bound.  The density is a weight
+applied once per radius, not once per point.  Monte Carlo draws use
 numpy substreams spawned from a single seed so parallel draws stay
 reproducible; ``pooled`` and ``mc_estimate`` are the only loops over them.
 """
@@ -19,6 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -49,8 +54,6 @@ _GK_X = _GK15[:, 0]
 _GK_WG = _GK15[:, 1]
 _GK_WK = _GK15[:, 2]
 
-# Nodes per circle of the angular product rule (see ``angular_rule``).
-ANGULAR_ORDER = 48
 MIN_PANELS = 4  # equal panels that ``integrate_interval`` starts from
 
 
@@ -104,6 +107,19 @@ class Estimate:
             raise DomainError("error_bound must be nonnegative")
 
 
+def _gk_reduce(y, h: float):
+    """The G7/K15 value and error estimate of each row of ``y`` (one row of
+    15 values per component, on a panel of half-width ``h``), as lists."""
+    vals, errs = [], []
+    for col in y:
+        g7 = h * float(np.dot(_GK_WG, col))
+        k15 = h * float(np.dot(_GK_WK, col))
+        err = (200.0 * abs(g7 - k15)) ** 1.5
+        vals.append(k15)
+        errs.append(min(err, abs(g7 - k15) * 200.0 + _EPS))
+    return vals, errs
+
+
 def _gk_panel(f, a, b):
     """One G7/K15 evaluation of ``f`` (vectorized) on [a, b]: the value and
     the error estimate of each component of ``f`` (one for a 1-D ``f``), as
@@ -113,15 +129,39 @@ def _gk_panel(f, a, b):
     y = np.asarray(f(x), dtype=float)
     if not np.isfinite(y).all():
         raise DomainError("integrand returned non-finite values")
-    h = float(h)   # the same value; float arithmetic is cheaper than numpy scalars
-    vals, errs = [], []
-    for col in np.ascontiguousarray(y.reshape(len(x), -1).T):
-        g7 = h * float(np.dot(_GK_WG, col))
-        k15 = h * float(np.dot(_GK_WK, col))
-        err = (200.0 * abs(g7 - k15)) ** 1.5
-        vals.append(k15)
-        errs.append(min(err, abs(g7 - k15) * 200.0 + _EPS))
+    # float(h) is the same value; float arithmetic is cheaper than numpy scalars
+    vals, errs = _gk_reduce(np.ascontiguousarray(y.reshape(len(x), -1).T), float(h))
     return vals, errs, y.ndim == 2
+
+
+class _Panel:
+    """One panel [lo, hi] of ``integrate_interval``: each component's value
+    and G7/K15 error estimate (``vals``, ``errs``) and, for an integrand with
+    an inner rule, that rule's error term (``terms``)."""
+    terms = None
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+
+
+class _PanelRule:
+    """How ``integrate_interval`` builds its panels: here G7/K15 on a
+    vectorized ``f``, one call of ``f`` per panel, with no inner rule."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def panels(self, spans):
+        """One panel per ``(lo, hi, parent)`` of ``spans``, in order."""
+        out = []
+        for lo, hi, _ in spans:
+            p = _Panel(lo, hi)
+            p.vals, p.errs, p.stacked = _gk_panel(self.f, lo, hi)
+            out.append(p)
+        return out
+
+    def refine(self, panels, share) -> bool:
+        return False
 
 
 def integrate_interval(f, a, b, config: QuadratureConfig) -> Estimate:
@@ -133,44 +173,66 @@ def integrate_interval(f, a, b, config: QuadratureConfig) -> Estimate:
     component's budget, and the pass ends when every component meets its own
     max(abs_tol, rel_tol |value|).  A stack gives one ``Estimate`` whose
     value and bound are (k,) arrays; ``n_evals`` counts abscissae either way.
+
+    ``f`` may instead be a ``_PanelRule`` that builds the panels itself, as
+    ``integrate_rd``'s angular rule does: each of its panels also holds
+    ``terms``, per component the error of an inner rule whose order the
+    panel chooses, integrated over the panel.  ``refine(panels, share)``
+    raises the order of every panel where some component's term exceeds its
+    share of that component's budget, in proportion to the panel's width,
+    and says whether it raised any.  Splitting stays driven by the G7/K15
+    estimate alone, since halving a panel halves both its term and its
+    share; each component's bound adds its terms.
     """
+    rule = f if isinstance(f, _PanelRule) else _PanelRule(f)
     edges = np.linspace(a, b, MIN_PANELS + 1)
-    intervals = []
-    n_evals = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err, stacked = _gk_panel(f, lo, hi)
-        intervals.append((lo, hi, val, err))
-        n_evals += 15
+    panels = rule.panels([(lo, hi, None) for lo, hi in zip(edges[:-1], edges[1:])])
+    n_evals = 15 * len(panels)
     while True:
-        total = [math.fsum(c) for c in zip(*(iv[2] for iv in intervals))]
-        err = [math.fsum(c) for c in zip(*(iv[3] for iv in intervals))]
+        total = [math.fsum(c) for c in zip(*(p.vals for p in panels))]
         tol = [max(config.abs_tol, config.rel_tol * abs(v)) for v in total]
+        if rule.refine(panels, [t / (b - a) for t in tol]):
+            continue
+        err = [math.fsum(c) for c in zip(*(p.errs for p in panels))]
         converged = [e <= t for e, t in zip(err, tol)]
         if all(converged):
-            if stacked:
+            if panels[0].terms is not None:
+                err = [e + math.fsum(c) for e, c in zip(err, zip(*(p.terms for p in panels)))]
+            if panels[0].stacked:
                 return Estimate(np.array(total), np.array(err), n_evals)
             return Estimate(total[0], err[0], n_evals)
         if n_evals + 30 > config.max_evals:
             j = max(range(len(err)), key=lambda j: err[j] / tol[j])
             raise NonConvergence(
                 f"quadrature error {err[j]:.3e} > tol {tol[j]:.3e} after {n_evals} evals")
-        # split every interval carrying more than its share of the budget of
-        # a component that has not converged
-        n = len(intervals)
+        # split every panel carrying more than its share of the budget of a
+        # component that has not converged
+        n = len(panels)
         cut = [math.inf if c else max(t / (2 * n), e / (4 * n))
                for c, e, t in zip(converged, err, tol)]
-        fresh = []
-        for lo, hi, val, e in intervals:
-            if any(map(operator.gt, e, cut)) and n_evals + 30 <= config.max_evals:
-                mid = 0.5 * (lo + hi)
-                v1, e1, _ = _gk_panel(f, lo, mid)
-                v2, e2, _ = _gk_panel(f, mid, hi)
+        kept, spans = [], []
+        for p in panels:
+            if any(map(operator.gt, p.errs, cut)) and n_evals + 30 <= config.max_evals:
+                mid = 0.5 * (p.lo + p.hi)
+                spans += [(p.lo, mid, p), (mid, p.hi, p)]
+                kept += [None, None]
                 n_evals += 30
-                fresh.append((lo, mid, v1, e1))
-                fresh.append((mid, hi, v2, e2))
             else:
-                fresh.append((lo, hi, val, e))
-        intervals = fresh
+                kept.append(p)
+        halves = iter(rule.panels(spans))
+        panels = [p or next(halves) for p in kept]
+
+
+def _radial_map(s):
+    """r = s/(1-s), which maps [0, 1) onto [0, infinity), and dr/ds."""
+    return s / (1.0 - s), 1.0 / (1.0 - s) ** 2
+
+
+def _radial_end(cutoff: float) -> float:
+    """The s of r = ``cutoff``."""
+    if not 0.0 < cutoff < math.inf:
+        raise DomainError(f"cutoff must be positive and finite, got {cutoff}")
+    return cutoff / (1.0 + cutoff)
 
 
 def integrate_radial(integrand, config: QuadratureConfig, cutoff: float) -> Estimate:
@@ -181,24 +243,24 @@ def integrate_radial(integrand, config: QuadratureConfig, cutoff: float) -> Esti
     cutoff and accounts for the tail beyond it.  ``integrand`` may return an
     (n, k) stack, as in ``integrate_interval``.
     """
-    if not 0.0 < cutoff < math.inf:
-        raise DomainError(f"cutoff must be positive and finite, got {cutoff}")
-    s_max = cutoff / (1.0 + cutoff)
-
     def mapped(s):
-        s = np.asarray(s, dtype=float)
-        r = s / (1.0 - s)
-        jac = 1.0 / (1.0 - s) ** 2
+        r, jac = _radial_map(np.asarray(s, dtype=float))
         vals = np.asarray(integrand(r), dtype=float)
         return vals * (jac[:, None] if vals.ndim == 2 else jac)
 
-    return integrate_interval(mapped, 0.0, s_max, config)
+    return integrate_interval(mapped, 0.0, _radial_end(cutoff), config)
 
 
 @lru_cache(maxsize=None)
 def angular_rule(d: int, order: int):
     """Nodes on S^{d-1} (shape (n, d)) and weights summing to its surface area.
 
+    Order N is the trapezoid rule of N angles at d = 2, and at d = 3 the
+    product of the N/2-node Gauss-Legendre rule in cos(theta) with the
+    N-angle trapezoid rule in the azimuth, N^2/2 nodes, polar-major.  The
+    trapezoid rule of N/2 angles is every other node of N's, and both
+    converge exponentially for analytic integrands (Trefethen & Weideman,
+    SIAM Rev. 56(3), 2014).  At d = 1 the two points of S^0 are exact.
     Built once per (d, order) and shared by every caller, so both arrays are
     read-only.
     """
@@ -209,24 +271,132 @@ def angular_rule(d: int, order: int):
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         w = np.full(order, 2.0 * np.pi / order)
     elif d == 3:
-        n_pol = max(order // 2, 4)
-        n_az = max(order, 8)
-        c, wc = leggauss(n_pol)
-        phi = 2.0 * np.pi * np.arange(n_az) / n_az
+        c, wc = leggauss(order // 2)
+        phi = 2.0 * np.pi * np.arange(order) / order
         s = np.sqrt(1.0 - c ** 2)
-        nodes = np.empty((n_pol * n_az, 3))
-        w = np.empty(n_pol * n_az)
-        k = 0
-        for i in range(n_pol):
-            for j in range(n_az):
-                nodes[k] = (s[i] * np.cos(phi[j]), s[i] * np.sin(phi[j]), c[i])
-                w[k] = wc[i] * 2.0 * np.pi / n_az
-                k += 1
+        nodes = np.stack([np.outer(s, np.cos(phi)), np.outer(s, np.sin(phi)),
+                          np.repeat(c[:, None], order, axis=1)], axis=-1).reshape(-1, 3)
+        w = np.outer(wc, np.full(order, 2.0 * np.pi / order)).reshape(-1)
     else:
         raise DomainError(f"deterministic cubature supports d <= 3, got d={d}")
     nodes.setflags(write=False)
     w.setflags(write=False)
     return nodes, w
+
+
+_FIRST_ORDER, _LAST_ORDER = 8, 128   # the angular orders are 8, 16, 32, 64, 128
+_CALL_POINTS = 1 << 14   # the most points of one call of g, unless one panel needs more
+
+
+class _Pair(NamedTuple):
+    fresh: np.ndarray     # the nodes a new panel evaluates
+    half: np.ndarray      # where the half rule's nodes sit among them
+    lacking: np.ndarray   # the nodes a panel raised from half the order lacks
+    w: np.ndarray         # the weights of the rule and of the half rule
+    half_w: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _pair(d: int, order: int) -> _Pair:
+    """The angular rule of ``order`` and the rule of half that order, as
+    ``integrate_rd`` evaluates them.  At d = 1 both are S^0's exact rule, so
+    their difference is 0."""
+    nodes, w = angular_rule(d, order)
+    half_nodes, half_w = angular_rule(d, order // 2)
+    n = len(w)
+    if d == 3:     # the Gauss-Legendre nodes of the two rules differ
+        return _Pair(np.concatenate([nodes, half_nodes]), np.arange(n, n + len(half_w)),
+                     nodes, w, half_w)
+    # at d = 2 the half rule is every other node; at d = 1 it is the rule itself
+    return _Pair(nodes, np.arange(0, n, 2) if d == 2 else np.arange(n), nodes[1::2], w, half_w)
+
+
+class _AngularRule(_PanelRule):
+    """The panels of ``integrate_rd``'s radial integral in s, r = s/(1-s).
+
+    On its 15 radii a panel holds Q_N, the angular sum of g of order N.  Each
+    component's value is the G7/K15 integral of
+    r^{d-1} exp(log_density(r^2)) Q_N(r) dr/ds, and its term the Kronrod
+    integral of r^{d-1} exp(log_density(r^2)) |Q_N(r) - Q_{N/2}(r)| dr/ds.
+    A new panel starts at its parent's order, or at 8, and evaluates both
+    rules of its pair; ``refine`` doubles N, up to 128, evaluating only the
+    nodes the panel lacks, and the Q_N it held becomes the half rule's.  The
+    panels built or raised together share one call of g (up to
+    ``_CALL_POINTS`` points); ``points`` counts the points at which g was
+    evaluated.
+    """
+
+    def __init__(self, g, log_density, d: int):
+        self.g, self.log_density, self.d, self.points = g, log_density, d, 0
+
+    def panels(self, spans):
+        out = []
+        for lo, hi, _ in spans:
+            p = _Panel(lo, hi)
+            h = 0.5 * (hi - lo)
+            p.h, p.q = float(h), None
+            p.r, p.jac = _radial_map(lo + (_GK_X + 1.0) * h)
+            p.density = np.atleast_2d(p.r ** (self.d - 1)
+                                      * np.exp(self.log_density(p.r * p.r)).T)
+            out.append(p)
+        self._raise(out, [parent.order if parent else _FIRST_ORDER for *_, parent in spans])
+        return out
+
+    def refine(self, panels, share) -> bool:
+        low = [p for p in panels if p.order < _LAST_ORDER
+               and any(t > s * (p.hi - p.lo) for t, s in zip(p.terms, share))]
+        if low:
+            self._raise(low, [2 * p.order for p in low])
+        return bool(low)
+
+    def _raise(self, panels, orders):
+        """Bring each new panel, or each panel that holds Q of half the
+        order, to its order."""
+        pairs = [_pair(self.d, order) for order in orders]
+        jobs = [(p, pair.fresh if p.q is None else pair.lacking)
+                for p, pair in zip(panels, pairs)]
+        for p, order, pair, vals in zip(panels, orders, pairs, self._call(jobs)):
+            if p.q is None:
+                q = np.ascontiguousarray(vals[..., :len(pair.w)]) @ pair.w   # (k, radii)
+                half = vals[..., pair.half] @ pair.half_w
+            elif self.d == 2:   # the new angles bisect the held ones
+                q, half = 0.5 * (p.q + vals @ pair.half_w), p.q
+            else:
+                q, half = vals @ pair.w, p.q
+            p.order, p.q, p.stacked = order, q, self.stacked
+            y = p.density * q * p.jac
+            if not np.isfinite(y).all():
+                raise DomainError("integrand returned non-finite values")
+            p.vals, p.errs = _gk_reduce(y, p.h)
+            gap = p.density * np.abs(q - half) * p.jac
+            p.terms = [p.h * float(np.dot(_GK_WK, col)) for col in gap]
+
+    def _call(self, jobs):
+        """g at r_i nodes_j for each ``(panel, nodes)`` job, r its panel's
+        radii, as one (k, radii, nodes) array per job; consecutive jobs share a
+        call of g while it stays within ``_CALL_POINTS`` points."""
+        out, start = [], 0
+        while start < len(jobs):
+            stop, size = start + 1, 15 * len(jobs[start][1])
+            while stop < len(jobs) and size + 15 * len(jobs[stop][1]) <= _CALL_POINTS:
+                size += 15 * len(jobs[stop][1])
+                stop += 1
+            batch, pts, row = jobs[start:stop], np.empty((size, self.d)), 0
+            for p, nodes in batch:
+                block = pts[row:row + 15 * len(nodes)].reshape(15, len(nodes), self.d)
+                np.multiply(p.r[:, None, None], nodes[None, :, :], out=block)
+                row += 15 * len(nodes)
+            vals = np.asarray(self.g(pts), dtype=float)
+            if not np.isfinite(vals).all():
+                raise DomainError("integrand returned non-finite values")
+            self.points += len(pts)
+            self.stacked = vals.ndim == 2
+            vals = vals.reshape(len(pts), -1)
+            for p, nodes in batch:
+                block, vals = vals[:15 * len(nodes)], vals[15 * len(nodes):]
+                out.append(block.reshape(15, len(nodes), -1).transpose(2, 0, 1))
+            start = stop
+        return out
 
 
 def integrate_rd(g, log_density, d: int, config: QuadratureConfig,
@@ -235,29 +405,31 @@ def integrate_rd(g, log_density, d: int, config: QuadratureConfig,
 
     ``g`` must accept an (n, d) array of points, ``log_density`` an array of
     squared radii.  Reduction: radial adaptive quadrature of
-    r^{d-1} exp(log_density(r^2)) sum_j w_j g(r w_j), so the density is
-    evaluated once per radius, never per point; as in ``integrate_radial``,
-    the tail beyond the cutoff is the caller's.  ``g`` may return an (n, k)
-    stack, integrated on one shared subdivision as in ``integrate_interval``;
-    then ``log_density`` returns either one column for every component or
-    one per component, (n_r, k), and each component is reduced with the
-    arithmetic of a 1-D ``g``.  ``n_evals`` counts points either way.
+    r^{d-1} exp(log_density(r^2)) Q_N(r), Q_N(r) = sum_j w_j g(r w_j) the
+    angular rule of order N (``angular_rule``), so the density is evaluated
+    once per radius, never per point; as in ``integrate_radial``, the tail
+    beyond the cutoff is the caller's.
+
+    The order is chosen per radial panel from 8, 16, 32, 64 and 128.  A
+    panel's angular term, per component, is the radial integral over the
+    panel of the density times |Q_N - Q_{N/2}|; the order doubles while some
+    component's term exceeds the panel's share of its budget (see
+    ``integrate_interval``).  The rule of order N/2 costs no extra points at
+    d = 2 (its nodes are among N's); at d = 3 a new panel also evaluates it
+    (a quarter more points), and a raised panel reuses the Q it held.  A
+    panel that still misses its share at order 128 keeps Q_128.  Each
+    component's bound is the G7/K15 estimate plus its angular terms, so it
+    holds whether or not a panel met its share.
+
+    ``g`` may return an (n, k) stack, integrated on one shared subdivision as
+    in ``integrate_interval``; then ``log_density`` returns either one column
+    for every component or one per component, (n_r, k), and each component
+    is reduced with the arithmetic of a 1-D ``g``.  ``n_evals`` counts the
+    points at which g was evaluated.
     """
-    nodes, w = angular_rule(d, ANGULAR_ORDER)
-
-    def radial(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        pts = r[:, None, None] * nodes[None, :, :]
-        vals = np.asarray(g(pts.reshape(-1, d)), dtype=float)
-        weight = r ** (d - 1) * np.exp(log_density(r * r)).T   # (n_r,) or (k, n_r)
-        if vals.ndim == 1:
-            return weight * (vals.reshape(len(r), -1) @ w)
-        # one contiguous (radius, node) block per component, reduced as a 1-D g
-        cols = np.ascontiguousarray(np.moveaxis(vals.reshape(len(r), len(w), -1), -1, 0))
-        return (weight * (cols @ w)).T
-
-    est = integrate_radial(radial, config, cutoff)
-    return Estimate(est.value, est.error_bound, est.n_evals * len(w))
+    rule = _AngularRule(g, log_density, d)
+    est = integrate_interval(rule, 0.0, _radial_end(cutoff), config)
+    return Estimate(est.value, est.error_bound, rule.points)
 
 
 def spawn_rngs(seed: int, n_streams: int):
@@ -303,16 +475,25 @@ def pooled(draw, cfg: MonteCarloConfig):
 
 
 def mc_estimate(sample_fn, cfg: MonteCarloConfig) -> Estimate:
-    """Monte Carlo mean of ``sample_fn(rng, n) -> array`` over all substreams."""
-    sums, sq_sums, n_tot = [], [], 0
+    """Monte Carlo mean of ``sample_fn(rng, n) -> array`` over all substreams.
+
+    An (n, k) array gives the k means of the same draws in one ``Estimate``
+    of (k,) arrays, each column reduced with the arithmetic of a 1-D array.
+    """
+    sums, sq_sums, n_tot, stacked = [], [], 0, False
     for rng, n in substreams(cfg):
         x = np.asarray(sample_fn(rng, n), dtype=float)
-        sums.append(float(np.sum(x)))
-        sq_sums.append(float(np.sum(x * x)))
+        stacked = x.ndim == 2
+        cols = np.ascontiguousarray(x.reshape(n, -1).T)
+        sums.append([float(np.sum(c)) for c in cols])
+        sq_sums.append([float(np.sum(c * c)) for c in cols])
         n_tot += n
-    total = pairwise_sum(sums)
-    total_sq = pairwise_sum(sq_sums)
-    mean = total / n_tot
-    var = max(total_sq / n_tot - mean * mean, 0.0)
-    stderr = math.sqrt(var / n_tot)
-    return Estimate(mean, stderr, n_tot, kind="monte-carlo")
+    means, errs = [], []
+    for total, total_sq in zip(map(pairwise_sum, zip(*sums)), map(pairwise_sum, zip(*sq_sums))):
+        mean = total / n_tot
+        var = max(total_sq / n_tot - mean * mean, 0.0)
+        means.append(mean)
+        errs.append(math.sqrt(var / n_tot))
+    if stacked:
+        return Estimate(np.array(means), np.array(errs), n_tot, kind="monte-carlo")
+    return Estimate(means[0], errs[0], n_tot, kind="monte-carlo")

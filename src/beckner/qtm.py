@@ -77,9 +77,11 @@ def _heat_value(f, x, s_values, d, order):
     """
     nodes, weights = _heat_rule(d, order)
     scale = 2.0 * np.sqrt(np.asarray(s_values, dtype=float))
-    pts = np.multiply(scale[:, None, None], nodes)
-    pts += x
-    vals = f.value(pts.reshape(-1, d)).reshape(len(scale), -1)
+    # one contiguous row per coordinate, as in ``harmonicity_residual``
+    pts = np.multiply(scale[None, :, None], nodes.T[:, None, :],
+                      out=np.empty((d, len(scale), len(nodes))))
+    pts += np.reshape(x, (d, 1, 1))
+    vals = f.value(pts.reshape(d, -1).T).reshape(len(scale), -1)
     return vals @ weights
 
 
@@ -141,11 +143,37 @@ def qtm_subordinated(f: DifferentiableField, kernels,
     return out
 
 
-def qtm_mc(f: DifferentiableField, k: TKernel,
-           cfg: MonteCarloConfig | None = None) -> Estimate:
-    """Monte Carlo average of f over exact kernel draws."""
-    cfg = cfg or MonteCarloConfig()
-    return mc_estimate(lambda rng, n: f.value(k.draw(rng, n)), cfg)
+def qtm_mc(f: DifferentiableField, kernels, cfg: MonteCarloConfig | None = None):
+    """Monte Carlo average of f over exact kernel draws, for one ``TKernel``
+    (an ``Estimate``) or a sequence of kernels with one d, m and x (one
+    ``Estimate`` each, in order).
+
+    Kernels that differ only in t share every draw: each substream draws
+    W = Z / sqrt(2 G) once, from the kernel at t = 1 and x = 0, and kernel k
+    averages f(x + t_k W), so the estimates of one call share their noise.
+    """
+    one = isinstance(kernels, TKernel)
+    kernels = [kernels] if one else list(kernels)
+    if not kernels:
+        raise DomainError("qtm_mc needs at least one kernel")
+    d, m, x = kernels[0].d, kernels[0].m, kernels[0].center
+    if any(k.d != d or k.m != m or not np.array_equal(k.center, x) for k in kernels):
+        raise DomainError("kernels of one Monte Carlo pass must share d, m and x")
+    unit = TKernel(d, m, 1.0, (0.0,) * d)
+
+    def sample(rng, n):
+        rows = np.ascontiguousarray(unit.draw(rng, n).T)   # W, one row per coordinate
+        pts, out = np.empty_like(rows), np.empty((n, len(kernels)))
+        for j, k in enumerate(kernels):
+            np.multiply(rows, k.t, out=pts)
+            pts += x[:, None]
+            out[:, j] = f.value(pts.T)
+        return out
+
+    est = mc_estimate(sample, cfg or MonteCarloConfig())
+    out = [Estimate(float(v), float(e), est.n_evals, est.kind)
+           for v, e in zip(est.value, est.error_bound)]
+    return out[0] if one else out
 
 
 class QtmField:

@@ -3,6 +3,8 @@
 They share no code with the library: finite differences, and integrals by
 mpmath at 30 digits.
 """
+import math
+
 import mpmath as mp
 import numpy as np
 
@@ -95,3 +97,28 @@ def extension_bump_mp(a, c, d: int, m, t, x) -> float:
                     * u ** (k - 1) * mp.exp(-u))
 
         return float(1 + mp.quad(integrand, [0, 1, 4, 16, mp.inf]) / mp.gamma(k))
+
+
+def trig_cauchy_mp(d: int, b, cutoff) -> float:
+    """The integral of cos(y_1 + ... + y_d) against ``CauchyMeasure(d, b)``
+    over the ball of radius ``cutoff``, by mpmath at 20 digits.  The wave's
+    mean over the sphere of radius r is in closed form, 2 pi J_0(sqrt(2) r) on
+    S^1 and 4 pi sin(sqrt(3) r)/(sqrt(3) r) on S^2, and is integrated against
+    r^{d-1} (1 + r^2)^{-b} / c(2b - d, d), c(m, d) = pi^{d/2} Gamma(m/2) /
+    Gamma((m + d)/2), on unit intervals, each shorter than a period."""
+    if d not in (2, 3):
+        raise DomainError("the closed-form angular mean covers d = 2 and 3")
+    with mp.workdps(20):
+        b, k = mp.mpf(b), mp.sqrt(d)
+        norm = mp.pi ** (mp.mpf(d) / 2) * mp.gamma(b - mp.mpf(d) / 2) / mp.gamma(b)
+
+        def mean(r):
+            if d == 2:
+                return 2 * mp.pi * mp.besselj(0, k * r)
+            return 4 * mp.pi * mp.sinc(k * r)
+
+        def integrand(r):
+            return r ** (d - 1) * (1 + r * r) ** (-b) * mean(r)
+
+        edges = [mp.mpf(j) for j in range(int(math.floor(cutoff)) + 1)] + [mp.mpf(cutoff)]
+        return float(mp.quad(integrand, edges) / norm)

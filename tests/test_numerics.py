@@ -11,7 +11,7 @@ from beckner.numerics import (Estimate, MonteCarloConfig, QuadratureConfig,
                               angular_rule, integrate_interval,
                               integrate_radial, integrate_rd, mc_estimate,
                               pairwise_sum, pooled, spawn_rngs, substreams)
-from oracles import fd_derivative
+from oracles import fd_derivative, trig_cauchy_mp
 
 
 def test_config_validation():
@@ -149,13 +149,18 @@ def test_stacked_radial_integral():
 
 @pytest.mark.parametrize("d,area", [(1, 2.0), (2, 2 * math.pi), (3, 4 * math.pi)])
 def test_angular_rule_weights(d, area):
-    nodes, w = angular_rule(d, 48)
-    assert abs(w.sum() - area) < 1e-12
-    assert np.allclose(np.linalg.norm(nodes, axis=1), 1.0)
-    # built once per (d, order) and shared, so callers cannot mutate it
-    again = angular_rule(d, 48)
-    assert again[0] is nodes and again[1] is w
-    assert not nodes.flags.writeable and not w.flags.writeable
+    for order in (8, 16, 32, 64, 128):
+        nodes, w = angular_rule(d, order)
+        size = {1: 2, 2: order, 3: order * order // 2}[d]
+        assert nodes.shape == (size, d) and w.shape == (size,)
+        assert abs(w.sum() - area) < 1e-12
+        assert np.allclose(np.linalg.norm(nodes, axis=1), 1.0)
+        # built once per (d, order) and shared, so callers cannot mutate it
+        again = angular_rule(d, order)
+        assert again[0] is nodes and again[1] is w
+        assert not nodes.flags.writeable and not w.flags.writeable
+        if d == 2:   # the rule of half the order is every other node: a pair costs nothing
+            np.testing.assert_array_equal(nodes[::2], angular_rule(2, order // 2)[0])
 
 
 def test_angular_rule_d4_unsupported():
@@ -171,9 +176,10 @@ def test_full_space_gaussian(d):
     assert abs(est.value - math.pi ** (d / 2.0)) < 1e-9
 
 
-def _scalar_rd(g, log_density, d, config, cutoff):
-    """``integrate_rd`` as it was before stacked integrands."""
-    nodes, w = angular_rule(d, numerics.ANGULAR_ORDER)
+def _fixed_rd(g, log_density, d, config, cutoff, order):
+    """``integrate_rd`` at one angular order and without an angular term:
+    the reduction as it was before each panel chose its order."""
+    nodes, w = angular_rule(d, order)
 
     def radial(r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -181,55 +187,120 @@ def _scalar_rd(g, log_density, d, config, cutoff):
         vals = np.asarray(g(pts.reshape(-1, d)), dtype=float).reshape(len(r), -1)
         return (r ** (d - 1) * np.exp(log_density(r * r))) * (vals @ w)
 
-    est = integrate_radial(radial, config, cutoff)
-    return Estimate(est.value, est.error_bound, est.n_evals * len(w))
+    return integrate_radial(radial, config, cutoff)
 
 
 def _bump(pts):
     return 1.0 + np.exp(-np.sum((pts - 0.3) ** 2, axis=1))
 
 
+def _radial_bump(pts):
+    return 1.0 + np.exp(-np.sum(pts * pts, axis=1))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_rd_scalar_and_one_column_stack_keep_the_arithmetic(d):
     nu, cfg = CauchyMeasure(d, d + 2.0), QuadratureConfig()
     cutoff = nu.truncation(cfg.abs_tol, 0.0, 2.0)[0]
-    ref = _scalar_rd(_bump, nu.log_density, d, cfg, cutoff)
-    est = integrate_rd(_bump, nu.log_density, d, cfg, cutoff)
-    assert type(est.value) is float
-    assert (est.value, est.error_bound, est.n_evals) == (ref.value, ref.error_bound,
-                                                          ref.n_evals)
+    # a radial g stays at order 8 on every panel: the value is that rule's,
+    # and the bound adds only the rounding of its pair
+    ref = _fixed_rd(_radial_bump, nu.log_density, d, cfg, cutoff, 8)
+    est = integrate_rd(_radial_bump, nu.log_density, d, cfg, cutoff)
+    assert type(est.value) is float and est.value == ref.value
+    assert ref.error_bound <= est.error_bound <= ref.error_bound + 1e-14
+    # each radius evaluates order 8, and at d = 3 also order 4, whose polar
+    # nodes differ; the reference counts radii
+    assert est.n_evals == ref.n_evals * {1: 2, 2: 8, 3: 32 + 8}[d]
     # an (n, 1) stack is the scalar estimate, with either shape of log-density
+    scalar = integrate_rd(_bump, nu.log_density, d, cfg, cutoff)
+    assert type(scalar.value) is float
     for log_density in (nu.log_density, lambda r2: nu.log_density(r2)[:, None]):
         column = integrate_rd(lambda p: _bump(p)[:, None], log_density, d, cfg, cutoff)
         assert column.value.shape == column.error_bound.shape == (1,)
         assert (column.value[0], column.error_bound[0], column.n_evals) == (
-            ref.value, ref.error_bound, ref.n_evals)
+            scalar.value, scalar.error_bound, scalar.n_evals)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_rd_stack_weights_each_component_by_its_own_density(monkeypatch, d):
-    panels = []
-    panel = numerics._gk_panel
-
-    def counted(*args):
-        panels.append(args)
-        return panel(*args)
-
-    monkeypatch.setattr(numerics, "_gk_panel", counted)
+def test_rd_stack_weights_each_component_by_its_own_density(d):
     nus, cfg = [CauchyMeasure(d, d / 2.0 + 1.5), CauchyMeasure(d, d / 2.0 + 4.0)], QuadratureConfig()
     cutoff = max(nu.truncation(cfg.abs_tol, 0.0, 2.0)[0] for nu in nus)
     parts = [_bump, lambda p: np.cos(p[:, 0])]
-    stack = integrate_rd(lambda p: np.stack([g(p) for g in parts], axis=1),
-                         lambda r2: np.stack([nu.log_density(r2) for nu in nus], axis=1),
+    points = []
+
+    def g(p):
+        points.append(len(p))
+        return np.stack([part(p) for part in parts], axis=1)
+
+    stack = integrate_rd(g, lambda r2: np.stack([nu.log_density(r2) for nu in nus], axis=1),
                          d, cfg, cutoff)
-    # n_evals counts points: 15 radii per panel, each on the whole angular rule
-    assert stack.n_evals == 15 * len(panels) * len(angular_rule(d, numerics.ANGULAR_ORDER)[1])
-    for j, (g, nu) in enumerate(zip(parts, nus)):
-        alone = integrate_rd(g, nu.log_density, d, cfg, cutoff)
+    # n_evals counts the points at which g was evaluated
+    assert stack.n_evals == sum(points)
+    for j, (part, nu) in enumerate(zip(parts, nus)):
+        alone = integrate_rd(part, nu.log_density, d, cfg, cutoff)
         assert abs(stack.value[j] - alone.value) <= stack.error_bound[j] + alone.error_bound
     # the two densities differ, so each column saw its own weight
     mixed = integrate_rd(parts[0], nus[1].log_density, d, cfg, cutoff)
     assert abs(stack.value[0] - mixed.value) > 1e-3
+
+
+def _points_per_radius(g, log_density, d, cutoff):
+    """The number of points at which ``integrate_rd`` evaluates g on each of
+    its radii, and those radii."""
+    seen = []
+
+    def spy(p):
+        seen.append(np.linalg.norm(p, axis=1))
+        return g(p)
+
+    integrate_rd(spy, log_density, d, QuadratureConfig(), cutoff)
+    return np.unique(np.round(np.concatenate(seen), 8), return_counts=True)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rd_raises_the_angular_order_only_where_g_needs_it(d):
+    nu = CauchyMeasure(d, d / 2.0 + 1.5)
+    # a radial g meets every share at order 8 (and its pair, order 4)
+    radii, counts = _points_per_radius(_radial_bump, nu.log_density, d, 200.0)
+    assert set(counts) == {{2: 8, 3: 32 + 8}[d]}
+    # cos(y_1 + ... + y_d) oscillates faster with the radius: order 128
+    # far out, lower orders near the origin
+    trig = lambda p: np.cos(np.sum(p, axis=1))
+    radii, counts = _points_per_radius(trig, nu.log_density, d, 200.0)
+    top = {2: 128, 3: 128 * 64}[d]
+    assert counts[radii > 10.0].min() >= top
+    assert counts[radii < 0.3].max() < top / 4
+
+
+def test_rd_stack_columns_carry_their_own_angular_terms():
+    # one subdivision and one order per panel, but each column's bound adds
+    # only its own angular terms: the radial column's stay at rounding level
+    nu, cfg = CauchyMeasure(2, 2.0), QuadratureConfig()
+    trig = lambda p: np.cos(np.sum(p, axis=1))
+    stack = integrate_rd(lambda p: np.stack([_radial_bump(p), trig(p)], axis=1),
+                         nu.log_density, 2, cfg, 200.0)
+    radial = integrate_rd(_radial_bump, nu.log_density, 2, cfg, 200.0)
+    wave = integrate_rd(trig, nu.log_density, 2, cfg, 200.0)
+    assert stack.error_bound[0] <= 2 * max(cfg.abs_tol, cfg.rel_tol * abs(stack.value[0]))
+    assert stack.error_bound[1] > 1e4 * stack.error_bound[0]
+    assert abs(stack.value[0] - radial.value) <= stack.error_bound[0] + radial.error_bound
+    assert abs(stack.value[1] - wave.value) <= stack.error_bound[1] + wave.error_bound
+
+
+@pytest.mark.parametrize("d,b,cutoff", [(2, 3.0, 30.0), (3, 2.5, 20.0),
+                                         (2, 2.0, 100.0), (3, 3.0, 100.0)])
+def test_rd_bound_holds_against_the_closed_form_angular_mean(d, b, cutoff):
+    # cos(y_1 + ... + y_d) has a closed-form mean on every sphere
+    cfg = QuadratureConfig()
+    est = integrate_rd(lambda p: np.cos(np.sum(p, axis=1)), CauchyMeasure(d, b).log_density, d,
+                       cfg, cutoff)
+    error = abs(est.value - trig_cauchy_mp(d, b, cutoff))
+    assert error <= est.error_bound
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(est.value))
+    if cutoff < 50.0:   # every panel met its angular share
+        assert est.error_bound <= 2.0 * tol
+    else:   # beyond r = 100/sqrt(d) order 128 misses: only the angular terms cover it
+        assert error > 100.0 * tol
 
 
 def test_fd_derivative_matches_analytic():

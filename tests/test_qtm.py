@@ -9,8 +9,7 @@ from beckner import measures, numerics
 from beckner.fields import (DifferentiableField, constant, gaussian_bump, positive_bump,
                             quadratic, standard_library, trig)
 from beckner.measures import TKernel
-from beckner.numerics import (ANGULAR_ORDER, Estimate, MonteCarloConfig, QuadratureConfig,
-                              angular_rule, pooled)
+from beckner.numerics import Estimate, MonteCarloConfig, QuadratureConfig, pooled
 from beckner import qtm
 from beckner.qtm import (QtmField, biharmonic, harmonicity_residual,
                          moment_identity_gap, qtm_mc, qtm_quadrature,
@@ -390,26 +389,34 @@ def test_harmonicity_takes_one_pass_per_t(monkeypatch):
 @pytest.mark.parametrize("ms", [(6.0,), (6.0, 9.0)], ids=["one-kernel", "two-kernels"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_harmonicity_evaluates_each_stencil_point_once_per_panel(monkeypatch, d, ms):
-    batch = 15 * len(angular_rule(d, ANGULAR_ORDER)[1])   # the points of one panel
-    calls = {"f": 0, "panel": 0}
-    value, panel = DifferentiableField.value, numerics._gk_panel
+    # each call of the pass's integrand evaluates f once per stencil point,
+    # on the whole batch of that call
+    batches, calls, inside = [], [], []
+    value, rd = DifferentiableField.value, measures.integrate_rd
 
     def counted_value(self, points):
-        calls["f"] += len(np.atleast_2d(points)) == batch
+        if inside:
+            calls.append(len(np.atleast_2d(points)))
         return value(self, points)
 
-    def counted_panel(*args):
-        calls["panel"] += 1
-        return panel(*args)
+    def counted_rd(g, *args, **kwargs):
+        def spy(z):
+            batches.append(len(z))
+            inside.append(True)
+            try:
+                return g(z)
+            finally:
+                inside.pop()
+        return rd(spy, *args, **kwargs)
 
     monkeypatch.setattr(DifferentiableField, "value", counted_value)
-    monkeypatch.setattr(numerics, "_gk_panel", counted_panel)
+    monkeypatch.setattr(measures, "integrate_rd", counted_rd)
     _forbid_qtm_quadrature(monkeypatch)
     kernels = [TKernel(d, m, 0.7, (0.1,) * d) for m in ms]
     pairs = harmonicity_residual(standard_library(d)["positive_bump"], kernels)
-    assert len(pairs) == len(ms) and calls["panel"] > 0
-    assert calls["f"] == (2 * d + 5) * calls["panel"]
-    assert all(e.n_evals == (2 * d + 5) * batch * calls["panel"] for pair in pairs for e in pair)
+    assert len(pairs) == len(ms) and batches
+    assert calls == [n for n in batches for _ in range(2 * d + 5)]
+    assert all(e.n_evals == (2 * d + 5) * sum(batches) for pair in pairs for e in pair)
 
 
 def test_harmonicity_needs_one_d_and_one_x():
