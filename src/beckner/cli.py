@@ -67,11 +67,11 @@ CHECKS = {
         "integrated density CDF with a 1%-level KS statistic."),
     "bessel-dynkin": Check("bessel", "Pathwise check: the mean of f at the "
         "simulated exit position equals the extension operator value at the "
-        "start point.  The radial path is Euler-stepped from t0 down to the "
-        "switch level t0/2 and finished exactly there: the time left from "
-        "level y is y^2/(4G), G ~ Gamma(m/2), the law hitting-law-ks tests.  "
-        "The Euler segment above the switch level is the pathwise part under "
-        "test."),
+        "start point.  log Y is stepped exactly in its Lamperti clock to the "
+        "switch level t0/2, with a trapezoid time, then finished: the time "
+        "left from level y is y^2/(4G), G ~ Gamma(m/2), the law "
+        "hitting-law-ks tests.  The clock change and its time quadrature are "
+        "the part under test."),
     "qm-halfspace": Check("gamma2", "For the half-space operator with drift "
         "(1-m)/t the tensor identity (n - D) Ric(L) = X (x) X holds exactly "
         "with n = d - m + 2 and D = d + 1.", 1e-12),
@@ -233,7 +233,7 @@ def _suite_bessel(cfg: SuiteConfig):
                       ks, 0.0, crit, 0.0, "pass" if ks < crit else "fail")
         dd = int(cfg.d[0])
         gap = dynkin_check(standard_library(dd)["positive_bump"],
-                           BesselSimConfig(m=mm, t0=0.5, dt=2e-4),
+                           BesselSimConfig(m=mm, t0=0.5, dt=2e-3),
                            20_000, seed=cfg.seed)
         yield _record("bessel-dynkin", {"m": mm, "d": dd, "t0": 0.5},
                       gap, 0.0, 0.02, 0.0, "pass" if gap < 0.02 else "inconclusive")

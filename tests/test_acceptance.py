@@ -20,7 +20,7 @@ from beckner.inequalities import (PhiEntropySpec, admissibility_check,
                                   phi_entropy_deficit, poincare_cauchy_deficit)
 from beckner.measures import (CauchyMeasure, HittingTimeLaw, TKernel, log_norm_const,
                               second_moment)
-from beckner.bessel import BesselSimConfig, empirical_hitting_times
+from beckner.bessel import BesselSimConfig, simulate_joint_paths
 from beckner.numerics import MonteCarloConfig, QuadratureConfig, pooled
 from beckner.qtm import (QtmField, harmonicity_residual,
                          moment_identity_gap, qtm_mc, qtm_quadrature,
@@ -130,8 +130,9 @@ def test_05_hitting_time_law():
     i = np.arange(1, n + 1)
     ks = float(max(np.max(np.abs(cdf - i / n)), np.max(np.abs(cdf - (i - 1) / n))))
     crit = 1.628 / math.sqrt(n)  # asymptotic 1% critical value
-    times, hit = empirical_hitting_times(BesselSimConfig(m=6.0, t0=1.0, dt=2e-4),
-                                         MonteCarloConfig(6000, seed=4))
+    cfg = BesselSimConfig(m=6.0, t0=1.0, dt=2e-4)
+    times, hit = pooled(lambda rng, k: simulate_joint_paths(cfg, rng, k, 0, ())[1:],
+                        MonteCarloConfig(6000, seed=4))
     finished = times[hit]
     mean = float(np.mean(finished))
     se = float(np.std(finished, ddof=1) / np.sqrt(len(finished)))
@@ -139,7 +140,7 @@ def test_05_hitting_time_law():
     mean_ok = abs(mean - exact) < 3.0 * se + 0.005
     ok = ks < crit and mean_ok
     _line(5, "hitting-time law", ok,
-          f"KS {ks:.4f} (<{crit:.4f} at 1%, n=1e5), Euler+exact-finish mean "
+          f"KS {ks:.4f} (<{crit:.4f} at 1%, n=1e5), clock-step+exact-finish mean "
           f"{mean:.5f} vs exact {exact:.5f} (+-{3 * se + 0.005:.4f})")
 
 

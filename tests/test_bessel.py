@@ -1,12 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
-from beckner.bessel import (BesselSimConfig, dynkin_check,
-                            empirical_hitting_times, simulate_joint_paths)
+from beckner.bessel import BesselSimConfig, dynkin_check, simulate_joint_paths
 from beckner.errors import DomainError, Inconclusive
 from beckner.fields import positive_bump
 from beckner.measures import HittingTimeLaw
-from beckner.numerics import MonteCarloConfig, spawn_rngs
+from beckner.numerics import MonteCarloConfig, pooled, spawn_rngs
+from oracles import extension_bump_mp
+
+
+def pooled_times(cfg, mc):
+    """Hitting times and hit flags of ``simulate_joint_paths`` pooled over the
+    substreams of ``mc``."""
+    return pooled(lambda rng, n: simulate_joint_paths(cfg, rng, n, 0, ())[1:], mc)
 
 
 def test_config_validation():
@@ -29,15 +37,14 @@ def test_paths_absorb_for_large_m():
 
 def test_radial_paths_pinned():
     # the radial stream at a fixed seed, with hits and non-hits; it fixes the
-    # hitting-time samples that empirical_hitting_times pools.  The switch
+    # hitting-time samples that the pooled tests draw.  The switch
     # level sits at 1e-3, so each hit is finished by a tail of ~1e-7
     cfg = BesselSimConfig(m=3.0, t0=0.5, dt=5e-4, max_time=0.1, switch=2e-3)
     _, times, hit = simulate_joint_paths(cfg, spawn_rngs(7, 1)[0], 500, 0, ())
-    assert times[:6].tolist() == [0.04316029370537421, 0.1, 0.1,
-                                  0.04546054806709722, 0.03518986045168622,
-                                  0.00790014909312537]
-    assert hit[:6].tolist() == [True, False, False, True, True, True]
-    assert int(hit.sum()) == 376
+    assert times[:6].tolist() == [0.1, 0.1, 0.1, 0.06161713655113064,
+                                  0.046980173008322496, 0.007189657263415618]
+    assert hit[:6].tolist() == [False, False, False, True, True, True]
+    assert int(hit.sum()) == 372
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -73,21 +80,21 @@ def test_joint_paths_reject_misshapen_start():
 def test_empirical_mean_near_exact():
     # E S = t0^2 / (2(m-2)) = 0.125 for m=6, t0=1
     cfg = BesselSimConfig(m=6.0, t0=1.0, dt=2e-4)
-    times, hit = empirical_hitting_times(cfg, MonteCarloConfig(8000, seed=3))
+    times, hit = pooled_times(cfg, MonteCarloConfig(8000, seed=3))
     mean = times[hit].mean()
     exact = HittingTimeLaw(6.0, 1.0).mean()
     se = times[hit].std(ddof=1) / np.sqrt(hit.sum())
-    # the Euler segment above the switch level is biased; allow bias + noise
+    # the time quadrature above the switch level is biased; allow bias + noise
     assert abs(mean - exact) < 4 * se + 0.01
 
 
 @pytest.mark.parametrize("m,dt", [(8.0, 2e-4), (3.0, 1e-3)])
 def test_finished_times_follow_hitting_law(m, dt):
     stats = pytest.importorskip("scipy.stats")
-    # Euler steps down to the switch level, then the exact Gamma finish; the
-    # pooled times must follow the law of the first zero from t0.  At m = 3
-    # the heavy tail leaves a few paths stepping for tens of time units, so
-    # a coarser dt keeps the test fast
+    # clock steps down to the switch level, then the exact Gamma finish; the
+    # times must follow the law of the first zero from t0.  At m = 3 the tail
+    # of the time is heavy, but that of the clock time to the switch level is
+    # not, so no path steps for long
     cfg = BesselSimConfig(m=m, t0=0.5, dt=dt)
     _, times, _ = simulate_joint_paths(cfg, spawn_rngs(0, 1)[0], 20_000, 0, ())
     law = HittingTimeLaw(m, 0.5)
@@ -120,6 +127,62 @@ def test_dynkin_inconclusive_on_non_hits():
 
 def test_reproducible_streams():
     cfg = BesselSimConfig(m=6.0, t0=1.0, dt=1e-3)
-    a = empirical_hitting_times(cfg, MonteCarloConfig(2000, seed=9))[0]
-    b = empirical_hitting_times(cfg, MonteCarloConfig(2000, seed=9))[0]
+    a = pooled_times(cfg, MonteCarloConfig(2000, seed=9))[0]
+    b = pooled_times(cfg, MonteCarloConfig(2000, seed=9))[0]
     assert np.array_equal(a, b)
+
+
+class CountingRng:
+    """A generator that counts its calls for normal variates and the
+    variates they draw."""
+
+    def __init__(self, rng):
+        self.rng, self.calls, self.normals = rng, 0, 0
+
+    def _count(self, size):
+        self.calls += 1
+        self.normals += math.prod(size)
+
+    def normal(self, loc, scale, size):
+        self._count(size)
+        return self.rng.normal(loc, scale, size)
+
+    def standard_normal(self, size):
+        self._count(size)
+        return self.rng.standard_normal(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_radial_work_is_bounded():
+    # every path draws about log(1/switch)/(m dt) clock steps on average,
+    # plus at most one partial block of 64.  While a block holds fewer than
+    # 64 steps it draws over n_paths / 2 variates, so the calls stay few too;
+    # a loop of one call per step would make one per step of the slowest
+    # path, tens of thousands at m = 3
+    cfg = BesselSimConfig(m=3.0, t0=0.5, dt=2e-4)
+    n_paths = 5000
+    rng = CountingRng(spawn_rngs(0, 1)[0])
+    _, _, hit = simulate_joint_paths(cfg, rng, n_paths, 0, ())
+    assert hit.mean() > 0.999
+    per_path = math.log(1.0 / cfg.switch) / (cfg.m * cfg.dt) + 64
+    assert rng.normals <= 1.25 * n_paths * per_path
+    assert rng.calls <= 2 * per_path
+
+
+@pytest.mark.parametrize("m,n_paths", [(3.0, 100_000), (6.0, 200_000), (8.0, 400_000)])
+def test_time_quadrature_bias_within_noise(m, n_paths):
+    # E P_S f(x) = Q_t f(x); with P_s f in closed form for the bump
+    # 1 + exp(-|y - c|^2), the mean of P_S f(x) over the hits checks the law
+    # of S alone; 4 se is 17 to 180 times tighter than the Dynkin check's
+    # 0.02.  A left-point time sum, whose bias is first order in dt, misses
+    # by 7.6 se at m = 8
+    cfg = BesselSimConfig(m=m, t0=0.5, dt=2e-3)
+    times, hit = pooled_times(cfg, MonteCarloConfig(n_paths, seed=0))
+    c, x = 0.3, 0.0
+    s = times[hit]
+    p = 1.0 + np.exp(-(x - c) ** 2 / (1.0 + 4.0 * s)) / np.sqrt(1.0 + 4.0 * s)
+    se = p.std(ddof=1) / math.sqrt(p.size)
+    exact = extension_bump_mp(1.0, [c], 1, m, cfg.t0, [x])
+    assert abs(p.mean() - exact) < 4.0 * se
