@@ -67,13 +67,12 @@ class Measure:
     and its error bound always includes the tail beyond R.  A subclass gives ``d``,
     ``log_density(|y|^2)`` and ``truncation(abs_tol, growth, scale) -> (R, tail)``.
     The density depends on |y| alone, so ``integrate_rd`` applies it once per
-    radius of its radial rule, as a weight on the angular sum of f."""
+    radius of its radial rule, as a weight on the angular sum of f.  The
+    integral is ``integrate_stack`` of one column, the float ``Estimate`` of f."""
 
     def integrate(self, f, config: QuadratureConfig, growth: float = 0.0,
                   scale: float = 1.0) -> Estimate:
-        cutoff, tail = self.truncation(config.abs_tol, growth, scale)
-        est = integrate_rd(f, self.log_density, self.d, config, cutoff=cutoff)
-        return Estimate(est.value, est.error_bound + tail, est.n_evals, est.kind)
+        return integrate_stack(f, [self], config, growth, [scale])[0]
 
 
 @dataclass(frozen=True)
@@ -118,18 +117,18 @@ class SphereMeasure(CauchyMeasure):
 
 def integrate_stack(g, measures, config: QuadratureConfig, growth: float,
                     scales) -> list[Estimate]:
-    """Column j of the (n, k) stack ``g(y)`` integrated against ``measures[j]``,
-    measures on one R^d, with |column j| <= ``scales[j]`` |y|^growth at
-    infinity: one ``integrate_rd`` pass, each column weighted by its own
-    density, out to the largest of the columns' truncation radii.  A tail
-    bound also holds beyond its own radius, so each column's bound adds the
-    tail of its own truncation.  Returns one float ``Estimate`` per column;
-    ``n_evals`` counts the pass's points."""
+    """Column j of the (n, k) stack ``g(y)`` (n values for one measure)
+    integrated against ``measures[j]``, measures on one R^d, with
+    |column j| <= ``scales[j]`` |y|^growth at infinity: one ``integrate_rd``
+    pass, each column weighted by its own density, out to the largest of the
+    columns' truncation radii.  A tail bound also holds beyond its own
+    radius, so each column's bound adds the tail of its own truncation.
+    Returns one float ``Estimate`` per column; ``n_evals`` counts the pass's
+    points."""
     cuts = [mu.truncation(config.abs_tol, growth, s) for mu, s in zip(measures, scales)]
-    est = integrate_rd(g, lambda r2: np.stack([mu.log_density(r2) for mu in measures], axis=1),
-                       measures[0].d, config, cutoff=max(radius for radius, _ in cuts))
-    return [Estimate(float(v), float(e) + tail, est.n_evals)
-            for v, e, (_, tail) in zip(est.value, est.error_bound, cuts)]
+    ests = integrate_rd(g, lambda r2: np.stack([mu.log_density(r2) for mu in measures], axis=1),
+                        measures[0].d, config, cutoff=max(radius for radius, _ in cuts))
+    return [Estimate(e.value, e.error_bound + tail, e.n_evals) for e, (_, tail) in zip(ests, cuts)]
 
 
 @dataclass(frozen=True)
@@ -242,18 +241,23 @@ class HittingTimeLaw:
         float for a scalar, an array of the input's shape otherwise.
 
         Deliberately independent of the sampler's Gamma transform: the
-        density is integrated with one fixed Kronrod panel per gap.
+        density is integrated with one fixed Kronrod panel per gap, 1024
+        gaps at a time, so that the temporaries stay small however many
+        points there are.
         """
         s = np.asarray(s, dtype=float)
         flat = s.reshape(-1)
         order = np.argsort(flat)
         edges = np.concatenate([[0.0], flat[order]])
         lo, hi = edges[:-1], edges[1:]
-        h = 0.5 * (hi - lo)
-        nodes = lo[:, None] + (1.0 + _GK_X)[None, :] * h[:, None]
-        with np.errstate(divide="ignore"):
-            vals = self.density(nodes.reshape(-1)).reshape(nodes.shape)
-        panel = h * (vals @ _GK_WK)
+        panel = np.empty_like(flat)
+        for j in range(0, len(flat), 1024):
+            block = slice(j, j + 1024)
+            h = 0.5 * (hi[block] - lo[block])
+            nodes = lo[block, None] + (1.0 + _GK_X)[None, :] * h[:, None]
+            with np.errstate(divide="ignore"):
+                vals = self.density(nodes.reshape(-1)).reshape(nodes.shape)
+            panel[block] = h * (vals @ _GK_WK)
         out = np.empty_like(flat)
         out[order] = np.cumsum(panel)
         out = np.clip(out, 0.0, 1.0)

@@ -3,10 +3,11 @@
 All deterministic integration goes through an adaptive Gauss-Kronrod (G7/K15)
 rule on finite intervals; improper radial integrals are mapped to [0,1) by
 r = s/(1-s) first and truncated at a cutoff radius that every caller passes
-in, together with its own bound on the tail beyond it.  An integrand may
-return an (n, k) stack of k components instead of n values: they share every
-abscissa and one subdivision, each meets its own tolerance, and each is
-reduced with the arithmetic of a scalar integrand.  Full-space integrals
+in, together with its own bound on the tail beyond it.  An integrand returns
+an (n, k) stack of k components, or n values as a stack of one: the
+components share every abscissa and one subdivision, each meets its own
+tolerance, and every integrator returns one float ``Estimate`` per
+component, in a ``Columns`` list.  Full-space integrals
 over R^d (d <= 3) against a radial density are reduced to a radial integral
 of an angular rule whose order each radial panel chooses from 8 to 128: a
 pair of orders N and N/2 (nested trapezoid rules on the circle, and on S^2
@@ -88,23 +89,26 @@ class Estimate:
     """A value with an error bound.
 
     ``kind`` records whether ``error_bound`` is a one-sided quadrature bound
-    or a 1-sigma Monte Carlo standard error.  The integral of a stack of k
-    integrands holds (k,) arrays of both; only ``integrate_interval``,
-    ``integrate_radial`` and ``integrate_rd`` return one, and only for a
-    stacked integrand.  Its two callers unpack it into float estimates:
-    ``qtm.qtm_subordinated`` (``integrate_radial``) and
-    ``measures.integrate_stack`` (``integrate_rd``), which serves
-    ``qtm.harmonicity_residual``.
+    or a 1-sigma Monte Carlo standard error.
     """
-    value: float | np.ndarray
-    error_bound: float | np.ndarray
+    value: float
+    error_bound: float
     n_evals: int
     kind: str = "quadrature"
 
     def __post_init__(self):
-        bound = self.error_bound
-        if (bound < 0).any() if isinstance(bound, np.ndarray) else bound < 0:
+        if self.error_bound < 0:
             raise DomainError("error_bound must be nonnegative")
+
+
+class Columns(list):
+    """The ``Estimate`` of each component of one pass, in order.  The
+    components share the pass's evaluations, so the list's ``n_evals`` is
+    every one of theirs."""
+
+    @property
+    def n_evals(self) -> int:
+        return self[0].n_evals
 
 
 def _gk_reduce(y, h: float):
@@ -123,15 +127,14 @@ def _gk_reduce(y, h: float):
 def _gk_panel(f, a, b):
     """One G7/K15 evaluation of ``f`` (vectorized) on [a, b]: the value and
     the error estimate of each component of ``f`` (one for a 1-D ``f``), as
-    lists of floats, and whether ``f`` returned a stack."""
+    lists of floats."""
     h = 0.5 * (b - a)
     x = a + (_GK_X + 1.0) * h
     y = np.asarray(f(x), dtype=float)
     if not np.isfinite(y).all():
         raise DomainError("integrand returned non-finite values")
     # float(h) is the same value; float arithmetic is cheaper than numpy scalars
-    vals, errs = _gk_reduce(np.ascontiguousarray(y.reshape(len(x), -1).T), float(h))
-    return vals, errs, y.ndim == 2
+    return _gk_reduce(np.ascontiguousarray(y.reshape(len(x), -1).T), float(h))
 
 
 class _Panel:
@@ -156,7 +159,7 @@ class _PanelRule:
         out = []
         for lo, hi, _ in spans:
             p = _Panel(lo, hi)
-            p.vals, p.errs, p.stacked = _gk_panel(self.f, lo, hi)
+            p.vals, p.errs = _gk_panel(self.f, lo, hi)
             out.append(p)
         return out
 
@@ -164,15 +167,15 @@ class _PanelRule:
         return False
 
 
-def integrate_interval(f, a, b, config: QuadratureConfig) -> Estimate:
+def integrate_interval(f, a, b, config: QuadratureConfig) -> Columns:
     """Adaptive G7/K15 integral of a vectorized ``f`` over [a, b].
 
-    ``f`` maps n points to n values, or to an (n, k) stack of k integrands
-    that share one subdivision (Genz & Malik 1980).  A panel is split while
-    any unconverged component carries more than its share of that
-    component's budget, and the pass ends when every component meets its own
-    max(abs_tol, rel_tol |value|).  A stack gives one ``Estimate`` whose
-    value and bound are (k,) arrays; ``n_evals`` counts abscissae either way.
+    ``f`` maps n points to an (n, k) stack of k integrands that share one
+    subdivision (Genz & Malik 1980), or to n values, a stack of one.  A
+    panel is split while any unconverged component carries more than its
+    share of that component's budget, and the pass ends when every component
+    meets its own max(abs_tol, rel_tol |value|).  Returns one ``Estimate``
+    per component; ``n_evals`` counts abscissae.
 
     ``f`` may instead be a ``_PanelRule`` that builds the panels itself, as
     ``integrate_rd``'s angular rule does: each of its panels also holds
@@ -198,9 +201,7 @@ def integrate_interval(f, a, b, config: QuadratureConfig) -> Estimate:
         if all(converged):
             if panels[0].terms is not None:
                 err = [e + math.fsum(c) for e, c in zip(err, zip(*(p.terms for p in panels)))]
-            if panels[0].stacked:
-                return Estimate(np.array(total), np.array(err), n_evals)
-            return Estimate(total[0], err[0], n_evals)
+            return Columns(Estimate(v, e, n_evals) for v, e in zip(total, err))
         if n_evals + 30 > config.max_evals:
             j = max(range(len(err)), key=lambda j: err[j] / tol[j])
             raise NonConvergence(
@@ -235,18 +236,18 @@ def _radial_end(cutoff: float) -> float:
     return cutoff / (1.0 + cutoff)
 
 
-def integrate_radial(integrand, config: QuadratureConfig, cutoff: float) -> Estimate:
+def integrate_radial(integrand, config: QuadratureConfig, cutoff: float) -> Columns:
     """Integral of ``integrand`` over [0, infinity), truncated at ``cutoff``.
 
     The half-line is mapped to [0,1) by r = s/(1-s) and cut at r = ``cutoff``.
     The returned bound covers the quadrature only: the caller chooses the
-    cutoff and accounts for the tail beyond it.  ``integrand`` may return an
-    (n, k) stack, as in ``integrate_interval``.
+    cutoff and accounts for the tail beyond it.  As in ``integrate_interval``,
+    ``integrand`` returns an (n, k) stack or n values, and the result is one
+    ``Estimate`` per component.
     """
     def mapped(s):
         r, jac = _radial_map(np.asarray(s, dtype=float))
-        vals = np.asarray(integrand(r), dtype=float)
-        return vals * (jac[:, None] if vals.ndim == 2 else jac)
+        return np.asarray(integrand(r), dtype=float).reshape(len(r), -1) * jac[:, None]
 
     return integrate_interval(mapped, 0.0, _radial_end(cutoff), config)
 
@@ -363,7 +364,7 @@ class _AngularRule(_PanelRule):
                 q, half = 0.5 * (p.q + vals @ pair.half_w), p.q
             else:
                 q, half = vals @ pair.w, p.q
-            p.order, p.q, p.stacked = order, q, self.stacked
+            p.order, p.q = order, q
             y = p.density * q * p.jac
             if not np.isfinite(y).all():
                 raise DomainError("integrand returned non-finite values")
@@ -390,7 +391,6 @@ class _AngularRule(_PanelRule):
             if not np.isfinite(vals).all():
                 raise DomainError("integrand returned non-finite values")
             self.points += len(pts)
-            self.stacked = vals.ndim == 2
             vals = vals.reshape(len(pts), -1)
             for p, nodes in batch:
                 block, vals = vals[:15 * len(nodes)], vals[15 * len(nodes):]
@@ -400,7 +400,7 @@ class _AngularRule(_PanelRule):
 
 
 def integrate_rd(g, log_density, d: int, config: QuadratureConfig,
-                 cutoff: float) -> Estimate:
+                 cutoff: float) -> Columns:
     """Integral of g(y) exp(log_density(|y|^2)) over the ball of radius ``cutoff``.
 
     ``g`` must accept an (n, d) array of points, ``log_density`` an array of
@@ -421,15 +421,15 @@ def integrate_rd(g, log_density, d: int, config: QuadratureConfig,
     component's bound is the G7/K15 estimate plus its angular terms, so it
     holds whether or not a panel met its share.
 
-    ``g`` may return an (n, k) stack, integrated on one shared subdivision as
-    in ``integrate_interval``; then ``log_density`` returns either one column
-    for every component or one per component, (n_r, k), and each component
-    is reduced with the arithmetic of a 1-D ``g``.  ``n_evals`` counts the
-    points at which g was evaluated.
+    ``g`` returns an (n, k) stack or n values, integrated on one shared
+    subdivision as in ``integrate_interval``; ``log_density`` returns either
+    one column for every component or one per component, (n_r, k).  Returns
+    one ``Estimate`` per component; ``n_evals`` counts the points at which g
+    was evaluated.
     """
     rule = _AngularRule(g, log_density, d)
-    est = integrate_interval(rule, 0.0, _radial_end(cutoff), config)
-    return Estimate(est.value, est.error_bound, rule.points)
+    ests = integrate_interval(rule, 0.0, _radial_end(cutoff), config)
+    return Columns(Estimate(e.value, e.error_bound, rule.points) for e in ests)
 
 
 def spawn_rngs(seed: int, n_streams: int):
@@ -474,26 +474,22 @@ def pooled(draw, cfg: MonteCarloConfig):
     return np.concatenate(parts)
 
 
-def mc_estimate(sample_fn, cfg: MonteCarloConfig) -> Estimate:
+def mc_estimate(sample_fn, cfg: MonteCarloConfig) -> Columns:
     """Monte Carlo mean of ``sample_fn(rng, n) -> array`` over all substreams.
 
-    An (n, k) array gives the k means of the same draws in one ``Estimate``
-    of (k,) arrays, each column reduced with the arithmetic of a 1-D array.
+    An (n, k) array gives the k means of the same draws, n values one mean:
+    one ``Estimate`` per column.
     """
-    sums, sq_sums, n_tot, stacked = [], [], 0, False
+    sums, sq_sums, n_tot = [], [], 0
     for rng, n in substreams(cfg):
         x = np.asarray(sample_fn(rng, n), dtype=float)
-        stacked = x.ndim == 2
         cols = np.ascontiguousarray(x.reshape(n, -1).T)
         sums.append([float(np.sum(c)) for c in cols])
         sq_sums.append([float(np.sum(c * c)) for c in cols])
         n_tot += n
-    means, errs = [], []
+    out = Columns()
     for total, total_sq in zip(map(pairwise_sum, zip(*sums)), map(pairwise_sum, zip(*sq_sums))):
         mean = total / n_tot
         var = max(total_sq / n_tot - mean * mean, 0.0)
-        means.append(mean)
-        errs.append(math.sqrt(var / n_tot))
-    if stacked:
-        return Estimate(np.array(means), np.array(errs), n_tot, kind="monte-carlo")
-    return Estimate(means[0], errs[0], n_tot, kind="monte-carlo")
+        out.append(Estimate(mean, math.sqrt(var / n_tot), n_tot, kind="monte-carlo"))
+    return out

@@ -9,7 +9,9 @@ kernels that share (d, x) are integrated in one pass over a stack of
 integrands, one per kernel and rule order.
 Path 3 is plain Monte Carlo over exact kernel draws.  The three paths share
 nothing beyond the integrand, which is the point: agreement certifies each.
-Each takes the kernel as one ``measures.TKernel(d, m, t, x)``, so t > 0.
+Path 1 takes one ``measures.TKernel(d, m, t, x)``, so t > 0; paths 2 and 3
+take a sequence of kernels with one d and x (and one m for path 3) and
+return one ``Estimate`` per kernel.
 The harmonicity check applies a finite-difference stencil of the half-space
 operator under the integral sign of path 1, so no quadrature is differenced.
 The stencil's centre is path 1's own integrand and no stencil point depends
@@ -85,6 +87,20 @@ def _heat_value(f, x, s_values, d, order):
     return vals @ weights
 
 
+def _kernel_pass(kernels, same_m: bool = False):
+    """``kernels`` as a list, with their one d and x; ``DomainError`` unless
+    the list is nonempty and its kernels share d and x (and m if ``same_m``)."""
+    kernels = list(kernels)
+    if not kernels:
+        raise DomainError("a kernel pass needs at least one kernel")
+    first = kernels[0]
+    if any(k.d != first.d or not np.array_equal(k.center, first.center)
+           or (same_m and k.m != first.m) for k in kernels):
+        raise DomainError("the kernels of one pass must share d and x"
+                          + (" and m" if same_m else ""))
+    return kernels, first.d, first.center
+
+
 # The widest t_max / t_min of one shared pass: the numeric qtm grid's
 # spread, within which every Gamma weight stays resolved (200 is not).
 _T_SPREAD = 4.0
@@ -108,12 +124,7 @@ def qtm_subordinated(f: DifferentiableField, kernels,
     |hi - lo| to the quadrature bound; ``n_evals`` counts its pass's field
     evaluations.  Returns one ``Estimate`` per kernel, in order.
     """
-    kernels = list(kernels)
-    if not kernels:
-        raise DomainError("qtm_subordinated needs at least one kernel")
-    d, x = kernels[0].d, kernels[0].center
-    if any(k.d != d or not np.array_equal(k.center, x) for k in kernels):
-        raise DomainError("kernels of one subordination pass must share d and x")
+    kernels, d, x = _kernel_pass(kernels)
     cfg = cfg or QuadratureConfig()
     orders = (_HERMITE_ORDER[d], _HERMITE_ORDER_LO[d])
     out = [None] * len(kernels)
@@ -134,32 +145,26 @@ def qtm_subordinated(f: DifferentiableField, kernels,
             return np.concatenate([_heat_value(f, x, s, d, n)[:, None] * weight
                                    for n in orders], axis=1)
 
-        est = integrate_radial(integrand, cfg, cutoff=2000.0)
-        n_evals = est.n_evals * sum(n ** d for n in orders)
-        hi, lo = np.split(est.value, 2)
-        err = est.error_bound[:len(hi)] + np.abs(hi - lo) + 1e-14 * (1.0 + np.abs(hi))
-        for i, v, e in zip(group, hi, err):
-            out[i] = Estimate(float(v), float(e), n_evals)
+        ests = integrate_radial(integrand, cfg, cutoff=2000.0)
+        n_evals = ests.n_evals * sum(n ** d for n in orders)
+        for i, hi, lo in zip(group, ests, ests[len(group):]):
+            err = hi.error_bound + abs(hi.value - lo.value) + 1e-14 * (1.0 + abs(hi.value))
+            out[i] = Estimate(hi.value, err, n_evals)
     return out
 
 
-def qtm_mc(f: DifferentiableField, kernels, cfg: MonteCarloConfig | None = None):
-    """Monte Carlo average of f over exact kernel draws, for one ``TKernel``
-    (an ``Estimate``) or a sequence of kernels with one d, m and x (one
-    ``Estimate`` each, in order).
+def qtm_mc(f: DifferentiableField, kernels,
+           cfg: MonteCarloConfig | None = None) -> list[Estimate]:
+    """Monte Carlo average of f over exact kernel draws, for a sequence of
+    kernels with one d, m and x: one ``Estimate`` per kernel, in order.
 
-    Kernels that differ only in t share every draw: each substream draws
-    W = Z / sqrt(2 G) once, from the kernel at t = 1 and x = 0, and kernel k
-    averages f(x + t_k W), so the estimates of one call share their noise.
+    The kernels differ only in t, so they share every draw: each substream
+    draws W = Z / sqrt(2 G) once, from the kernel at t = 1 and x = 0, and
+    kernel k averages f(x + t_k W), so the estimates of one call share their
+    noise.
     """
-    one = isinstance(kernels, TKernel)
-    kernels = [kernels] if one else list(kernels)
-    if not kernels:
-        raise DomainError("qtm_mc needs at least one kernel")
-    d, m, x = kernels[0].d, kernels[0].m, kernels[0].center
-    if any(k.d != d or k.m != m or not np.array_equal(k.center, x) for k in kernels):
-        raise DomainError("kernels of one Monte Carlo pass must share d, m and x")
-    unit = TKernel(d, m, 1.0, (0.0,) * d)
+    kernels, d, x = _kernel_pass(kernels, same_m=True)
+    unit = TKernel(d, kernels[0].m, 1.0, (0.0,) * d)
 
     def sample(rng, n):
         rows = np.ascontiguousarray(unit.draw(rng, n).T)   # W, one row per coordinate
@@ -170,10 +175,7 @@ def qtm_mc(f: DifferentiableField, kernels, cfg: MonteCarloConfig | None = None)
             out[:, j] = f.value(pts.T)
         return out
 
-    est = mc_estimate(sample, cfg or MonteCarloConfig())
-    out = [Estimate(float(v), float(e), est.n_evals, est.kind)
-           for v, e in zip(est.value, est.error_bound)]
-    return out[0] if one else out
+    return mc_estimate(sample, cfg or MonteCarloConfig())
 
 
 class QtmField:
@@ -251,12 +253,7 @@ def harmonicity_residual(f: DifferentiableField, kernels,
     ``Estimate``s per kernel, in order; ``n_evals`` counts the field
     evaluations of its pass.
     """
-    kernels = list(kernels)
-    if not kernels:
-        raise DomainError("harmonicity_residual needs at least one kernel")
-    d, x = kernels[0].d, kernels[0].center
-    if any(k.d != d or not np.array_equal(k.center, x) for k in kernels):
-        raise DomainError("kernels of one harmonicity pass must share d and x")
+    kernels, d, x = _kernel_pass(kernels)
     if min(k.t for k in kernels) - 2 * _STEP <= 0:
         raise DomainError(f"the harmonicity stencil needs t > {2 * _STEP}")
     cfg, h, growth = cfg or QuadratureConfig(), _STEP, growth_degree(f)
@@ -361,7 +358,7 @@ def moment_identity_gap(g: DifferentiableField, p_exp: float, k: TKernel,
         s, xs = k.draw_coupled(rng, n)
         return s ** p_exp * g.value(xs)
 
-    est = mc_estimate(sample, mc)
+    (est,) = mc_estimate(sample, mc)
 
     log_pref = (2 * p_exp * math.log(t) + math.lgamma(m / 2.0 - p_exp)
                 - p_exp * math.log(4.0) - math.lgamma(m / 2.0))

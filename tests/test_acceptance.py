@@ -78,7 +78,7 @@ def test_02_crosspath_grid():
             gap = abs(q.value - s.value)
             budget = q.error_bound + s.error_bound + 1e-12
             worst_gap_ratio = max(worst_gap_ratio, gap / budget)
-            mc = qtm_mc(f, kernel, MonteCarloConfig(1_000_000, seed=0))
+            (mc,) = qtm_mc(f, [kernel], MonteCarloConfig(1_000_000, seed=0))
             # discount the quadrature's own error bound before scoring the
             # MC discrepancy (constant fields have zero MC variance)
             excess = max(abs(mc.value - q.value) - q.error_bound, 0.0)

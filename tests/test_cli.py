@@ -7,6 +7,8 @@ from beckner.cli import (CHECKS, SUITES, SuiteConfig, build_parser,
                          explain_check, load_config_file, main, render_csv,
                          run_suite)
 from beckner.errors import ConfigError, UnknownCheck
+from beckner.measures import HittingTimeLaw
+from beckner.numerics import MonteCarloConfig, pooled
 
 
 def small_cfg(**kw):
@@ -30,6 +32,19 @@ def test_run_suite_bessel():
     report = run_suite(small_cfg(suite="bessel", d=[1], m=[8.0], seed=0))
     verdicts = {r["check_id"]: r["verdict"] for r in report["checks"]}
     assert verdicts == {"hitting-law-ks": "pass", "bessel-dynkin": "pass"}
+
+
+def test_hitting_law_ks_is_the_statistic_of_every_draw():
+    # the lhs is the two-sided KS statistic of the suite's pooled draws, as
+    # scipy computes it
+    stats = pytest.importorskip("scipy.stats")
+    report = run_suite(small_cfg(suite="bessel", d=[1], m=[3.0, 8.0], seed=2))
+    ks = [r for r in report["checks"] if r["check_id"] == "hitting-law-ks"]
+    assert len(ks) == 2
+    for rec in ks:
+        law = HittingTimeLaw(rec["params"]["m"], rec["params"]["t"])
+        samples = pooled(law.draw, MonteCarloConfig(rec["params"]["n"], 2))
+        assert abs(rec["lhs"] - stats.kstest(samples, law.cdf).statistic) <= 1e-12
 
 
 def test_deterministic_reports_are_identical():

@@ -208,8 +208,9 @@ def _gaussian_integral_before_the_measure(g, d):
     """The Gaussian integral as computed before GaussianMeasure: the same
     integrand, density (applied once per radius) and radius 12, without a
     tail term."""
-    return integrate_rd(g, lambda r2: -0.5 * r2 - 0.5 * d * math.log(2.0 * math.pi), d,
-                        QuadratureConfig(), cutoff=12.0)
+    (est,) = integrate_rd(g, lambda r2: -0.5 * r2 - 0.5 * d * math.log(2.0 * math.pi), d,
+                          QuadratureConfig(), cutoff=12.0)
+    return est
 
 
 @pytest.mark.parametrize("d,p", [(1, 1.5), (2, 1.8)])

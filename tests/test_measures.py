@@ -23,7 +23,7 @@ def test_norm_const_closed_values():
 def test_norm_const_is_the_integral():
     # independent check by direct quadrature of (1+|y|^2)^{-(m+d)/2}
     for m, d in [(3.0, 1), (4.0, 2)]:
-        est = integrate_rd(
+        (est,) = integrate_rd(
             lambda pts: np.ones(len(pts)), lambda r2: -(m + d) / 2.0 * np.log1p(r2),
             d, QuadratureConfig(), cutoff=heavy_tail_cutoff(m, d, 1e-10))
         assert est.value == pytest.approx(norm_const(m, d), rel=1e-9)
@@ -88,8 +88,8 @@ def test_second_moment_divergence_guard():
 
 def test_tkernel_density_normalized():
     k = TKernel(1, 5.0, 0.7, (0.3,))
-    est = integrate_rd(k.density, np.zeros_like, 1, QuadratureConfig(),
-                       cutoff=heavy_tail_cutoff(5.0, 1, 1e-10) + 1.0)
+    (est,) = integrate_rd(k.density, np.zeros_like, 1, QuadratureConfig(),
+                          cutoff=heavy_tail_cutoff(5.0, 1, 1e-10) + 1.0)
     assert est.value == pytest.approx(1.0, abs=1e-8)
     assert k.base_measure().b == pytest.approx(3.0)
 
@@ -188,7 +188,7 @@ def _per_point_integral(measure, f, config, growth, scale):
         return np.asarray(f(pts), dtype=float) * np.exp(measure.log_density(r2))
 
     cutoff, tail = measure.truncation(config.abs_tol, growth, scale)
-    est = integrate_rd(g, np.zeros_like, measure.d, config, cutoff=cutoff)
+    (est,) = integrate_rd(g, np.zeros_like, measure.d, config, cutoff=cutoff)
     return Estimate(est.value, est.error_bound + tail, est.n_evals)
 
 

@@ -29,12 +29,12 @@ def test_config_validation():
 
 def test_interval_polynomial_exact():
     # K15 integrates polynomials up to degree 29 exactly; a quintic is easy
-    est = integrate_interval(lambda x: 5 * x ** 4, 0.0, 2.0, QuadratureConfig())
+    (est,) = integrate_interval(lambda x: 5 * x ** 4, 0.0, 2.0, QuadratureConfig())
     assert abs(est.value - 32.0) < 1e-12
 
 
 def test_interval_oscillatory():
-    est = integrate_interval(np.cos, 0.0, 10.0, QuadratureConfig())
+    (est,) = integrate_interval(np.cos, 0.0, 10.0, QuadratureConfig())
     assert abs(est.value - math.sin(10.0)) <= est.error_bound + 1e-13
 
 
@@ -46,15 +46,15 @@ def test_interval_nonconvergence():
 
 def test_radial_gaussian_moment():
     # int_0^inf r^2 exp(-r^2) dr = sqrt(pi)/4
-    est = integrate_radial(lambda r: r ** 2 * np.exp(-r ** 2), QuadratureConfig(),
-                           cutoff=1e6)
+    (est,) = integrate_radial(lambda r: r ** 2 * np.exp(-r ** 2), QuadratureConfig(),
+                              cutoff=1e6)
     assert abs(est.value - math.sqrt(math.pi) / 4) < 1e-12
 
 
 def test_radial_heavy_tail():
     # int_0^inf dr/(1+r^2) = pi/2
-    est = integrate_radial(lambda r: 1.0 / (1.0 + r ** 2), QuadratureConfig(),
-                           cutoff=1e6)
+    (est,) = integrate_radial(lambda r: 1.0 / (1.0 + r ** 2), QuadratureConfig(),
+                              cutoff=1e6)
     # the truncation radius leaves a ~1e-6 analytic tail
     assert abs(est.value - math.pi / 2) < 2e-6
 
@@ -97,7 +97,7 @@ _SCALAR_CASES = [(np.cos, 0.0, 10.0), (lambda x: np.abs(x - 0.3) ** 0.7, 0.0, 1.
 @pytest.mark.parametrize("f,a,b", _SCALAR_CASES)
 def test_scalar_integrand_keeps_its_arithmetic(f, a, b):
     cfg = QuadratureConfig()
-    est, ref = integrate_interval(f, a, b, cfg), _scalar_integral(f, a, b, cfg)
+    (est,), ref = integrate_interval(f, a, b, cfg), _scalar_integral(f, a, b, cfg)
     assert type(est.value) is float and type(est.error_bound) is float
     assert (est.value, est.error_bound, est.n_evals) == (ref.value, ref.error_bound,
                                                           ref.n_evals)
@@ -105,16 +105,14 @@ def test_scalar_integrand_keeps_its_arithmetic(f, a, b):
 
 @pytest.mark.parametrize("f,a,b", _SCALAR_CASES)
 def test_one_column_stack_is_the_scalar_integral(f, a, b):
+    # a 1-D integrand gives one float Estimate, bit for bit its (n, 1) column's
     cfg = QuadratureConfig()
-    scalar = integrate_interval(f, a, b, cfg)
-    stack = integrate_interval(lambda x: f(x)[:, None], a, b, cfg)
-    assert stack.value.shape == stack.error_bound.shape == (1,)
-    assert stack.value[0] == scalar.value and stack.error_bound[0] == scalar.error_bound
-    assert stack.n_evals == scalar.n_evals
-    radial = integrate_radial(lambda r: np.exp(-r) * f(r), cfg, cutoff=100.0)
-    column = integrate_radial(lambda r: (np.exp(-r) * f(r))[:, None], cfg, cutoff=100.0)
-    assert (column.value[0], column.error_bound[0], column.n_evals) == (
-        radial.value, radial.error_bound, radial.n_evals)
+    for integrate, g, args in ((integrate_interval, f, (a, b, cfg)),
+                               (integrate_radial, lambda r: np.exp(-r) * f(r), (cfg, 100.0))):
+        scalar, stack = integrate(g, *args), integrate(lambda x: g(x)[:, None], *args)
+        assert len(scalar) == len(stack) == 1 and isinstance(scalar[0], Estimate)
+        assert type(scalar[0].value) is float and type(scalar[0].error_bound) is float
+        assert scalar == stack and scalar.n_evals == scalar[0].n_evals
 
 
 def test_stack_components_meet_their_own_tolerance():
@@ -123,12 +121,12 @@ def test_stack_components_meet_their_own_tolerance():
     cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-10)
     parts = [lambda x: np.exp(-x) * np.cos(7 * x), lambda x: 1e-6 * np.exp(-x) * np.cos(7 * x),
              lambda x: 1e-2 / (1e-4 + (x - 1.3) ** 2)]
-    est = integrate_interval(lambda x: np.stack([g(x) for g in parts], axis=1), 0.0, 5.0, cfg)
-    assert est.value.shape == (3,) and est.n_evals % 15 == 0
-    for k, g in enumerate(parts):
-        assert est.error_bound[k] <= max(cfg.abs_tol, cfg.rel_tol * abs(est.value[k]))
-        alone = integrate_interval(g, 0.0, 5.0, cfg)
-        assert abs(est.value[k] - alone.value) <= est.error_bound[k] + alone.error_bound
+    ests = integrate_interval(lambda x: np.stack([g(x) for g in parts], axis=1), 0.0, 5.0, cfg)
+    assert len(ests) == 3 and ests.n_evals % 15 == 0
+    for est, g in zip(ests, parts):
+        assert est.error_bound <= max(cfg.abs_tol, cfg.rel_tol * abs(est.value))
+        (alone,) = integrate_interval(g, 0.0, 5.0, cfg)
+        assert abs(est.value - alone.value) <= est.error_bound + alone.error_bound
 
 
 def test_stack_nonconvergence():
@@ -140,11 +138,11 @@ def test_stack_nonconvergence():
 
 def test_stacked_radial_integral():
     # int_0^inf r^j exp(-r) dr = j! for j = 0, 1, 2
-    est = integrate_radial(lambda r: np.stack([r ** j * np.exp(-r) for j in range(3)],
-                                              axis=1), QuadratureConfig(), cutoff=1e3)
-    assert isinstance(est, Estimate) and est.n_evals > 0
-    np.testing.assert_allclose(est.value, [1.0, 1.0, 2.0], rtol=0, atol=1e-12)
-    assert np.all(est.error_bound <= 1e-10 * np.maximum(1.0, est.value))
+    ests = integrate_radial(lambda r: np.stack([r ** j * np.exp(-r) for j in range(3)],
+                                               axis=1), QuadratureConfig(), cutoff=1e3)
+    assert all(isinstance(e, Estimate) for e in ests) and ests.n_evals > 0
+    np.testing.assert_allclose([e.value for e in ests], [1.0, 1.0, 2.0], rtol=0, atol=1e-12)
+    assert all(e.error_bound <= 1e-10 * max(1.0, e.value) for e in ests)
 
 
 @pytest.mark.parametrize("d,area", [(1, 2.0), (2, 2 * math.pi), (3, 4 * math.pi)])
@@ -171,8 +169,8 @@ def test_angular_rule_d4_unsupported():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_full_space_gaussian(d):
     # the Gaussian as the radial density, applied once per radius
-    est = integrate_rd(lambda pts: np.ones(len(pts)), lambda r2: -r2, d,
-                       QuadratureConfig(), cutoff=15.0)
+    (est,) = integrate_rd(lambda pts: np.ones(len(pts)), lambda r2: -r2, d,
+                          QuadratureConfig(), cutoff=15.0)
     assert abs(est.value - math.pi ** (d / 2.0)) < 1e-9
 
 
@@ -204,21 +202,21 @@ def test_rd_scalar_and_one_column_stack_keep_the_arithmetic(d):
     cutoff = nu.truncation(cfg.abs_tol, 0.0, 2.0)[0]
     # a radial g stays at order 8 on every panel: the value is that rule's,
     # and the bound adds only the rounding of its pair
-    ref = _fixed_rd(_radial_bump, nu.log_density, d, cfg, cutoff, 8)
-    est = integrate_rd(_radial_bump, nu.log_density, d, cfg, cutoff)
+    (ref,) = _fixed_rd(_radial_bump, nu.log_density, d, cfg, cutoff, 8)
+    (est,) = integrate_rd(_radial_bump, nu.log_density, d, cfg, cutoff)
     assert type(est.value) is float and est.value == ref.value
     assert ref.error_bound <= est.error_bound <= ref.error_bound + 1e-14
     # each radius evaluates order 8, and at d = 3 also order 4, whose polar
     # nodes differ; the reference counts radii
     assert est.n_evals == ref.n_evals * {1: 2, 2: 8, 3: 32 + 8}[d]
-    # an (n, 1) stack is the scalar estimate, with either shape of log-density
+    # a 1-D g gives one float Estimate, bit for bit its (n, 1) column's, with
+    # either shape of log-density
     scalar = integrate_rd(_bump, nu.log_density, d, cfg, cutoff)
-    assert type(scalar.value) is float
+    assert len(scalar) == 1 and isinstance(scalar[0], Estimate)
+    assert type(scalar[0].value) is float and type(scalar[0].error_bound) is float
     for log_density in (nu.log_density, lambda r2: nu.log_density(r2)[:, None]):
         column = integrate_rd(lambda p: _bump(p)[:, None], log_density, d, cfg, cutoff)
-        assert column.value.shape == column.error_bound.shape == (1,)
-        assert (column.value[0], column.error_bound[0], column.n_evals) == (
-            scalar.value, scalar.error_bound, scalar.n_evals)
+        assert column == scalar and column.n_evals == scalar[0].n_evals
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -236,12 +234,12 @@ def test_rd_stack_weights_each_component_by_its_own_density(d):
                          d, cfg, cutoff)
     # n_evals counts the points at which g was evaluated
     assert stack.n_evals == sum(points)
-    for j, (part, nu) in enumerate(zip(parts, nus)):
-        alone = integrate_rd(part, nu.log_density, d, cfg, cutoff)
-        assert abs(stack.value[j] - alone.value) <= stack.error_bound[j] + alone.error_bound
+    for est, part, nu in zip(stack, parts, nus):
+        (alone,) = integrate_rd(part, nu.log_density, d, cfg, cutoff)
+        assert abs(est.value - alone.value) <= est.error_bound + alone.error_bound
     # the two densities differ, so each column saw its own weight
-    mixed = integrate_rd(parts[0], nus[1].log_density, d, cfg, cutoff)
-    assert abs(stack.value[0] - mixed.value) > 1e-3
+    (mixed,) = integrate_rd(parts[0], nus[1].log_density, d, cfg, cutoff)
+    assert abs(stack[0].value - mixed.value) > 1e-3
 
 
 def _points_per_radius(g, log_density, d, cutoff):
@@ -277,14 +275,14 @@ def test_rd_stack_columns_carry_their_own_angular_terms():
     # only its own angular terms: the radial column's stay at rounding level
     nu, cfg = CauchyMeasure(2, 2.0), QuadratureConfig()
     trig = lambda p: np.cos(np.sum(p, axis=1))
-    stack = integrate_rd(lambda p: np.stack([_radial_bump(p), trig(p)], axis=1),
-                         nu.log_density, 2, cfg, 200.0)
-    radial = integrate_rd(_radial_bump, nu.log_density, 2, cfg, 200.0)
-    wave = integrate_rd(trig, nu.log_density, 2, cfg, 200.0)
-    assert stack.error_bound[0] <= 2 * max(cfg.abs_tol, cfg.rel_tol * abs(stack.value[0]))
-    assert stack.error_bound[1] > 1e4 * stack.error_bound[0]
-    assert abs(stack.value[0] - radial.value) <= stack.error_bound[0] + radial.error_bound
-    assert abs(stack.value[1] - wave.value) <= stack.error_bound[1] + wave.error_bound
+    column, trig_column = integrate_rd(lambda p: np.stack([_radial_bump(p), trig(p)], axis=1),
+                                       nu.log_density, 2, cfg, 200.0)
+    (radial,) = integrate_rd(_radial_bump, nu.log_density, 2, cfg, 200.0)
+    (wave,) = integrate_rd(trig, nu.log_density, 2, cfg, 200.0)
+    assert column.error_bound <= 2 * max(cfg.abs_tol, cfg.rel_tol * abs(column.value))
+    assert trig_column.error_bound > 1e4 * column.error_bound
+    assert abs(column.value - radial.value) <= column.error_bound + radial.error_bound
+    assert abs(trig_column.value - wave.value) <= trig_column.error_bound + wave.error_bound
 
 
 @pytest.mark.parametrize("d,b,cutoff", [(2, 3.0, 30.0), (3, 2.5, 20.0),
@@ -292,8 +290,8 @@ def test_rd_stack_columns_carry_their_own_angular_terms():
 def test_rd_bound_holds_against_the_closed_form_angular_mean(d, b, cutoff):
     # cos(y_1 + ... + y_d) has a closed-form mean on every sphere
     cfg = QuadratureConfig()
-    est = integrate_rd(lambda p: np.cos(np.sum(p, axis=1)), CauchyMeasure(d, b).log_density, d,
-                       cfg, cutoff)
+    (est,) = integrate_rd(lambda p: np.cos(np.sum(p, axis=1)), CauchyMeasure(d, b).log_density,
+                          d, cfg, cutoff)
     error = abs(est.value - trig_cauchy_mp(d, b, cutoff))
     assert error <= est.error_bound
     tol = max(cfg.abs_tol, cfg.rel_tol * abs(est.value))
@@ -363,9 +361,10 @@ def test_pairwise_sum_deterministic_order():
 
 
 def test_mc_estimate_normal_mean():
-    est = mc_estimate(lambda rng, n: rng.standard_normal(n),
-                      MonteCarloConfig(n_samples=40_000, seed=3))
+    (est,) = mc_estimate(lambda rng, n: rng.standard_normal(n),
+                         MonteCarloConfig(n_samples=40_000, seed=3))
     assert est.kind == "monte-carlo"
+    assert type(est.value) is float and type(est.error_bound) is float
     assert abs(est.value) < 4.0 * est.error_bound
     assert est.error_bound == pytest.approx(1.0 / math.sqrt(40_000), rel=0.1)
 
@@ -374,4 +373,7 @@ def test_mc_estimate_seed_reproducible():
     cfg = MonteCarloConfig(n_samples=10_000, seed=11)
     e1 = mc_estimate(lambda rng, n: rng.standard_normal(n), cfg)
     e2 = mc_estimate(lambda rng, n: rng.standard_normal(n), cfg)
-    assert e1.value == e2.value
+    assert e1 == e2
+    # a 1-D draw is one float Estimate, bit for bit its (n, 1) column's
+    column = mc_estimate(lambda rng, n: rng.standard_normal(n)[:, None], cfg)
+    assert len(e1) == 1 and column == e1 and e1.n_evals == 10_000

@@ -90,7 +90,7 @@ def test_quadratic_extension_all_paths(m, d, t, x):
     (s,) = qtm_subordinated(f, [p])
     assert q.value == pytest.approx(exact, abs=max(1e-9, 10 * q.error_bound))
     assert s.value == pytest.approx(exact, abs=max(1e-8, 10 * s.error_bound))
-    mc = qtm_mc(f, p, MonteCarloConfig(n_samples=200_000, seed=1))
+    (mc,) = qtm_mc(f, [p], MonteCarloConfig(n_samples=200_000, seed=1))
     assert abs(mc.value - exact) < 4.0 * mc.error_bound
 
 
@@ -99,8 +99,8 @@ def test_mc_path_averages_kernel_draws():
     p = TKernel(2, 6.0, 0.7, (0.1, -0.2))
     cfg = MonteCarloConfig(n_samples=5001, seed=3)
     draws = pooled(p.draw, cfg)
-    assert qtm_mc(f, p, cfg).value == pytest.approx(np.mean(f.value(draws)),
-                                                     rel=1e-12)
+    (mc,) = qtm_mc(f, [p], cfg)
+    assert mc.value == pytest.approx(np.mean(f.value(draws)), rel=1e-12)
 
 
 def test_crosspath_agreement_bump():
@@ -201,7 +201,7 @@ def test_passes_split_at_the_t_spread(monkeypatch):
 
     def counted(integrand, cfg, cutoff):
         est = radial(integrand, cfg, cutoff)
-        passes.append(len(est.value) // 2)
+        passes.append(len(est) // 2)
         return est
 
     monkeypatch.setattr(qtm, "integrate_radial", counted)
@@ -234,14 +234,24 @@ def test_heat_rule_runs_twice_per_panel(monkeypatch, n_kernels):
     assert all(e.n_evals == 15 * calls["panel"] * orders for e in ests)
 
 
-def test_subordination_needs_one_d_and_one_x():
-    f = standard_library(1)["positive_bump"]
-    with pytest.raises(DomainError):
-        qtm_subordinated(f, [])
-    with pytest.raises(DomainError):
-        qtm_subordinated(f, [TKernel(1, 6.0, 1.0, (0.0,)), TKernel(2, 6.0, 1.0, (0.0, 0.0))])
-    with pytest.raises(DomainError):
-        qtm_subordinated(f, [TKernel(1, 6.0, 1.0, (0.0,)), TKernel(1, 6.0, 1.0, (0.1,))])
+@pytest.mark.parametrize("name", ["qtm_subordinated", "harmonicity_residual", "qtm_mc"])
+def test_kernel_pass_needs_one_d_and_one_x(name):
+    # each pass takes a nonempty sequence of kernels with one d and one x;
+    # Monte Carlo kernels share their draws, so they also need one m
+    f, run = standard_library(1)["positive_bump"], getattr(qtm, name)
+    if name == "qtm_mc":
+        run = lambda f, kernels: qtm_mc(f, kernels, MonteCarloConfig(1000, seed=0))
+    k = TKernel(1, 6.0, 1.0, (0.0,))
+    assert len(run(f, [k])) == 1
+    for kernels in ([], [k, TKernel(2, 6.0, 1.0, (0.0, 0.0))], [k, TKernel(1, 6.0, 1.0, (0.1,))]):
+        with pytest.raises(DomainError, match="kernel"):
+            run(f, kernels)
+    other_m = [k, TKernel(1, 9.0, 2.0, (0.0,))]
+    if name == "qtm_mc":
+        with pytest.raises(DomainError, match="kernel"):
+            run(f, other_m)
+    else:
+        assert len(run(f, other_m)) == 2
 
 
 def test_index_guard():
@@ -362,7 +372,7 @@ def _count_passes(monkeypatch):
 
     def counted(*args, **kwargs):
         est = integrate(*args, **kwargs)
-        passes.append(len(est.value))
+        passes.append(len(est))
         return est
 
     monkeypatch.setattr(measures, "integrate_rd", counted)
@@ -417,17 +427,6 @@ def test_harmonicity_evaluates_each_stencil_point_once_per_panel(monkeypatch, d,
     assert len(pairs) == len(ms) and batches
     assert calls == [n for n in batches for _ in range(2 * d + 5)]
     assert all(e.n_evals == (2 * d + 5) * sum(batches) for pair in pairs for e in pair)
-
-
-def test_harmonicity_needs_one_d_and_one_x():
-    f = standard_library(1)["positive_bump"]
-    with pytest.raises(DomainError):
-        harmonicity_residual(f, [])
-    with pytest.raises(DomainError):
-        harmonicity_residual(f, [TKernel(1, 6.0, 1.0, (0.0,)),
-                                 TKernel(2, 6.0, 1.0, (0.0, 0.0))])
-    with pytest.raises(DomainError):
-        harmonicity_residual(f, [TKernel(1, 6.0, 1.0, (0.0,)), TKernel(1, 9.0, 1.0, (0.1,))])
 
 
 @pytest.mark.parametrize("t", [0.0, 0.005, 0.01])
