@@ -1,9 +1,10 @@
 """Batch verification driver.
 
-Runs named check suites over parameter grids, applies the certification
-policy, and writes machine-readable reports (JSON or CSV).  Exit codes:
-0 all checks pass, 1 any check fails, 2 configuration error, 3 numerical
-non-convergence.
+Runs named check suites over parameter grids and writes machine-readable
+reports (JSON or CSV).  ``CHECKS`` declares each check once, ``_record``
+judges every record by it, and ``SuiteConfig`` is the one config schema.
+Exit codes: 0 all checks pass, 1 any check fails, 2 configuration error, 3
+numerical non-convergence.
 """
 from __future__ import annotations
 
@@ -14,14 +15,14 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NonConvergence, UnknownCheck
 from .fields import coordinate, make_power_of_rho, standard_library
-from .numerics import MonteCarloConfig, QuadratureConfig, pooled
+from .numerics import Estimate, MonteCarloConfig, QuadratureConfig, pooled
 from .measures import (CauchyMeasure, HittingTimeLaw, TKernel, log_norm_const,
                        second_moment)
 from .qtm import harmonicity_residual, qtm_mc, qtm_subordinated
@@ -37,11 +38,14 @@ from .sphere import (SphereBecknerParams, constant_R, constant_R_closed_form,
 
 @dataclass(frozen=True)
 class Check:
-    """A check the CLI emits: its suite, what it certifies and, for a
-    residual check, the bound that |residual| must stay below."""
+    """A check the CLI emits: its suite, what it certifies, the tolerance a
+    residual must stay below (rhs = tol), the verdict ``miss`` of a record
+    with lhs >= rhs, and whether the certification ``policy`` judges it."""
     suite: str
     explanation: str
     tol: float | None = None
+    miss: str = "fail"
+    policy: bool = False
 
 
 CHECKS = {
@@ -57,7 +61,7 @@ CHECKS = {
         "summed error bounds."),
     "qtm-mc": Check("qtm", "Monte Carlo evaluation of the extension operator "
         "through the exact kernel sampler must sit within 3 standard errors "
-        "of the quadrature value."),
+        "of the quadrature value.", miss="inconclusive"),
     "qtm-harmonic": Check("qtm", "The extension G(x,t) of f satisfies "
         "(Laplacian_x + d^2/dt^2 + ((1-m)/t) d/dt) G = 0; a finite-difference "
         "stencil applied under the integral sign gives the residual, which is "
@@ -71,7 +75,8 @@ CHECKS = {
         "switch level t0/2, with a trapezoid time, then finished: the time "
         "left from level y is y^2/(4G), G ~ Gamma(m/2), the law "
         "hitting-law-ks tests.  The clock change and its time quadrature are "
-        "the part under test."),
+        "the part under test; a gap of 0.02 or more is inconclusive.", 0.02,
+        "inconclusive"),
     "qm-halfspace": Check("gamma2", "For the half-space operator with drift "
         "(1-m)/t the tensor identity (n - D) Ric(L) = X (x) X holds exactly "
         "with n = d - m + 2 and D = d + 1.", 1e-12),
@@ -82,10 +87,10 @@ CHECKS = {
         "consequences: the beta-weighted residual and the reinforced CD(0,d) "
         "residual are nonnegative up to roundoff.", 1e-9),
     "poincare-cauchy": Check("cauchy", "Var(f) <= (1/(2(b-1))) Int |grad f|^2 "
-        "(1+|y|^2) dnu_b; coordinate functions saturate it."),
+        "(1+|y|^2) dnu_b; coordinate functions saturate it.", policy=True),
     "beckner-cauchy": Check("cauchy", "(p/(p-1))[Int f^2 dnu_b - (Int f^{2/p} "
         "dnu_b)^p] <= (1/(b-1)) Int |grad f|^2 (1+|y|^2) dnu_b for b >= d+1 "
-        "and p in [1+1/(b-d), 2]."),
+        "and p in [1+1/(b-d), 2].", policy=True),
     "rayleigh-high-b": Check("cauchy", "Independent Rayleigh-quotient "
         "estimate of the best Poincare constant; for d=1, b >= 3/2 it equals "
         "1/(2(b-1)).", 1e-2),
@@ -98,7 +103,7 @@ CHECKS = {
         "the constant (c(d,d)/c(m,d)) (3d+m-2)/(d+m-2).", 1e-9),
     "sphere-beckner": Check("sphere", "Int f^2 dmu_S <= A (Int f^{2/p} "
         "dmu_S)^p + 16/((m+2-d)(3d-2+m)) Int Gamma_S(f) dmu_S with p = "
-        "1+2/(m-d); saturated by f = rho^{(d-m-2)/2}."),
+        "1+2/(m-d); saturated by f = rho^{(d-m-2)/2}.", policy=True),
 }
 
 # Suites in table order; the runner of suite s is `_suite_<s>`.
@@ -125,6 +130,7 @@ class SuiteConfig:
             raise ConfigError("format must be json or csv")
         if any(dd not in (1, 2, 3) for dd in self.d):
             raise ConfigError("d grid must lie in {1,2,3}")
+        self.d = [int(dd) for dd in self.d]
         for name in ("b", "m", "p", "t"):
             if not all(math.isfinite(v) for v in getattr(self, name)):
                 raise ConfigError(f"{name} grid must be finite")
@@ -146,52 +152,45 @@ class SuiteConfig:
                             f"suite {self.suite} needs m >= d+2, got m={mm}, d={dd}")
 
 
-def _record(check_id, params, lhs, lhs_err, rhs, rhs_err, verdict):
+def _record(check_id, params, lhs, rhs=None):
+    """The one place a verdict is decided.  ``lhs`` and ``rhs`` are floats or
+    ``Estimate``s; ``rhs`` None is the check's ``tol``, for lhs = |residual|."""
+    check = CHECKS[check_id]
+    lhs, rhs = (x if isinstance(x, Estimate) else Estimate(x, 0.0, 0)
+                for x in (lhs, check.tol if rhs is None else rhs))
+    verdict = (DeficitReport(lhs, rhs).verdict if check.policy
+               else "pass" if lhs.value < rhs.value else check.miss)
     return {"check_id": check_id, "params": params,
-            "lhs": float(lhs), "lhs_err": float(lhs_err),
-            "rhs": float(rhs), "rhs_err": float(rhs_err),
-            "deficit": float(rhs) - float(lhs), "verdict": verdict}
-
-
-def _residual_record(check_id, params, residual):
-    tol = CHECKS[check_id].tol
-    verdict = "pass" if abs(residual) < tol else "fail"
-    return _record(check_id, params, abs(residual), 0.0, tol, 0.0, verdict)
-
-
-def _deficit_record(check_id, rep: DeficitReport):
-    return _record(check_id, rep.params, rep.lhs.value, rep.lhs.error_bound,
-                   rep.rhs.value, rep.rhs.error_bound, rep.verdict)
+            "lhs": float(lhs.value), "lhs_err": float(lhs.error_bound),
+            "rhs": float(rhs.value), "rhs_err": float(rhs.error_bound),
+            "deficit": float(rhs.value) - float(lhs.value), "verdict": verdict}
 
 
 def _suite_measures(cfg: SuiteConfig):
     for dd in cfg.d:
-        dd = int(dd)
         for bb in cfg.b:
             if bb <= dd / 2.0:
                 continue
             nu = CauchyMeasure(dd, bb)
             mass = nu.integrate(lambda pts: np.ones(len(pts)), QuadratureConfig())
-            yield _residual_record("measure-mass", {"d": dd, "b": bb},
-                                   mass.value - 1.0)
+            yield _record("measure-mass", {"d": dd, "b": bb}, abs(mass.value - 1.0))
             if 2.0 * bb - 2.0 - dd > 0:
                 mom = nu.integrate(
                     lambda pts: np.sum(np.atleast_2d(pts) ** 2, axis=1),
                     QuadratureConfig(), growth=2.0)
                 exact = second_moment(bb, dd)
-                yield _residual_record("measure-second-moment", {"d": dd, "b": bb},
-                                       (mom.value - exact) / exact)
+                yield _record("measure-second-moment", {"d": dd, "b": bb},
+                              abs((mom.value - exact) / exact))
         worst = 0.0
         for mm in range(3, 21):
             lhs = log_norm_const(mm, dd) - log_norm_const(mm - 2, dd)
             rhs = np.log((mm - 2.0) / (mm - 2.0 + dd))
             worst = max(worst, abs(np.expm1(lhs - rhs)))
-        yield _residual_record("norm-const-ratio", {"d": dd}, worst)
+        yield _record("norm-const-ratio", {"d": dd}, worst)
 
 
 def _suite_qtm(cfg: SuiteConfig):
     for dd in cfg.d:
-        dd = int(dd)
         f = standard_library(dd)["positive_bump"]
         grid = [(mm, tt) for mm in cfg.m for tt in cfg.t]
         kernels = [TKernel(dd, mm, tt, (0.0,) * dd) for mm, tt in grid]
@@ -205,19 +204,16 @@ def _suite_qtm(cfg: SuiteConfig):
         mcs = [est for i in range(0, len(kernels), nt)
                for est in qtm_mc(f, kernels[i:i + nt], mc_cfg)]
         for (mm, tt), s, (q, res), mc in zip(grid, subordinated, harmonic, mcs):
-            gap = abs(q.value - s.value)
-            budget = q.error_bound + s.error_bound
             yield _record("qtm-crosspath",
                           {"d": dd, "m": mm, "t": tt, "field": "positive_bump"},
-                          gap, 0.0, budget, 0.0, "pass" if gap <= budget else "fail")
-            z = abs(mc.value - q.value) / max(mc.error_bound, 1e-300)
+                          abs(q.value - s.value), q.error_bound + s.error_bound)
+            gap = replace(mc, value=abs(mc.value - q.value))
+            z = gap.value / max(mc.error_bound, 1e-300)
             yield _record("qtm-mc", {"d": dd, "m": mm, "t": tt, "sigma": z},
-                          abs(mc.value - q.value), mc.error_bound,
-                          3.0 * mc.error_bound, 0.0,
-                          "pass" if z <= 3.0 else "inconclusive")
+                          gap, 3.0 * mc.error_bound)
             scale = max(abs(q.value), 1.0)
-            yield _residual_record("qtm-harmonic", {"d": dd, "m": mm, "t": tt},
-                                   res.value / scale)
+            yield _record("qtm-harmonic", {"d": dd, "m": mm, "t": tt},
+                          abs(res.value / scale))
 
 
 def _suite_bessel(cfg: SuiteConfig):
@@ -229,80 +225,75 @@ def _suite_bessel(cfg: SuiteConfig):
         cdf, n = law.cdf(samples), len(samples)
         ks = float(max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n)))
         crit = 1.63 / np.sqrt(len(samples))  # 1% asymptotic KS critical value
-        yield _record("hitting-law-ks", {"m": mm, "t": 1.0, "n": len(samples)},
-                      ks, 0.0, crit, 0.0, "pass" if ks < crit else "fail")
-        dd = int(cfg.d[0])
+        yield _record("hitting-law-ks", {"m": mm, "t": 1.0, "n": len(samples)}, ks, crit)
+        dd = cfg.d[0]
         gap = dynkin_check(standard_library(dd)["positive_bump"],
                            BesselSimConfig(m=mm, t0=0.5, dt=2e-3),
                            20_000, seed=cfg.seed)
-        yield _record("bessel-dynkin", {"m": mm, "d": dd, "t0": 0.5},
-                      gap, 0.0, 0.02, 0.0, "pass" if gap < 0.02 else "inconclusive")
+        yield _record("bessel-dynkin", {"m": mm, "d": dd, "t0": 0.5}, gap)
 
 
 def _suite_gamma2(cfg: SuiteConfig):
     rng = np.random.default_rng(cfg.seed)
     for dd in cfg.d:
-        dd = int(dd)
         for mm in cfg.m:
             x = rng.uniform([-2.0] * dd + [0.2], [2.0] * dd + [2.0], (10, dd + 1))
-            yield _residual_record("qm-halfspace", {"d": dd, "m": mm},
-                                   qm_residual(halfspace_m(dd, mm), x))
+            yield _record("qm-halfspace", {"d": dd, "m": mm},
+                          abs(qm_residual(halfspace_m(dd, mm), x)))
             n = dd - mm + 2.0
             beta_star = n / (2.0 - n)
             grid = [(y, z) for y in np.linspace(0.5, 3.0, 8)
                     for z in np.linspace(0.1, 2.0, 8)]
             ok, _ = phi_conditions(power_surface(beta_star), n, dd, grid)
             bad, _ = phi_conditions(power_surface(beta_star - 0.1), n, dd, grid)
-            verdict = "pass" if (ok and not bad) else "fail"
+            # passes iff the conditions hold at beta_star and fail below it
             yield _record("phi-conditions", {"d": dd, "m": mm, "beta": beta_star},
-                          float(not ok), 0.0, float(not bad), 0.0, verdict)
+                          float(not ok), float(not bad))
         if dd >= 2:
             f = standard_library(dd)["positive_bump"]
             x = rng.uniform(-1.5, 1.5, (20, dd))
             worst = min(0.0, np.min(cd1_residual(f, -0.5, dd, x)),
                         np.min(reinforced_cd_residual(f, dd, x)))
-            yield _residual_record("cd-pointwise", {"d": dd}, worst)
+            yield _record("cd-pointwise", {"d": dd}, abs(worst))
 
 
 def _suite_cauchy(cfg: SuiteConfig):
     for dd in cfg.d:
-        dd = int(dd)
         for bb in cfg.b:
             rep = poincare_cauchy_deficit(coordinate(0, dd), bb, dd)
-            yield _deficit_record("poincare-cauchy", rep)
+            yield _record("poincare-cauchy", rep.params, rep.lhs, rep.rhs)
             f = standard_library(dd)["positive_bump"]
             for pp in cfg.p:
                 if not (1.0 + 1.0 / (bb - dd) <= pp <= 2.0):
                     continue
                 rep = beckner_cauchy_deficit(f, bb, pp, dd)
-                yield _deficit_record("beckner-cauchy", rep)
+                yield _record("beckner-cauchy", rep.params, rep.lhs, rep.rhs)
         if dd == 1:
-            yield _residual_record("rayleigh-high-b", {"d": 1, "b": 2.0},
-                                   optimal_constant_rayleigh(2.0, 1) / 0.5 - 1.0)
-            yield _residual_record("rayleigh-low-b", {"d": 1, "b": 1.0},
-                                   optimal_constant_rayleigh(1.0, 1) / 4.0 - 1.0)
+            yield _record("rayleigh-high-b", {"d": 1, "b": 2.0},
+                          abs(optimal_constant_rayleigh(2.0, 1) / 0.5 - 1.0))
+            yield _record("rayleigh-low-b", {"d": 1, "b": 1.0},
+                          abs(optimal_constant_rayleigh(1.0, 1) / 4.0 - 1.0))
 
 
 def _suite_sphere(cfg: SuiteConfig):
     rng = np.random.default_rng(cfg.seed)
     for dd in cfg.d:
-        dd = int(dd)
         if dd < 2:
             continue
         x = rng.uniform(-2, 2, (20, dd))
         residuals = eigenfunction_residuals(dd, x)[1:] + log_rho_identities(dd, x)
-        yield _residual_record("sphere-identities", {"d": dd},
-                               max(0.0, np.max(residuals)))
+        yield _record("sphere-identities", {"d": dd}, max(0.0, np.max(residuals)))
         for mm in cfg.m:
             vals = constant_R(mm, dd, rng.uniform(-3, 3, (50, dd)))
             spread = float(np.std(vals) / np.mean(vals))
             closed = constant_R_closed_form(mm, dd)
             res = max(spread, abs(vals[0] / closed - 1.0))
-            yield _residual_record("sphere-r-constant", {"d": dd, "m": mm}, res)
+            yield _record("sphere-r-constant", {"d": dd, "m": mm}, res)
             par = SphereBecknerParams(mm, dd)
             for f in (make_power_of_rho((dd - mm - 2.0) / 2.0, dd),
                       standard_library(dd)["positive_bump"]):
-                yield _deficit_record("sphere-beckner", sphere_beckner_deficit(f, par))
+                rep = sphere_beckner_deficit(f, par)
+                yield _record("sphere-beckner", rep.params, rep.lhs, rep.rhs)
 
 
 def run_suite(cfg: SuiteConfig) -> dict:
@@ -356,16 +347,21 @@ def render_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-def _number(cast, val: str, where: str):
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _cast(cast, val: str, where: str, what="a number"):
     try:
         return cast(val)
-    except ValueError:
-        raise ConfigError(f"{where}: expected a number, got {val!r}") from None
+    except (KeyError, ValueError):
+        raise ConfigError(f"{where}: expected {what}, got {val!r}") from None
 
 
 def load_config_file(path: str) -> dict:
-    """Flat key = value config; list values are comma-separated."""
-    opts = {}
+    """Flat key = value config.  A key is a ``SuiteConfig`` field and takes
+    the type of its default: a list is comma-separated numbers, a boolean is
+    true/false/yes/no/1/0 in any case."""
+    defaults, opts = asdict(SuiteConfig()), {}
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -380,16 +376,18 @@ def load_config_file(path: str) -> dict:
             raise ConfigError(f"{where}: expected key = value")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key in ("d", "b", "m", "p", "t"):
-            opts[key] = [_number(float, v, where) for v in val.split(",") if v.strip()]
-        elif key in ("seed",):
-            opts[key] = _number(int, val, where)
-        elif key in ("deterministic_timestamps",):
-            opts[key] = val.lower() in ("1", "true", "yes")
-        elif key in ("suite", "out", "format"):
-            opts[key] = val
-        else:
+        if key not in defaults:
             raise ConfigError(f"{where}: unknown key {key!r}")
+        default = defaults[key]
+        if isinstance(default, list):
+            opts[key] = [_cast(float, v, where) for v in val.split(",") if v.strip()]
+        elif isinstance(default, bool):
+            opts[key] = _cast(lambda v: _BOOLEANS[v.lower()], val, where,
+                              "/".join(_BOOLEANS))
+        elif isinstance(default, int):
+            opts[key] = _cast(int, val, where)
+        else:
+            opts[key] = val
     return opts
 
 
@@ -410,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="random seed")
     run.add_argument("--out", help="output path ('-' for stdout)")
     run.add_argument("--format", choices=("json", "csv"), help="report format")
-    run.add_argument("--deterministic-timestamps", action="store_true",
+    run.add_argument("--deterministic-timestamps", action="store_true", default=None,
                      help="zero out timestamps and wall times for diffable output")
     exp = sub.add_parser("explain", help="describe a check id")
     exp.add_argument("check_id")
@@ -432,12 +430,8 @@ def main(argv=None) -> int:
         return 2
     try:
         opts = load_config_file(args.config) if args.config else {}
-        for key in ("suite", "d", "b", "m", "p", "t", "seed", "out", "format"):
-            val = getattr(args, key, None)
-            if val is not None:
-                opts[key] = val
-        if args.deterministic_timestamps:
-            opts["deterministic_timestamps"] = True
+        opts.update((f.name, getattr(args, f.name)) for f in fields(SuiteConfig)
+                    if getattr(args, f.name) is not None)
         cfg = SuiteConfig(**opts)
         report = run_suite(cfg)
     except ConfigError as exc:

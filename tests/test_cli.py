@@ -3,12 +3,13 @@ import time
 
 import pytest
 
-from beckner.cli import (CHECKS, SUITES, SuiteConfig, build_parser,
+from beckner.cli import (CHECKS, SUITES, SuiteConfig, _record, build_parser,
                          explain_check, load_config_file, main, render_csv,
                          run_suite)
 from beckner.errors import ConfigError, UnknownCheck
+from beckner.inequalities import DeficitReport
 from beckner.measures import HittingTimeLaw
-from beckner.numerics import MonteCarloConfig, pooled
+from beckner.numerics import Estimate, MonteCarloConfig, pooled
 
 
 def small_cfg(**kw):
@@ -149,6 +150,15 @@ def test_config_file_and_override(tmp_path, capsys):
     assert report["config"]["suite"] == "measures"  # from file
     assert report["config"]["d"] == [1]             # CLI overrides file
     assert report["config"]["seed"] == 7
+    # the file's deterministic_timestamps holds without the flag
+    assert report["timestamp"] == "1970-01-01T00:00:00Z"
+    assert all(r["seconds"] == 0.0 for r in report["checks"])
+
+    # a flag of 0 still overrides the file's seed
+    rc = main(["run", "--config", str(cfgfile), "--d", "1", "--seed", "0",
+               "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["config"]["seed"] == 0
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("what even is this\n")
@@ -161,7 +171,8 @@ def test_config_file_and_override(tmp_path, capsys):
 
 def test_config_file_bad_values(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    for text in ("d = x\n", "d = 1, two\n", "seed = 1.5\n"):
+    for text in ("d = x\n", "d = 1, two\n", "seed = 1.5\n",
+                 "deterministic_timestamps = ture\n"):
         bad.write_text(text)
         with pytest.raises(ConfigError, match="bad.cfg:1"):
             load_config_file(str(bad))
@@ -172,6 +183,59 @@ def test_config_file_bad_values(tmp_path, capsys):
         load_config_file(str(missing))
     assert main(["run", "--config", str(missing)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,value", [("true", True), ("YES", True), ("1", True),
+                                        ("False", False), ("no", False), ("0", False)])
+def test_config_file_booleans(tmp_path, text, value):
+    cfgfile = tmp_path / "b.cfg"
+    cfgfile.write_text(f"deterministic_timestamps = {text}\n")
+    assert load_config_file(str(cfgfile)) == {"deterministic_timestamps": value}
+
+
+def test_config_file_report_is_the_flags_report(tmp_path, capsys):
+    # a config file and the same flags give one SuiteConfig, so one report
+    cfgfile = tmp_path / "suite.cfg"
+    cfgfile.write_text("suite = measures\nd = 1\nb = 3\n")
+    assert main(["run", "--config", str(cfgfile), "--deterministic-timestamps"]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["run", "--suite", "measures", "--d", "1", "--b", "3",
+                 "--deterministic-timestamps"]) == 0
+    assert capsys.readouterr().out == from_file
+    assert json.loads(from_file)["config"]["d"] == [1]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_every_verdict_follows_the_table(seed):
+    """The policy judges a Beckner row; every other record passes iff
+    lhs < rhs and gets its check's miss otherwise; a tol is the rhs."""
+    policy = {cid for cid, c in CHECKS.items() if c.policy}
+    assert policy == {"poincare-cauchy", "beckner-cauchy", "sphere-beckner"}
+    report = run_suite(SuiteConfig(seed=seed, deterministic_timestamps=True))
+    assert {r["check_id"] for r in report["checks"]} == set(CHECKS)
+    for r in report["checks"]:
+        check = CHECKS[r["check_id"]]
+        if check.policy:
+            expected = DeficitReport(Estimate(r["lhs"], r["lhs_err"], 0),
+                                     Estimate(r["rhs"], r["rhs_err"], 0)).verdict
+        else:
+            expected = "pass" if r["lhs"] < r["rhs"] else check.miss
+        assert r["verdict"] == expected, r
+        if check.tol is not None:
+            assert r["rhs"] == check.tol, r
+
+
+def test_a_miss_gets_its_checks_verdict():
+    # lhs equal to rhs is a miss; a tol stands in for a missing rhs
+    assert _record("measure-mass", {}, 1e-9)["verdict"] == "fail"
+    assert _record("qtm-crosspath", {}, 0.5, 0.5)["verdict"] == "fail"
+    assert _record("qtm-mc", {}, 0.5, 0.5)["verdict"] == "inconclusive"
+    rec = _record("bessel-dynkin", {}, 0.03)
+    assert (rec["rhs"], rec["verdict"]) == (0.02, "inconclusive")
+    assert _record("bessel-dynkin", {}, 0.01)["verdict"] == "pass"
+    lhs, rhs = Estimate(1.0, 0.1, 0), Estimate(0.95, 0.1, 0)
+    rec = _record("poincare-cauchy", {}, lhs, rhs)
+    assert (rec["lhs_err"], rec["verdict"]) == (0.1, "saturated")
 
 
 def test_registry_matches_emitted_checks():

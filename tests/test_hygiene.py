@@ -93,3 +93,15 @@ def test_tkernel_is_the_only_class_holding_d_m_t_x():
 def test_substreams_are_looped_over_in_numerics_only():
     # ``pooled`` and ``mc_estimate`` are the two loops over the substreams
     assert _callers("substreams") == ["numerics.py"]
+
+
+def test_suite_runners_decide_no_verdict():
+    # a verdict is decided in cli._record only, from the CHECKS table
+    tree = ast.parse((SRC / "cli.py").read_text())
+    runners = [f for f in tree.body
+               if isinstance(f, ast.FunctionDef) and f.name.startswith("_suite_")]
+    assert len(runners) == 6
+    verdicts = {"pass", "fail", "inconclusive", "saturated"}
+    found = [(f.name, n.value) for f in runners for n in ast.walk(f)
+             if isinstance(n, ast.Constant) and n.value in verdicts]
+    assert not found, found
