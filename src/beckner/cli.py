@@ -80,9 +80,9 @@ CHECKS = {
     "qm-halfspace": Check("gamma2", "For the half-space operator with drift "
         "(1-m)/t the tensor identity (n - D) Ric(L) = X (x) X holds exactly "
         "with n = d - m + 2 and D = d + 1.", 1e-12),
-    "phi-conditions": Check("gamma2", "The sub-harmonicity condition set for "
-        "the surface Phi(y,z) = y^beta z holds exactly on beta in [n/(2-n), "
-        "0] and fails below."),
+    "phi-conditions": Check("gamma2", "For m > d + 2 (so n = d - m + 2 < 0) "
+        "the sub-harmonicity condition set for the surface Phi(y,z) = y^beta z "
+        "holds exactly on beta in [n/(2-n), 0] and fails below."),
     "cd-pointwise": Check("gamma2", "Pointwise curvature-dimension "
         "consequences: the beta-weighted residual and the reinforced CD(0,d) "
         "residual are nonnegative up to roundoff.", 1e-9),
@@ -128,12 +128,15 @@ class SuiteConfig:
             raise ConfigError(f"unknown suite {self.suite!r}; choose from {SUITES}")
         if self.format not in ("json", "csv"):
             raise ConfigError("format must be json or csv")
+        for name in ("d", "b", "m", "p", "t"):
+            grid = getattr(self, name)
+            if not grid:
+                raise ConfigError(f"{name} grid is empty")
+            if not all(math.isfinite(v) for v in grid):
+                raise ConfigError(f"{name} grid must be finite")
         if any(dd not in (1, 2, 3) for dd in self.d):
             raise ConfigError("d grid must lie in {1,2,3}")
         self.d = [int(dd) for dd in self.d]
-        for name in ("b", "m", "p", "t"):
-            if not all(math.isfinite(v) for v in getattr(self, name)):
-                raise ConfigError(f"{name} grid must be finite")
         if any(tt <= 0 for tt in self.t):
             raise ConfigError("t grid must be positive")
         if self.seed < 0:
@@ -240,6 +243,8 @@ def _suite_gamma2(cfg: SuiteConfig):
             x = rng.uniform([-2.0] * dd + [0.2], [2.0] * dd + [2.0], (10, dd + 1))
             yield _record("qm-halfspace", {"d": dd, "m": mm},
                           abs(qm_residual(halfspace_m(dd, mm), x)))
+            if mm <= dd + 2:
+                continue   # the negative-dimension family needs n < 0
             n = dd - mm + 2.0
             beta_star = n / (2.0 - n)
             grid = [(y, z) for y in np.linspace(0.5, 3.0, 8)

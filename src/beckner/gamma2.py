@@ -276,6 +276,8 @@ def phi_conditions(phi: PhiSurface, n: float, d: int, grid, rho: float = 0.0):
 
     Returns (overall pass, list of per-point records).
     """
+    if n == 0:   # m = d + 2: for Phi = z, n p2 + 2(n-1) z p22 = 0 and the cross term is 0/0
+        raise DomainError("the sub-harmonicity conditions need n != 0")
     records = []
     ok = True
     for (y, z) in grid:

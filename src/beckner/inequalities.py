@@ -5,13 +5,14 @@ hand sides as error-bounded estimates, with a certification policy that
 turns analysis claims into crisp verdicts (certified iff the deficit is
 no more negative than the summed error bounds; saturated iff additionally
 the deficit is within ten error bounds of zero).  Every Beckner and Poincare
-inequality, on the Cauchy measures, the extension kernel, the Gaussian or the
-sphere, is one ``BecknerRow`` evaluated by the single ``beckner_deficit``.
+inequality, on the Cauchy measures, the Gaussian or the sphere, is one
+``BecknerRow`` on one measure, evaluated by the single ``beckner_deficit``;
+an extension row is the Cauchy row of f(x + t .) on nu_{(m+d)/2}.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .errors import (AdmissibilityError, DomainError, IllConditioned,
                      ParamError)
 from .fields import (DifferentiableField, affine_precompose, falling_factorial,
                      grad_norm_squared, growth_degree, make_power_of_rho)
-from .measures import CauchyMeasure, GaussianMeasure, TKernel, log_norm_const
+from .measures import CauchyMeasure, GaussianMeasure, log_norm_const
 from .numerics import Estimate, QuadratureConfig
 
 
@@ -54,12 +55,11 @@ class DeficitReport:
 
 @dataclass(frozen=True)
 class BecknerRow:
-    """One Beckner-type inequality: f^2 (``sq``) and ``mid`` against ``measure`` mu,
-    ``energy`` against ``energy_measure`` mu'.  With ``mid_on_lhs`` the report is
-    a [mu(sq) - A mu(mid)^p] <= c mu'(energy), else mu(sq) <= A mu(mid)^p + c mu'(energy).
+    """One Beckner-type inequality: f^2 (``sq``), ``mid`` and ``energy``, all
+    against the one ``measure`` mu.  With ``mid_on_lhs`` the report is
+    a [mu(sq) - A mu(mid)^p] <= c mu(energy), else mu(sq) <= A mu(mid)^p + c mu(energy).
     """
     measure: object
-    energy_measure: object
     sq: DifferentiableField
     mid: DifferentiableField
     energy: DifferentiableField
@@ -75,8 +75,8 @@ def beckner_deficit(row: BecknerRow, cfg: QuadratureConfig | None = None) -> Def
     """Both sides of a row, each integrand at its own growth degree; the middle
     term enters through base = |mu(mid)| with error A p base^{p-1} err(mid)."""
     cfg = cfg or QuadratureConfig()
-    sq, mid, energy = (mu.integrate(g, cfg, growth=growth_degree(g)) for mu, g in (
-        (row.measure, row.sq), (row.measure, row.mid), (row.energy_measure, row.energy)))
+    sq, mid, energy = (row.measure.integrate(g, cfg, growth=growth_degree(g))
+                       for g in (row.sq, row.mid, row.energy))
     base = abs(mid.value)
     mid_val = row.A * base ** row.p
     mid_err = row.A * (row.p * base ** (row.p - 1.0) * mid.error_bound)
@@ -89,30 +89,23 @@ def beckner_deficit(row: BecknerRow, cfg: QuadratureConfig | None = None) -> Def
                                       mid.n_evals + energy.n_evals), row.params)
 
 
-def _exponent_guard(f: DifferentiableField, p: float, p_lo: float, probe: bool):
-    if not (p_lo <= p <= 2.0) and not probe:
-        raise ParamError(f"p must lie in [{p_lo}, 2]; pass probe=True to record anyway")
-    if not f.positive:
-        raise DomainError("f must be a positive field")
-
-
 def beckner_qt_deficit(f: DifferentiableField, m: float, p: float, t: float,
                        x, cfg: QuadratureConfig | None = None,
                        probe: bool = False) -> DeficitReport:
     """Deficit of the extension-operator interpolation inequality.
 
-    (p/(p-1))(Q_t^m(f^2) - Q_t^m(f^{2/p})^p) <= (2t^2/(m-2)) Q_t^{m-2}(|grad f|^2)
+    (p/(p-1))(Q_t^m(f^2) - Q_t^m(f^{2/p})^p) <= (2t^2/(m-2)) Q_t^{m-2}(|grad f|^2),
+
+    the Cauchy row of g = f(x + t .) at b = (m+d)/2 (same p range), since
+    Q_t^{m-2}(h) = (Z_b/Z_{b-1}) nu_b(h(x + t .)(1+|y|^2)), Z_b/Z_{b-1} = (m-2)/(2(b-1)).
     """
     d = f.dim
     if m < d + 2:
         raise ParamError("need m >= d + 2")
-    _exponent_guard(f, p, 1.0 + 2.0 / (m - d), probe)
-    x = tuple(np.atleast_1d(np.asarray(x, dtype=float)))
-    return beckner_deficit(BecknerRow(
-        TKernel(d, m, t, x), TKernel(d, m - 2.0, t, x), f.power(2), f.power(2.0 / p),
-        grad_norm_squared(f), p / (p - 1.0), 1.0, 2.0 * t ** 2 / (m - 2.0), p, True,
-        {"check": "beckner-qt", "d": d, "m": m, "p": p, "t": t, "x": list(x),
-         "probe": probe}), cfg)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    rep = beckner_cauchy_deficit(affine_precompose(f, t, x), (m + d) / 2.0, p, d, cfg, probe)
+    return replace(rep, params={"check": "beckner-qt", "d": d, "m": m, "p": p, "t": t,
+                                "x": x.tolist(), "probe": probe})
 
 
 def beckner_cauchy_deficit(f: DifferentiableField, b: float, p: float, d: int,
@@ -124,12 +117,15 @@ def beckner_cauchy_deficit(f: DifferentiableField, b: float, p: float, d: int,
     """
     if b < d + 1:
         raise ParamError("need b >= d + 1")
-    _exponent_guard(f, p, 1.0 + 1.0 / (b - d), probe)
-    nu = CauchyMeasure(d, b)
+    p_lo = 1.0 + 1.0 / (b - d)
+    if not (p_lo <= p <= 2.0) and not probe:
+        raise ParamError(f"p must lie in [{p_lo}, 2]; pass probe=True to record anyway")
+    if not f.positive:
+        raise DomainError("f must be a positive field")
     return beckner_deficit(BecknerRow(
-        nu, nu, f.power(2), f.power(2.0 / p), grad_norm_squared(f) * make_power_of_rho(2.0, d),
-        p / (p - 1.0), 1.0, 1.0 / (b - 1.0), p, True,
-        {"check": "beckner-cauchy", "d": d, "b": b, "p": p, "probe": probe}), cfg)
+        CauchyMeasure(d, b), f.power(2), f.power(2.0 / p),
+        grad_norm_squared(f) * make_power_of_rho(2.0, d), p / (p - 1.0), 1.0, 1.0 / (b - 1.0),
+        p, True, {"check": "beckner-cauchy", "d": d, "b": b, "p": p, "probe": probe}), cfg)
 
 
 def poincare_cauchy_deficit(f: DifferentiableField, b: float, d: int,
@@ -138,10 +134,10 @@ def poincare_cauchy_deficit(f: DifferentiableField, b: float, d: int,
     p = 2 row whose middle term is f itself, so nu(f) is the signed mean."""
     if b < d + 1:
         raise ParamError("need b >= d + 1")
-    nu = CauchyMeasure(d, b)
     return beckner_deficit(BecknerRow(
-        nu, nu, f.power(2), f, grad_norm_squared(f) * make_power_of_rho(2.0, d), 1.0, 1.0,
-        1.0 / (2.0 * (b - 1.0)), 2.0, True, {"check": "poincare-cauchy", "d": d, "b": b}), cfg)
+        CauchyMeasure(d, b), f.power(2), f, grad_norm_squared(f) * make_power_of_rho(2.0, d),
+        1.0, 1.0, 1.0 / (2.0 * (b - 1.0)), 2.0, True,
+        {"check": "poincare-cauchy", "d": d, "b": b}), cfg)
 
 
 @dataclass(frozen=True)
@@ -184,19 +180,20 @@ def admissibility_check(spec: PhiEntropySpec, grid):
 def phi_entropy_deficit(f: DifferentiableField, spec: PhiEntropySpec,
                         m: float, t: float, x,
                         cfg: QuadratureConfig | None = None) -> DeficitReport:
-    """Deficit of the entropy inequality for the extension operator, the row
-    with sq = Phi(f) = f^q, mid = f and p = q once Phi is admissible:
-
-    Q_t^m(Phi(f)) - Phi(Q_t^m f) <= (t^2/(2(m-2))) Q_t^{m-2}(Phi''(f) |grad f|^2)
+    """Deficit of the entropy inequality for the extension operator once
+    Phi = v^q is admissible, Q_t^m(Phi(f)) - Phi(Q_t^m f) <= (t^2/(2(m-2)))
+    Q_t^{m-2}(Phi''(f) |grad f|^2): as in ``beckner_qt_deficit``, the row on
+    nu_b of g = f(x + t .) with sq = g^q, mid = g, p = q and c = 1/(4(b-1)).
     """
     d = f.dim
     if m < d + 2:
         raise ParamError("need m >= d + 2")
     if abs(spec.n - (d - m + 2.0)) > 1e-12:
         raise ParamError("spec.n must equal d - m + 2 for these indices")
-    x = tuple(np.atleast_1d(np.asarray(x, dtype=float)))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    g = affine_precompose(f, t, x)
     # admissibility over the observed range of f near the evaluation point
-    rng_pts = np.asarray(x, dtype=float) + np.linspace(-6, 6, 41)[:, None] * np.ones(d)
+    rng_pts = x + np.linspace(-6, 6, 41)[:, None] * np.ones(d)
     vals = f.value(rng_pts)
     lo, hi = float(vals.min()), float(vals.max())
     pad = 0.05 * (hi - lo) + 1e-9
@@ -205,12 +202,12 @@ def phi_entropy_deficit(f: DifferentiableField, spec: PhiEntropySpec,
     if not ok:
         raise AdmissibilityError(
             f"profile fails admissibility on [{lo:.3g}, {hi:.3g}] (margin {worst:.3g})")
-    q = spec.q
+    q, b = spec.q, (m + d) / 2.0
     return beckner_deficit(BecknerRow(
-        TKernel(d, m, t, x), TKernel(d, m - 2.0, t, x), f.power(q), f,
-        q * (q - 1.0) * f.power(q - 2.0) * grad_norm_squared(f),
-        1.0, 1.0, t ** 2 / (2.0 * (m - 2.0)), q, True,
-        {"check": "phi-entropy", "d": d, "m": m, "t": t, "x": list(x), "n": spec.n}), cfg)
+        CauchyMeasure(d, b), g.power(q), g,
+        q * (q - 1.0) * g.power(q - 2.0) * grad_norm_squared(g) * make_power_of_rho(2.0, d),
+        1.0, 1.0, 1.0 / (4.0 * (b - 1.0)), q, True,
+        {"check": "phi-entropy", "d": d, "m": m, "t": t, "x": x.tolist(), "n": spec.n}), cfg)
 
 
 RAYLEIGH_BASIS_SIZE = 9    # trial fields in the Rayleigh-quotient span
@@ -285,9 +282,8 @@ def gaussian_beckner_deficit(f: DifferentiableField, p: float,
     """(p/(p-1))[gamma(f^2) - gamma(f^{2/p})^p] <= 2 gamma(|grad f|^2)."""
     if not 1.0 < p <= 2.0:
         raise ParamError("p must lie in (1, 2]")
-    gamma = GaussianMeasure(f.dim)
     return beckner_deficit(BecknerRow(
-        gamma, gamma, f.power(2), f.power(2.0 / p), grad_norm_squared(f),
+        GaussianMeasure(f.dim), f.power(2), f.power(2.0 / p), grad_norm_squared(f),
         p / (p - 1.0), 1.0, 2.0, p, True,
         {"check": "beckner-gaussian", "d": f.dim, "p": p}), cfg)
 

@@ -3,7 +3,8 @@
 Normalization constants are kept in log space (log-Gamma) so that large
 index parameters stay representable.  ``TKernel(d, m, t, x)`` is the kernel
 q_t(x, .) of the extension operator, and every evaluation path of Q_t takes
-one.  Draws are exact and live on the law they sample: ``TKernel.draw`` is a
+one; it is no ``Measure`` but the image x + t z of its ``base_measure``.
+Draws are exact and live on the law they sample: ``TKernel.draw`` is a
 Gaussian scale mixture over a Gamma variate, ``HittingTimeLaw.draw`` the
 inverse-Gamma transform t^2/(4G) of the same variate, and
 ``TKernel.draw_coupled`` the pair (S, X_S).  Each takes ``(rng, n)``;
@@ -154,7 +155,8 @@ class GaussianMeasure(Measure):
 @dataclass(frozen=True)
 class TKernel:
     """The kernel q_t(x, .) of the extension of index m on R^d: the law of
-    x + t z with z ~ nu_{(m+d)/2}, the only object that holds (d, m, t, x)."""
+    x + t z with z ~ nu_{(m+d)/2}, the only object that holds (d, m, t, x).
+    ``qtm.qtm_quadrature`` integrates f(x + t z) against ``base_measure``."""
     d: int
     m: float
     t: float
@@ -179,14 +181,6 @@ class TKernel:
         x = self.center
         return (scale * (1.0 + float(np.max(np.abs(x))) + self.t) ** growth
                 + abs(float(f(x[None, :])[0])))
-
-    def integrate(self, f, config: QuadratureConfig, growth: float = 0.0,
-                  scale: float = 1.0) -> Estimate:
-        """The measure protocol: the base measure's integral of f(x + t z), at
-        the ``tail_scale`` of f."""
-        x, t = self.center, self.t
-        return self.base_measure().integrate(lambda z: f(x + t * z), config, growth=growth,
-                                             scale=self.tail_scale(f, growth, scale))
 
     def density(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))

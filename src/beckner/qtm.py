@@ -35,10 +35,11 @@ from .numerics import (Estimate, MonteCarloConfig, QuadratureConfig,
 
 def qtm_quadrature(f: DifferentiableField, k: TKernel,
                    cfg: QuadratureConfig | None = None) -> Estimate:
-    """The defining integral: the average of f(x + t z) over z ~ nu_{(m+d)/2},
-    which is ``TKernel.integrate`` at the growth degree of f."""
-    cfg = cfg or QuadratureConfig()
-    return k.integrate(f, cfg, growth=growth_degree(f))
+    """The defining integral: the base measure nu_{(m+d)/2}'s integral of
+    f(x + t z), at the growth degree of f and its ``TKernel.tail_scale``."""
+    cfg, x, t, growth = cfg or QuadratureConfig(), k.center, k.t, growth_degree(f)
+    return k.base_measure().integrate(lambda z: f(x + t * z), cfg, growth=growth,
+                                      scale=k.tail_scale(f, growth, 1.0))
 
 
 _HERMITE_ORDER = {1: 48, 2: 32, 3: 18}

@@ -115,9 +115,9 @@ def sphere_beckner_deficit(f: DifferentiableField, params: SphereBecknerParams,
     """Deficit of the non-tight sphere inequality for a positive field."""
     if not f.positive:
         raise DomainError("the sphere family is stated for positive fields")
-    mu, p = SphereMeasure(params.d), params.p
+    p = params.p
     return beckner_deficit(BecknerRow(
-        mu, mu, f.power(2), f.power(2.0 / p), _sphere_energy(f),
+        SphereMeasure(params.d), f.power(2), f.power(2.0 / p), _sphere_energy(f),
         1.0, params.A, params.gradient_constant, p, False,
         {"check": "sphere-beckner", "d": params.d, "m": params.m, "p": p}), cfg)
 
@@ -133,9 +133,8 @@ def classical_beckner_deficit(f: DifferentiableField, p: float, d: int,
     """
     if not 1.0 < p <= 2.0:
         raise DomainError("p must lie in (1, 2]")
-    mu = SphereMeasure(d)
     return beckner_deficit(BecknerRow(
-        mu, mu, f.power(2), abs_power(f, 2.0 / p), _sphere_energy(f),
+        SphereMeasure(d), f.power(2), abs_power(f, 2.0 / p), _sphere_energy(f),
         1.0, 1.0, 2.0 * (p - 1.0) / (p * d), p, False,
         {"check": "sphere-classical-beckner", "d": d, "p": p}), cfg)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from beckner.fields import (constant, coordinate, gaussian_bump,
-                            make_power_of_rho, positive_bump, quadratic,
+                            grad_norm_squared, make_power_of_rho, positive_bump, quadratic,
                             standard_library, trig)
 from beckner.gamma2 import (cd1_residual, halfspace_m, qm_residual,
                             reinforced_cd_residual, subharmonic_residual)
@@ -215,17 +215,21 @@ def test_10_beckner_sweep_and_equivalence():
                 rep = beckner_cauchy_deficit(f, b, float(p), d)
                 worst = max(worst, -(rep.deficit + rep.error_budget))
                 n_checks += 1
-    f = positive_bump(1.0, [0.3], 1)
-    b, d, p = 3.0, 1, 1.5
-    cau = beckner_cauchy_deficit(f, b, p, d)
-    qt = beckner_qt_deficit(f, 2.0 * b - d, p, 1.0, [0.0])
-    eq_gap = max(abs(cau.lhs.value - qt.lhs.value),
-                 abs(cau.rhs.value - qt.rhs.value))
-    eq_budget = cau.error_budget + qt.error_budget + 1e-8
-    ok = worst <= 0.0 and eq_gap <= eq_budget
+    # the extension row, the Cauchy row of f(x + t .), against its three
+    # integrals by subordination: f^2, f^{2/p} at kernel m, |grad f|^2 at m - 2
+    f, m, p, t, x = positive_bump(1.0, [0.3], 1), 5.0, 1.5, 0.7, (0.4,)
+    qt = beckner_qt_deficit(f, m, p, t, x)
+    (sq,), (mid,), (energy,) = (qtm_subordinated(g, [TKernel(1, mm, t, x)]) for g, mm in (
+        (f.power(2), m), (f.power(2.0 / p), m), (grad_norm_squared(f), m - 2.0)))
+    a, c = p / (p - 1.0), 2.0 * t ** 2 / (m - 2.0)
+    eq_ratio = max(
+        abs(qt.lhs.value - a * (sq.value - mid.value ** p)) / (qt.lhs.error_bound + a * (
+            sq.error_bound + p * mid.value ** (p - 1.0) * mid.error_bound)),
+        abs(qt.rhs.value - c * energy.value) / (qt.rhs.error_bound + c * energy.error_bound))
+    ok = worst <= 0.0 and eq_ratio <= 1.0
     _line(10, "interpolation sweep", ok,
           f"{n_checks} certified deficits (worst violation {worst:.2e} <= 0); "
-          f"measure/extension gap {eq_gap:.2e} (<= {eq_budget:.2e})")
+          f"extension/subordination gap {eq_ratio:.2f} of the summed bars (<= 1)")
 
 
 def test_11_sphere_identities():

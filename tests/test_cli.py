@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 
 import pytest
 
@@ -46,6 +47,19 @@ def test_hitting_law_ks_is_the_statistic_of_every_draw():
         law = HittingTimeLaw(rec["params"]["m"], rec["params"]["t"])
         samples = pooled(law.draw, MonteCarloConfig(rec["params"]["n"], 2))
         assert abs(rec["lhs"] - stats.kstest(samples, law.cdf).statistic) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_gamma2_at_m_equal_d_plus_2(d, capsys):
+    # n = d - m + 2 = 0: no phi-conditions record (its family needs n < 0),
+    # and no 0/0 on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--suite", "gamma2", "--d", str(d), "--m", str(d + 2),
+                     "--deterministic-timestamps"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [r["verdict"] for r in checks if r["check_id"] == "qm-halfspace"] == ["pass"]
+    assert not [r for r in checks if r["check_id"] == "phi-conditions"]
 
 
 def test_deterministic_reports_are_identical():
@@ -178,6 +192,11 @@ def test_config_file_bad_values(tmp_path, capsys):
             load_config_file(str(bad))
         assert main(["run", "--config", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
+    # a key with no values is an empty grid, which no flag can give
+    for text, key in (("suite = bessel\nd =\n", "d"), ("suite = measures\nb =\n", "b")):
+        bad.write_text(text)
+        assert main(["run", "--config", str(bad)]) == 2
+        assert f"config error: {key} grid is empty" in capsys.readouterr().err
     missing = tmp_path / "missing.cfg"
     with pytest.raises(ConfigError, match="missing.cfg"):
         load_config_file(str(missing))

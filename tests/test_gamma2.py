@@ -114,6 +114,12 @@ def test_phi_conditions_extremal_and_monotone_failure():
     assert margins[0] > margins[1] > margins[2]  # failure deepens with distance
 
 
+def test_phi_conditions_need_a_nonzero_dimension():
+    # at m = d + 2 (n = 0) the conditions would divide 0 by 0
+    with pytest.raises(DomainError, match="n != 0"):
+        phi_conditions(power_surface(0.0), 0.0, 1, [(1.0, 1.0)])
+
+
 def test_subharmonic_residual_extension_field():
     d, m = 1, 5.0
     n = d - m + 2.0

@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter."""
 import ast
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -88,6 +89,16 @@ def test_tkernel_is_the_only_class_holding_d_m_t_x():
                if isinstance(node, ast.ClassDef) and {"d", "m", "t", "x"} <= {
                    n.target.id for n in node.body if isinstance(n, ast.AnnAssign)}]
     assert holders == ["TKernel"]
+
+
+def test_every_row_lives_on_one_measure():
+    # an extension row is the Cauchy row of f(x + t .), so the kernel is no
+    # measure of its own and no row carries a second one
+    assert not hasattr(measures.TKernel, "integrate")
+    assert [f.name for f in dataclasses.fields(inequalities.BecknerRow)
+            if "measure" in f.name] == ["measure"]
+    for name in ("inequalities.py", "sphere.py"):
+        assert "TKernel" not in (SRC / name).read_text(), name
 
 
 def test_substreams_are_looped_over_in_numerics_only():

@@ -14,8 +14,9 @@ from beckner.inequalities import (DeficitReport, PhiEntropySpec,
                                   limit_rate, optimal_constant_rayleigh,
                                   p_grid, phi_entropy_deficit,
                                   poincare_cauchy_deficit, radial_moment)
-from beckner.measures import CauchyMeasure
+from beckner.measures import CauchyMeasure, TKernel
 from beckner.numerics import Estimate, QuadratureConfig, integrate_rd
+from beckner.qtm import qtm_subordinated
 from oracles import cauchy_mean_mp
 
 
@@ -88,16 +89,59 @@ def test_beckner_p2_is_twice_poincare():
     assert beck.rhs.value == pytest.approx(2.0 * poin.rhs.value, rel=1e-10)
 
 
+def _subordinated(f, m, t, x):
+    """Q_t^m f(x) by path 2 of the extension (heat semigroup over the
+    hitting-time law), an evaluation that shares no quadrature with nu_b."""
+    (est,) = qtm_subordinated(f, [TKernel(f.dim, m, t, tuple(x))])
+    return est
+
+
+def _assert_sides_match(rep, lhs, lhs_err, rhs, rhs_err):
+    """Both sides of ``rep`` within the summed bars of another evaluation."""
+    assert abs(rep.lhs.value - lhs) <= rep.lhs.error_bound + lhs_err, (rep.lhs, lhs, lhs_err)
+    assert abs(rep.rhs.value - rhs) <= rep.rhs.error_bound + rhs_err, (rep.rhs, rhs, rhs_err)
+
+
+# (d, m, p or q, t, x): off-centre x and t != 1; d = 3 is left out because its
+# Hermite rule is loose at these t (ROADMAP item 13)
+_EXTENSION_CASES = [(1, 5.0, 1.5, 0.7, (0.4,)), (1, 6.0, 2.0, 1.6, (-0.3,)),
+                    (2, 6.0, 1.8, 1.3, (0.3, -0.2)), (2, 7.0, 1.6, 0.6, (-0.2, 0.5))]
+
+
 def test_beckner_cauchy_qt_equivalence():
-    # the measure with index b is the t=1, x=0 kernel of the extension at
-    # m = 2b - d; both formulations must produce identical sides
-    f = positive_bump(1.0, [0.3], 1)
-    b, d, p = 4.0, 1, 1.5
-    m = 2.0 * b - d
-    cau = beckner_cauchy_deficit(f, b, p, d)
-    qt = beckner_qt_deficit(f, m, p, 1.0, [0.0])
-    assert cau.lhs.value == pytest.approx(qt.lhs.value, abs=1e-8)
-    assert cau.rhs.value == pytest.approx(qt.rhs.value, abs=1e-8)
+    # the extension row is the Cauchy row of f(x + t .) on nu_{(m+d)/2}; both
+    # of its sides must match f^2, f^{2/p} at kernel m and |grad f|^2 at
+    # kernel m - 2 taken by subordination, within the summed bars
+    for d, m, p, t, x in _EXTENSION_CASES:
+        f = positive_bump(1.0, [0.3] * d, d)
+        rep = beckner_qt_deficit(f, m, p, t, x)
+        sq, mid, energy = (_subordinated(g, mm, t, x) for g, mm in (
+            (f.power(2), m), (f.power(2.0 / p), m), (grad_norm_squared(f), m - 2.0)))
+        a, c = p / (p - 1.0), 2.0 * t ** 2 / (m - 2.0)
+        _assert_sides_match(
+            rep, a * (sq.value - mid.value ** p),
+            a * (sq.error_bound + p * mid.value ** (p - 1.0) * mid.error_bound),
+            c * energy.value, c * energy.error_bound)
+        assert rep.params == {"check": "beckner-qt", "d": d, "m": m, "p": p, "t": t,
+                              "x": list(x), "probe": False}
+
+
+def test_phi_entropy_matches_the_subordination_path():
+    # the same check for the entropy row at Phi = v^q, q off 2, whose energy
+    # Phi''(f)|grad f|^2 carries the factor f^{q-2}
+    for d, m, _, t, x in _EXTENSION_CASES:
+        f = positive_bump(1.0, [0.3] * d, d)
+        n = d - m + 2.0
+        q = (4.0 - n) / (2.0 - n) + 0.05   # inside the admissible [(4-n)/(2-n), 2]
+        rep = phi_entropy_deficit(f, PhiEntropySpec(q, n), m, t, x)
+        sq, mean, energy = (_subordinated(g, mm, t, x) for g, mm in (
+            (f.power(q), m), (f, m),
+            (q * (q - 1.0) * f.power(q - 2.0) * grad_norm_squared(f), m - 2.0)))
+        c = t ** 2 / (2.0 * (m - 2.0))
+        _assert_sides_match(
+            rep, sq.value - mean.value ** q,
+            sq.error_bound + q * mean.value ** (q - 1.0) * mean.error_bound,
+            c * energy.value, c * energy.error_bound)
 
 
 def test_p_grid_certified_sweep():
@@ -129,6 +173,11 @@ def test_exponent_guards_and_probe():
     assert rep.params["probe"]
     with pytest.raises(ParamError):
         beckner_qt_deficit(f, 2.5, 2.0, 1.0, [0.0])  # m < d + 2
+    with pytest.raises(ParamError):
+        beckner_qt_deficit(f, 5.0, 1.2, 0.7, [0.4])  # below 1 + 2/(m-d)
+    assert beckner_qt_deficit(f, 5.0, 1.2, 0.7, [0.4], probe=True).params["probe"]
+    with pytest.raises(DomainError):
+        beckner_qt_deficit(coordinate(0, 1), 5.0, 2.0, 0.7, [0.4])  # not positive
     with pytest.raises(DomainError):
         beckner_cauchy_deficit(coordinate(0, 1), 3.0, 2.0, 1)  # not positive
 

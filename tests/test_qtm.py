@@ -6,15 +6,16 @@ import pytest
 
 from beckner.errors import DomainError
 from beckner import measures, numerics
-from beckner.fields import (DifferentiableField, constant, gaussian_bump, positive_bump,
-                            quadratic, standard_library, trig)
+from beckner.fields import (DifferentiableField, constant, gaussian_bump, grad_norm_squared,
+                            make_power_of_rho, positive_bump, quadratic, standard_library,
+                            trig)
 from beckner.measures import TKernel
 from beckner.numerics import Estimate, MonteCarloConfig, QuadratureConfig, pooled
 from beckner import qtm
 from beckner.qtm import (QtmField, biharmonic, harmonicity_residual,
                          moment_identity_gap, qtm_mc, qtm_quadrature,
                          qtm_subordinated, taylor_remainder_order)
-from oracles import extension_bump_mp, fd_derivative, half_space_operator_fd
+from oracles import cauchy_mean_mp, extension_bump_mp, fd_derivative, half_space_operator_fd
 
 
 def exact_quadratic_extension(m, d, t, x):
@@ -155,14 +156,38 @@ def test_bump_extension_within_bound_of_mpmath(path, d, m, t):
 _LARGE_T = [(1, 3.0), (2, 5.0)]
 
 
-@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND line on qtm_subordinated at "
-                   "large t, ROADMAP item 1: the rule-order term |hi - lo| understates "
-                   "the Gauss-Hermite error at t = 8")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: at t = 8 both Gauss-Hermite "
+                   "orders step over the field, so the rule-order term |hi - lo| "
+                   "understates the error")
 @pytest.mark.parametrize("d,m", _LARGE_T)
 def test_subordination_within_bound_of_mpmath_at_large_t(d, m):
     (est,) = qtm_subordinated(standard_library(d)["positive_bump"],
                               [TKernel(d, m, 8.0, (0.0,) * d)])
     oracle = extension_bump_mp(1.0, [0.3] * d, d, m, 8.0, [0.0] * d)
+    assert abs(est.value - oracle) <= est.error_bound
+
+
+def _slow_field_case():
+    """|grad f|^2 of f = (1+y^2)^{-1/2}, the kernel m - 2 = 4 of an m = 6
+    extension row at t = 1.6, x = -0.3, and its mpmath value."""
+    f = grad_norm_squared(make_power_of_rho(-1.0, 1))
+    oracle = cauchy_mean_mp(lambda z: (1.6 * z - 0.3) ** 2 * (1 + (1.6 * z - 0.3) ** 2) ** -3,
+                            2.5, breaks=(-10.0, 0.1875, 10.0))
+    return f, TKernel(1, 4.0, 1.6, (-0.3,)), oracle
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the rule-order term |hi - lo| "
+                   "also understates the error on a slowly decaying field at t = 1.6 "
+                   "(1.03 times the bound)")
+def test_subordination_within_bound_of_mpmath_on_a_slow_field():
+    f, kernel, oracle = _slow_field_case()
+    (est,) = qtm_subordinated(f, [kernel])
+    assert abs(est.value - oracle) <= est.error_bound
+
+
+def test_quadrature_within_bound_of_mpmath_on_a_slow_field():
+    f, kernel, oracle = _slow_field_case()
+    est = qtm_quadrature(f, kernel)
     assert abs(est.value - oracle) <= est.error_bound
 
 

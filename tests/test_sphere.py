@@ -9,6 +9,7 @@ from beckner.fields import (DifferentiableField, constant, grad_norm_squared,
                             growth_degree, make_power_of_rho, positive_bump)
 from beckner.gamma2 import gamma, sphere_stereo
 from beckner import sphere
+from beckner.inequalities import beckner_cauchy_deficit
 from beckner.measures import CauchyMeasure, SphereMeasure, norm_const
 from beckner.numerics import QuadratureConfig
 from beckner.sphere import (SphereBecknerParams,
@@ -149,6 +150,26 @@ def test_saturation_by_power_of_rho(d, m):
     f = make_power_of_rho((d - m - 2.0) / 2.0, d)
     rep = sphere_beckner_deficit(f, par)
     assert rep.saturated, (rep.deficit, rep.error_budget)
+
+
+@pytest.mark.parametrize("d,m", [(2, 4.0), (2, 6.0), (2, 9.0), (3, 5.0), (3, 7.0)])
+def test_sphere_row_is_the_conformal_image_of_the_cauchy_row(d, m):
+    # with b = (m+d)/2, p = 1 + 2/(m-d) (the left end of the Cauchy range) and
+    # alpha = (m-d+2)/2, a positive g on nu_b maps to f = g rho^{-alpha} on the
+    # sphere, and D_S(f) = kappa D_C(g); the two rows integrate different
+    # integrands against different measures, so this is a second path
+    par = SphereBecknerParams(m, d)
+    b, p, alpha = (m + d) / 2.0, par.p, (m - d + 2.0) / 2.0
+    z_b, z_d = norm_const(m, d), norm_const(d, d)
+    kappa = z_b / z_d * (p - 1.0) / p * (m + d - 2.0) / (m + 3.0 * d - 2.0)
+    assert par.A == pytest.approx(kappa * p / (p - 1.0) * (z_d / z_b) ** p, rel=1e-13)
+    assert par.gradient_constant == pytest.approx(4.0 * kappa * z_d / ((b - 1.0) * z_b),
+                                                  rel=1e-13)
+    for g in (positive_bump(1.0, [0.3] * d, d), positive_bump(0.7, [0.4, -0.2, 0.1][:d], d)):
+        sph = sphere_beckner_deficit(g * make_power_of_rho(-alpha, d), par)
+        cau = beckner_cauchy_deficit(g, b, p, d)
+        assert abs(sph.deficit - kappa * cau.deficit) <= (
+            sph.error_budget + kappa * cau.error_budget), (sph, cau)
 
 
 def test_bump_family_certified():
