@@ -27,8 +27,8 @@ from .measures import (CauchyMeasure, HittingTimeLaw, TKernel, log_norm_const,
                        second_moment)
 from .qtm import harmonicity_residual, qtm_mc, qtm_subordinated
 from .bessel import BesselSimConfig, dynkin_check
-from .gamma2 import (cd1_residual, phi_conditions, power_surface, qm_residual,
-                     halfspace_m, reinforced_cd_residual)
+from .gamma2 import (cd1_residual, phi_conditions, qm_residual,
+                     reinforced_cd_residual)
 from .inequalities import (DeficitReport, beckner_cauchy_deficit,
                            optimal_constant_rayleigh, poincare_cauchy_deficit)
 from .sphere import (SphereBecknerParams, constant_R, constant_R_closed_form,
@@ -242,15 +242,13 @@ def _suite_gamma2(cfg: SuiteConfig):
         for mm in cfg.m:
             x = rng.uniform([-2.0] * dd + [0.2], [2.0] * dd + [2.0], (10, dd + 1))
             yield _record("qm-halfspace", {"d": dd, "m": mm},
-                          abs(qm_residual(halfspace_m(dd, mm), x)))
+                          abs(qm_residual(dd, mm, x)))
             if mm <= dd + 2:
                 continue   # the negative-dimension family needs n < 0
             n = dd - mm + 2.0
             beta_star = n / (2.0 - n)
-            grid = [(y, z) for y in np.linspace(0.5, 3.0, 8)
-                    for z in np.linspace(0.1, 2.0, 8)]
-            ok, _ = phi_conditions(power_surface(beta_star), n, dd, grid)
-            bad, _ = phi_conditions(power_surface(beta_star - 0.1), n, dd, grid)
+            ok = phi_conditions(beta_star, n, dd)
+            bad = phi_conditions(beta_star - 0.1, n, dd)
             # passes iff the conditions hold at beta_star and fail below it
             yield _record("phi-conditions", {"d": dd, "m": mm, "beta": beta_star},
                           float(not ok), float(not bad))

@@ -8,12 +8,14 @@ protocol, ``partials(points, order)``: test fields give them all from one
 Taylor jet per point batch, the kernel-differentiated harmonic extension one
 integral per partial at a single point.  Every pointwise entry point takes one
 point (and returns floats) or an (n, dim) batch (and returns (n,) arrays).
+
+The two identities behind the sub-harmonic corollary are read in closed form:
+the quasi-model identity of the half-space operator (``qm_residual``) and the
+sign conditions on Phi(y, z) = y^beta z (``phi_conditions``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -21,64 +23,27 @@ from .errors import DomainError
 from .fields import DifferentiableField, constant, coords, make_power_of_rho
 
 
-@dataclass(frozen=True)
-class PhiSurface:
-    """A smooth surface Phi(y, z) with its first and second partials."""
-    phi: Callable[[float, float], float]
-    phi1: Callable[[float, float], float]
-    phi2: Callable[[float, float], float]
-    phi11: Callable[[float, float], float]
-    phi12: Callable[[float, float], float]
-    phi22: Callable[[float, float], float]
-
-
-def power_surface(beta: float) -> PhiSurface:
-    """Phi(y, z) = y^beta z, the surface behind the sub-harmonic corollary."""
-    return PhiSurface(
-        phi=lambda y, z: y ** beta * z,
-        phi1=lambda y, z: beta * y ** (beta - 1) * z,
-        phi2=lambda y, z: y ** beta,
-        phi11=lambda y, z: beta * (beta - 1) * y ** (beta - 2) * z,
-        phi12=lambda y, z: beta * y ** (beta - 1),
-        phi22=lambda y, z: 0.0,
-    )
-
-
 class DiffusionOperator:
-    """a(x) Laplacian + X . grad on R^dim (or the upper half-space)."""
+    """a(x) Laplacian + X . grad on R^dim, or on the part of it where
+    ``domain(points)`` holds."""
 
-    def __init__(self, dim, a_field, x_fields, tag, domain_check=None,
-                 ric=None, xx=None, m=None):
+    def __init__(self, dim, a, X, tag, domain=None):
         self.dim = dim
-        self.a = a_field            # DifferentiableField (conformal factor)
-        self.X = x_fields           # list of DifferentiableField components
+        self.a = a                  # DifferentiableField (conformal factor)
+        self.X = X                  # list of DifferentiableField components
         self.tag = tag
-        self.m = m                  # the half-space index, None elsewhere
-        self._domain_check = domain_check
-        self._ric = ric             # point -> (dim, dim) matrix or None
-        self._xx = xx
+        self._domain = domain
 
     def check_domain(self, points):
-        bad = ~self._domain_check(points) if self._domain_check is not None else False
+        bad = ~self._domain(points) if self._domain is not None else False
         if np.any(bad):
             raise DomainError(f"points {points[bad]} outside the operator's domain")
-
-    def ric(self, point):
-        if self._ric is None:
-            raise DomainError(f"no analytic Ricci tensor for {self.tag}")
-        return self._ric(np.atleast_1d(np.asarray(point, dtype=float)))
-
-    def xx(self, point):
-        if self._xx is None:
-            raise DomainError(f"no analytic drift tensor for {self.tag}")
-        return self._xx(np.atleast_1d(np.asarray(point, dtype=float)))
 
 
 @lru_cache(maxsize=None)
 def euclidean(d: int) -> DiffusionOperator:
     zero = [constant(0.0, d) for _ in range(d)]
-    z = lambda p: np.zeros(p.shape[:-1] + (d, d))
-    return DiffusionOperator(d, constant(1.0, d), zero, f"euclidean({d})", ric=z, xx=z)
+    return DiffusionOperator(d, constant(1.0, d), zero, f"euclidean({d})")
 
 
 @lru_cache(maxsize=None)
@@ -88,16 +53,8 @@ def halfspace_m(d: int, m: float) -> DiffusionOperator:
     t = coords(dim)[-1]
     xs = [constant(0.0, dim) for _ in range(d)]
     xs.append((1.0 - m) * DifferentiableField(dim, "pow", -1.0, (t,)))
-
-    def corner(c):   # p -> (dim, dim) matrices with c / t^2 in their last entry
-        def tensor(p):
-            out = np.zeros(p.shape[:-1] + (dim, dim))
-            out[..., -1, -1] = c / p[..., -1] ** 2
-            return out
-        return tensor
     return DiffusionOperator(dim, constant(1.0, dim), xs, f"halfspace_m({d},{m})",
-                             domain_check=lambda p: p[..., -1] > 0,
-                             ric=corner(1.0 - m), xx=corner((1.0 - m) ** 2), m=float(m))
+                             domain=lambda p: p[..., -1] > 0)
 
 
 @lru_cache(maxsize=None)
@@ -118,7 +75,7 @@ class _Jet:
     axes, ``J()`` the value; floats at a point, (n,) arrays on a batch."""
 
     def __init__(self, field, x, order):
-        self.x, self.dim = x, x.shape[-1]
+        self.dim = x.shape[-1]
         self._vals = field.partials(x, order)
 
     def __call__(self, *axes):
@@ -177,11 +134,6 @@ def _gamma2(jf, ja, jx):
     return 0.5 * _L(ja, jx, _gamma_grad(jf, ja), g_pure2) - _gamma(ja, f1, grad_lf)
 
 
-def op_L(op: DiffusionOperator, f, x) -> float | np.ndarray:
-    """L f = a Laplacian(f) + X . grad f at x."""
-    return _lf(*_jets(op, f, x, 2))
-
-
 def value_L_gamma(op: DiffusionOperator, f, x):
     """(f(x), Lf, Gamma(f)) at x from one set of jets."""
     jf, ja, jx = _jets(op, f, x, 2)
@@ -189,28 +141,9 @@ def value_L_gamma(op: DiffusionOperator, f, x):
     return jf(), _lf(jf, ja, jx), _gamma(ja, f1, f1)
 
 
-def carre_du_champ(op: DiffusionOperator, f, g, x) -> float | np.ndarray:
-    """Gamma(f, g) = a grad f . grad g for conformal operators."""
-    jf, ja, _ = _jets(op, f, x, 1)
-    return _gamma(ja, _grad(jf), _grad(_Jet(g, jf.x, 1)))
-
-
-def gamma(op: DiffusionOperator, f, x) -> float | np.ndarray:
-    return value_L_gamma(op, f, x)[2]
-
-
 def gamma2(op: DiffusionOperator, f, x) -> float | np.ndarray:
     """Gamma_2(f) = (1/2) L Gamma(f) - Gamma(f, Lf) from the definition."""
     return _gamma2(*_jets(op, f, x, 3))
-
-
-def gamma2_bochner(op: DiffusionOperator, f, x) -> float | np.ndarray:
-    """Hessian-norm + Ric(L) form; only for builtins with a == 1."""
-    jf, _, _ = _jets(op, f, x, 2)
-    hess = np.array([[jf(i, j) for j in range(jf.dim)] for i in range(jf.dim)])
-    grad = np.array(_grad(jf))   # the point axis, if any, last, as in hess
-    return (np.sum(hess * hess, axis=(0, 1))
-            + np.einsum("i...,...ij,j...->...", grad, op.ric(jf.x), grad))
 
 
 def cd_residual(op: DiffusionOperator, f, x, rho: float, n: float) -> float | np.ndarray:
@@ -222,71 +155,37 @@ def cd_residual(op: DiffusionOperator, f, x, rho: float, n: float) -> float | np
     return _gamma2(jf, ja, jx) - rho * _gamma(ja, f1, f1) - lf * lf / n
 
 
-def qm_residual(op: DiffusionOperator, x) -> float:
-    """Largest entry of (n - dim) Ric(L) - X (x) X for the half-space builtin,
-    over all points of a batch.
+def qm_residual(d: int, m: float, x) -> float:
+    """Largest entry of (n - D) Ric(L) - X (x) X for halfspace_m(d, m) on
+    D = d + 1 coordinates, over all points of a batch.
 
-    With n = (base dimension) - m + 2 the identity is exact; the returned
-    residual should vanish to machine precision.
+    The drift X = (1 - m)/t e_t makes both tensors vanish but in their (t, t)
+    entries, (1 - m)/t^2 and (1 - m)^2/t^2.  With n = d - m + 2 the identity
+    is exact; the returned residual should vanish to machine precision.
     """
-    if op.m is None:
-        raise DomainError("the quasi-model identity targets the half-space operator")
     x = np.asarray(x, dtype=float)
-    op.check_domain(x)
-    n = (op.dim - 1) - op.m + 2.0
-    T = (n - op.dim) * op.ric(x) - op.xx(x)
-    return float(np.max(np.abs(T)))
+    halfspace_m(d, m).check_domain(x)
+    n = d - m + 2.0
+    t2 = x[..., -1] ** 2
+    return float(np.max(np.abs((n - (d + 1)) * ((1.0 - m) / t2) - (1.0 - m) ** 2 / t2)))
 
 
 # -- sub-harmonic functional machinery ------------------------------------
 
-_GRADIENT_BRANCH = "strict"
-_DEGENERATE_FLAT = "degenerate-flat"
-_DEGENERATE_CONVEX = "degenerate-convex"
+def phi_conditions(beta: float, n: float, d: int) -> bool:
+    """Whether Phi(y, z) = y^beta z meets the sub-harmonicity conditions at
+    rho = 0.
 
-
-def phi_condition_report(phi: PhiSurface, n: float, d: int, rho: float,
-                         y: float, z: float):
-    """Which branch (if any) of the sub-harmonicity conditions holds at (y, z)."""
-    p2 = phi.phi2(y, z)
-    p11 = phi.phi11(y, z)
-    p12 = phi.phi12(y, z)
-    p22 = phi.phi22(y, z)
-    if p2 > 0:
-        c2 = p2 * (n + 1 - d) / (n - d) + 2.0 * z * p22
-        c3 = (n - d) * (n * p2 + 2.0 * (n - 1.0) * z * p22)
-        denom = n * p2 + 2.0 * (n - 1.0) * z * p22
-        cross = 2.0 * (n - 1.0) * z * p12 ** 2 / denom
-        c4 = 2.0 * rho * p2 + p11 - cross
-        # the extremal surface sits exactly at c4 = 0; allow roundoff there
-        c4_scale = abs(2.0 * rho * p2) + abs(p11) + abs(cross) + 1e-30
-        ok = c2 > 0 and c3 > 0 and c4 >= -1e-11 * c4_scale
-        return (_GRADIENT_BRANCH if ok else None,
-                {"phi2": p2, "c2": c2, "c3": c3, "c4": c4})
-    if p2 == 0:
-        if z * p22 == 0 and z * p12 == 0 and z * p11 >= 0:
-            return _DEGENERATE_FLAT, {"phi2": p2}
-        if z * p22 > 0 and p11 * p22 - p12 ** 2 >= 0:
-            return _DEGENERATE_CONVEX, {"phi2": p2}
-    return None, {"phi2": p2}
-
-
-def phi_conditions(phi: PhiSurface, n: float, d: int, grid, rho: float = 0.0):
-    """Evaluate the branch conditions over a grid of (y, z) points.
-
-    Returns (overall pass, list of per-point records).
+    Phi_2 = y^beta > 0 and Phi_22 = 0, so c2 = y^beta (n+1-d)/(n-d),
+    c3 = (n-d) n y^beta and c4 = z y^(beta-2) [beta(beta-1) - 2(n-1)beta^2/n]
+    = z y^(beta-2) beta (beta(2-n)/n - 1): no sign depends on (y, z).
     """
     if n == 0:   # m = d + 2: for Phi = z, n p2 + 2(n-1) z p22 = 0 and the cross term is 0/0
         raise DomainError("the sub-harmonicity conditions need n != 0")
-    records = []
-    ok = True
-    for (y, z) in grid:
-        if z <= 0:
-            raise DomainError("grid points need z > 0")
-        branch, detail = phi_condition_report(phi, n, d, rho, y, z)
-        records.append({"y": y, "z": z, "branch": branch, **detail})
-        ok = ok and branch is not None
-    return ok, records
+    p11, cross = beta * (beta - 1.0), 2.0 * (n - 1.0) * beta ** 2 / n
+    # c4 vanishes at the extremal beta* = n/(2-n); allow roundoff there
+    return ((n - d) * n > 0 and (n + 1 - d) * (n - d) > 0
+            and p11 - cross >= -1e-11 * (abs(p11) + abs(cross)))
 
 
 def subharmonic_residual(op: DiffusionOperator, F, beta: float, point) -> float | np.ndarray:
@@ -295,18 +194,16 @@ def subharmonic_residual(op: DiffusionOperator, F, beta: float, point) -> float 
     Uses the diffusion identity
     L(Phi(F, Gamma(F))) = 2 Phi_2 Gamma_2(F) + Phi_11 Gamma(F)
                           + 2 Phi_12 Gamma(F, Gamma(F)) + Phi_22 Gamma(Gamma F),
-    valid when L F = 0, with Phi(y, z) = y^beta z.
+    valid when L F = 0, with Phi(y, z) = y^beta z, whose Phi_22 is 0.
     """
     jf, ja, jx = _jets(op, F, point, 3)
     y = jf()
     if np.any(y <= 0):
         raise DomainError("F must be strictly positive at every point")
-    f1, g_grad = _grad(jf), _gamma_grad(jf, ja)
+    f1 = _grad(jf)
     z = _gamma(ja, f1, f1)
-    s = power_surface(beta)
-    return (2.0 * s.phi2(y, z) * _gamma2(jf, ja, jx) + s.phi11(y, z) * z
-            + 2.0 * s.phi12(y, z) * _gamma(ja, f1, g_grad)
-            + s.phi22(y, z) * _gamma(ja, g_grad, g_grad))
+    return (2.0 * y ** beta * _gamma2(jf, ja, jx) + beta * (beta - 1) * y ** (beta - 2) * z * z
+            + 2.0 * beta * y ** (beta - 1) * _gamma(ja, f1, _gamma_grad(jf, ja)))
 
 
 # -- pointwise curvature checks from the small-t expansion ----------------

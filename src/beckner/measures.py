@@ -175,11 +175,11 @@ class TKernel:
     def base_measure(self) -> CauchyMeasure:
         return CauchyMeasure(self.d, (self.m + self.d) / 2.0)
 
-    def tail_scale(self, f, growth: float, scale: float) -> float:
+    def tail_scale(self, f, growth: float) -> float:
         """Scale of the tail bound of f(x + t z) against the base measure:
-        |f(x + t z)| <= (scale (1 + |x| + t)^growth + |f(x)|) |z|^growth."""
+        |f(x + t z)| <= ((1 + |x| + t)^growth + |f(x)|) |z|^growth."""
         x = self.center
-        return (scale * (1.0 + float(np.max(np.abs(x))) + self.t) ** growth
+        return ((1.0 + float(np.max(np.abs(x))) + self.t) ** growth
                 + abs(float(f(x[None, :])[0])))
 
     def density(self, points):

@@ -39,7 +39,7 @@ def qtm_quadrature(f: DifferentiableField, k: TKernel,
     f(x + t z), at the growth degree of f and its ``TKernel.tail_scale``."""
     cfg, x, t, growth = cfg or QuadratureConfig(), k.center, k.t, growth_degree(f)
     return k.base_measure().integrate(lambda z: f(x + t * z), cfg, growth=growth,
-                                      scale=k.tail_scale(f, growth, 1.0))
+                                      scale=k.tail_scale(f, growth))
 
 
 _HERMITE_ORDER = {1: 48, 2: 32, 3: 18}
@@ -286,7 +286,7 @@ def harmonicity_residual(f: DifferentiableField, kernels,
             return stack.T
 
         # a tail scale depends on the point, not on m
-        point_scales = [TKernel(d, kernels[group[0]].m, tk, tuple(xk)).tail_scale(f, growth, 1.0)
+        point_scales = [TKernel(d, kernels[group[0]].m, tk, tuple(xk)).tail_scale(f, growth)
                         for xk, tk, _ in stencil]
         scales = [point_scales[0]] * n + [
             sum(abs(ck[j]) * sk for (_, _, ck), sk in zip(stencil, point_scales))

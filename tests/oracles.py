@@ -1,7 +1,8 @@
 """Reference implementations that tests compare the library against.
 
-They share no code with the library: finite differences, and integrals by
-mpmath at 30 digits.
+They share no code with the library: finite differences, integrals by
+mpmath at 30 digits, and the sub-harmonicity conditions read branch by branch
+on a grid of (y, z).
 """
 import math
 
@@ -69,6 +70,41 @@ def half_space_operator_fd(G, d: int, m: float, point, step: float = 1e-2) -> fl
     acc += fd_derivative(G, point, alpha_tt, step=step, domain=dom)
     acc += (1.0 - m) / point[-1] * fd_derivative(G, point, alpha_t, step=step, domain=dom)
     return acc
+
+
+def power_surface(beta):
+    """(y, z) -> (Phi_2, Phi_11, Phi_12, Phi_22) of Phi(y, z) = y^beta z."""
+    return lambda y, z: (y ** beta, beta * (beta - 1) * y ** (beta - 2) * z,
+                         beta * y ** (beta - 1), 0.0)
+
+
+def phi_condition_report(partials, n: float, d: int, rho: float, y: float, z: float):
+    """Which branch (if any) of the sub-harmonicity conditions holds at (y, z)
+    for the surface whose partials ``partials(y, z)`` gives, and its numbers."""
+    p2, p11, p12, p22 = partials(y, z)
+    if p2 > 0:
+        c2 = p2 * (n + 1 - d) / (n - d) + 2.0 * z * p22
+        c3 = (n - d) * (n * p2 + 2.0 * (n - 1.0) * z * p22)
+        denom = n * p2 + 2.0 * (n - 1.0) * z * p22
+        cross = 2.0 * (n - 1.0) * z * p12 ** 2 / denom
+        c4 = 2.0 * rho * p2 + p11 - cross
+        # the extremal surface sits exactly at c4 = 0; allow roundoff there
+        c4_scale = abs(2.0 * rho * p2) + abs(p11) + abs(cross) + 1e-30
+        ok = c2 > 0 and c3 > 0 and c4 >= -1e-11 * c4_scale
+        return "strict" if ok else None, {"phi2": p2, "c2": c2, "c3": c3, "c4": c4}
+    if p2 == 0:
+        if z * p22 == 0 and z * p12 == 0 and z * p11 >= 0:
+            return "degenerate-flat", {"phi2": p2}
+        if z * p22 > 0 and p11 * p22 - p12 ** 2 >= 0:
+            return "degenerate-convex", {"phi2": p2}
+    return None, {"phi2": p2}
+
+
+def phi_conditions_on_grid(partials, n: float, d: int, grid, rho: float = 0.0):
+    """Whether a branch holds at every (y, z) of ``grid``, and each point's
+    numbers."""
+    reports = [phi_condition_report(partials, n, d, rho, y, z) for y, z in grid]
+    return all(branch is not None for branch, _ in reports), [num for _, num in reports]
 
 
 def cauchy_mean_mp(h, b, breaks) -> float:

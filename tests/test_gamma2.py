@@ -7,25 +7,48 @@ from beckner.errors import DomainError
 from beckner.fields import (DifferentiableField, coords, gaussian_bump,
                             make_power_of_rho, positive_bump, quadratic,
                             standard_library)
-from beckner.gamma2 import (carre_du_champ, cd1_residual, cd_residual,
-                            euclidean, gamma, gamma2, gamma2_bochner,
-                            halfspace_m, op_L, phi_conditions, power_surface,
-                            qm_residual, reinforced_cd_residual,
-                            sphere_stereo, subharmonic_residual, value_L_gamma)
+from beckner.gamma2 import (cd1_residual, cd_residual, euclidean, gamma2,
+                            halfspace_m, phi_conditions, qm_residual,
+                            reinforced_cd_residual, sphere_stereo,
+                            subharmonic_residual, value_L_gamma)
 from beckner.qtm import QtmField
+from oracles import phi_conditions_on_grid, power_surface
 
 
 def cubic_1d():
     return coords(1)[0] ** 3
 
 
+def _cross_gamma(op, f, g, x):
+    """Gamma(f, g) by polarization, (Gamma(f + g) - Gamma(f - g)) / 4."""
+    return (value_L_gamma(op, f + g, x)[2] - value_L_gamma(op, f - g, x)[2]) / 4.0
+
+
+def gamma2_bochner(f, x, m=None):
+    """Gamma_2(f) = |Hess f|^2 + Ric(L)(grad f, grad f) for an operator with
+    a == 1: Ric(L) = -grad X is 0 on euclidean(d) and, on halfspace_m(d, m),
+    (1 - m)/t^2 in its (t, t) entry alone."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    dim = x.shape[-1]
+    jet = f.partials(x, 2)
+
+    def d(*axes):
+        return jet[tuple(axes.count(i) for i in range(dim))]
+
+    hess = np.array([[d(i, j) for j in range(dim)] for i in range(dim)])
+    out = np.sum(hess * hess, axis=(0, 1))
+    if m is not None:
+        out = out + (1.0 - m) / x[..., -1] ** 2 * d(dim - 1) ** 2
+    return out
+
+
 def test_gamma_is_squared_gradient():
     op = euclidean(2)
     f = quadratic(2)
     x = np.array([1.0, -2.0])
-    assert gamma(op, f, x) == pytest.approx(4.0 + 16.0)
+    assert value_L_gamma(op, f, x)[2] == pytest.approx(4.0 + 16.0)
     g = gaussian_bump(1.0, [0.0, 0.0], 2)
-    assert carre_du_champ(op, f, g, x) == pytest.approx(
+    assert _cross_gamma(op, f, g, x) == pytest.approx(
         float(np.dot([2.0, -4.0], [g.partial((1, 0), x), g.partial((0, 1), x)])))
 
 
@@ -44,7 +67,7 @@ def test_bochner_consistency_euclidean(name, d):
     for _ in range(5):
         x = rng.uniform(-1.5, 1.5, d)
         a = gamma2(op, f, x)
-        b = gamma2_bochner(op, f, x)
+        b = gamma2_bochner(f, x)
         assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
 
@@ -53,7 +76,7 @@ def test_bochner_consistency_halfspace():
     f = QtmField(positive_bump(1.0, [0.3, 0.3], 2), 6.0, 2)
     x = np.array([0.2, -0.4, 0.9])
     a = gamma2(op, f, x)
-    b = gamma2_bochner(op, f, x)
+    b = gamma2_bochner(f, x, m=6.0)
     assert a == pytest.approx(b, rel=1e-6, abs=1e-8)
 
 
@@ -62,27 +85,20 @@ def test_halfspace_operator_built_once_per_d_m():
     assert halfspace_m(2, 6.0) is not halfspace_m(2, 7.0)
 
 
-def test_qm_identity_needs_the_halfspace_operator():
-    assert halfspace_m(2, 6).m == 6.0
-    with pytest.raises(DomainError):
-        qm_residual(euclidean(2), [0.1, 0.5])
-
-
 def test_halfspace_operator_drift():
     op = halfspace_m(1, 6.0)
     f = coords(2)[1] ** 2  # t^2 in the extension variable
     # L t^2 = 2 + 2t (1-m)/t = 2(2 - m)
-    assert op_L(op, f, [0.0, 0.7]) == pytest.approx(2.0 * (2.0 - 6.0))
+    assert value_L_gamma(op, f, [0.0, 0.7])[1] == pytest.approx(2.0 * (2.0 - 6.0))
 
 
 def test_qm_identity_grid():
     rng = np.random.default_rng(2)
     for d in (1, 2):
         for m in (d + 2.0, d + 4.0, 9.5):
-            op = halfspace_m(d, m)
             for _ in range(8):
                 x = np.append(rng.uniform(-3, 3, d), rng.uniform(0.05, 3.0))
-                assert qm_residual(op, x) < 1e-12
+                assert qm_residual(d, m, x) < 1e-12
 
 
 def test_cd_residual_gaussian_model():
@@ -95,29 +111,48 @@ def test_cd_residual_gaussian_model():
         assert cd_residual(op, f, x, 0.0, 2.0) >= -1e-10
 
 
+def _grid(k):
+    return [(y, z) for y in np.linspace(0.5, 3.0, k) for z in np.linspace(0.1, 2.0, k)]
+
+
 def test_phi_conditions_extremal_and_monotone_failure():
     d, m = 2, 6.0
     n = d - m + 2.0  # -2
     beta_star = n / (2.0 - n)  # -1/2
-    grid = [(y, z) for y in np.linspace(0.5, 3.0, 6)
-            for z in np.linspace(0.1, 2.0, 6)]
-    ok, _ = phi_conditions(power_surface(beta_star), n, d, grid)
-    assert ok
-    ok0, _ = phi_conditions(power_surface(0.0), n, d, grid)
-    assert ok0
+    assert phi_conditions(beta_star, n, d)
+    assert phi_conditions(0.0, n, d)
     margins = []
     for delta in (0.05, 0.1, 0.2):
-        bad, recs = phi_conditions(power_surface(beta_star - delta), n, d, grid)
+        assert not phi_conditions(beta_star - delta, n, d)
+        bad, nums = phi_conditions_on_grid(power_surface(beta_star - delta), n, d, _grid(6))
         assert not bad
-        worst = min(r["c4"] for r in recs if r.get("c4") is not None)
-        margins.append(worst)
+        margins.append(min(r["c4"] for r in nums))
     assert margins[0] > margins[1] > margins[2]  # failure deepens with distance
 
 
 def test_phi_conditions_need_a_nonzero_dimension():
     # at m = d + 2 (n = 0) the conditions would divide 0 by 0
     with pytest.raises(DomainError, match="n != 0"):
-        phi_conditions(power_surface(0.0), 0.0, 1, [(1.0, 1.0)])
+        phi_conditions(0.0, 0.0, 1)
+
+
+def test_phi_conditions_closed_form_matches_the_grid_oracle():
+    # the closed form against the branch-by-branch oracle on the CLI's 8 x 8
+    # grid: d = 1-3, m on both sides of d + 2 (so n > 0 too), beta at, near
+    # and far from beta* = n/(2 - n)
+    cases = verdicts = 0
+    for d in (1, 2, 3):
+        for m in np.linspace(0.5, 20.0, 79):
+            n = d - m + 2.0
+            if n in (0.0, 2.0, d):   # no conditions, no beta*, c2 divides by 0
+                continue
+            beta_star = n / (2.0 - n)
+            for beta in (beta_star, beta_star - 1e-6, beta_star + 1e-6, beta_star - 0.1,
+                         beta_star + 0.05, beta_star - 1.0, beta_star + 1.0, 0.0):
+                want, _ = phi_conditions_on_grid(power_surface(beta), n, d, _grid(8))
+                assert phi_conditions(beta, n, d) == want, (d, m, beta)
+                cases, verdicts = cases + 1, verdicts + want
+    assert cases >= 1000 and 0 < verdicts < cases
 
 
 def test_subharmonic_residual_extension_field():
@@ -164,7 +199,7 @@ def test_sphere_operator_eigenfunction():
     u = (1.0 - quadratic(d)) * make_power_of_rho(-2.0, d)
     for x in ([0.3, -0.7], [1.5, 0.2]):
         uv = float(u.value(x))
-        assert op_L(op, u, x) == pytest.approx(-d * uv, abs=1e-12)
+        assert value_L_gamma(op, u, x)[1] == pytest.approx(-d * uv, abs=1e-12)
 
 
 # one jet each of f (order 3), of a (order 2) and of the three drift
@@ -191,12 +226,16 @@ def test_each_partial_evaluated_once_per_point(call, monkeypatch):
 
 # -- point batches ----------------------------------------------------------
 
+# the half-space operators of the batch tests, with their m
+_M = {halfspace_m(d, d + 4.0): d + 4.0 for d in (1, 2, 3)}
+
+
 def _batch(op, n=6, seed=0):
     """n points of op's domain: the box [-1.5, 1.5]^dim, with t in [0.2, 2]
     on the half-space."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.5, 1.5, (n, op.dim))
-    if op.m is not None:
+    if op in _M:
         x[:, -1] = rng.uniform(0.2, 2.0, n)
     return x
 
@@ -208,9 +247,8 @@ def _assert_batch_is_loop(call, x, rtol=0.0):
     np.testing.assert_allclose(np.array(call(x)), loop, rtol=rtol, atol=0.0)
 
 
-_OPS = ([euclidean(d) for d in (1, 2, 3)] + [halfspace_m(d, d + 4.0) for d in (1, 2, 3)]
-        + [sphere_stereo(d) for d in (2, 3)])
-_RIC_OPS = [op for op in _OPS if op._ric is not None]
+_RIC_OPS = [euclidean(d) for d in (1, 2, 3)] + list(_M)   # a == 1
+_OPS = _RIC_OPS + [sphere_stereo(d) for d in (2, 3)]
 
 
 def _fields(op):
@@ -218,12 +256,14 @@ def _fields(op):
     return positive_bump(1.0, [0.3] * dim, dim), gaussian_bump(0.7, [-0.2] * dim, dim)
 
 
+# L f (op_L), Gamma(f) (gamma) and Gamma(f, g) (carre_du_champ) each read
+# from value_L_gamma, the last by polarization
 @pytest.mark.parametrize("op", _OPS, ids=lambda op: op.tag)
 @pytest.mark.parametrize("call,rtol", [
-    (lambda op, f, g, x: op_L(op, f, x), 0.0),
+    (lambda op, f, g, x: value_L_gamma(op, f, x)[1], 0.0),
     (lambda op, f, g, x: value_L_gamma(op, f, x), 0.0),
-    (lambda op, f, g, x: gamma(op, f, x), 0.0),
-    (lambda op, f, g, x: carre_du_champ(op, f, g, x), 0.0),
+    (lambda op, f, g, x: value_L_gamma(op, f, x)[2], 0.0),
+    (lambda op, f, g, x: _cross_gamma(op, f, g, x), 0.0),
     (lambda op, f, g, x: gamma2(op, f, x), 0.0),
     (lambda op, f, g, x: cd_residual(op, f, x, 0.5, -2.0), 0.0),
     # y^beta at beta = -1/2 is numpy's vectorised pow on a batch and the C
@@ -240,7 +280,7 @@ def test_batch_matches_points(op, call, rtol):
 def test_bochner_batch_matches_points(op):
     f, _ = _fields(op)
     # np.sum and einsum reduce a (dim, dim) block and a batch in different orders
-    _assert_batch_is_loop(lambda x: gamma2_bochner(op, f, x), _batch(op), 1e-15)
+    _assert_batch_is_loop(lambda x: gamma2_bochner(f, x, _M.get(op)), _batch(op), 1e-15)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -254,9 +294,8 @@ def test_euclidean_residuals_batch_matches_points(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_qm_residual_of_a_batch_is_its_worst_point(d):
-    op = halfspace_m(d, d + 4.0)
-    x = _batch(op)
-    assert qm_residual(op, x) == max(qm_residual(op, xi) for xi in x)
+    x = _batch(halfspace_m(d, d + 4.0))
+    assert qm_residual(d, d + 4.0, x) == max(qm_residual(d, d + 4.0, xi) for xi in x)
 
 
 def test_batch_guards_catch_one_bad_point():
@@ -265,9 +304,9 @@ def test_batch_guards_catch_one_bad_point():
     x = _batch(op)
     x[3, -1] = -0.1
     with pytest.raises(DomainError):
-        op_L(op, f, x)
+        value_L_gamma(op, f, x)
     with pytest.raises(DomainError):
-        qm_residual(op, x)
+        qm_residual(2, 6.0, x)
     x = _batch(euclidean(2))
     x[2] = 0.0
     with pytest.raises(DomainError):   # f = |y|^2 - 1/2 is negative at y = 0

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from beckner import inequalities, measures, numerics, qtm, sphere
+from beckner import gamma2, inequalities, measures, numerics, qtm, sphere
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "beckner"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -99,6 +99,16 @@ def test_every_row_lives_on_one_measure():
             if "measure" in f.name] == ["measure"]
     for name in ("inequalities.py", "sphere.py"):
         assert "TKernel" not in (SRC / name).read_text(), name
+
+
+def test_gamma2_keeps_the_calculus_and_the_closed_forms():
+    # the Phi-surface grid is the tests' oracle, the Bochner form a test
+    # reference, and L f and Gamma(f) are read from value_L_gamma
+    for name in ("PhiSurface", "power_surface", "phi_condition_report", "gamma2_bochner",
+                 "op_L", "gamma", "carre_du_champ"):
+        assert not hasattr(gamma2, name), name
+    for op in (gamma2.euclidean(2), gamma2.halfspace_m(2, 6.0), gamma2.sphere_stereo(2)):
+        assert not hasattr(op, "ric") and not hasattr(op, "xx"), op.tag
 
 
 def test_substreams_are_looped_over_in_numerics_only():

@@ -126,22 +126,27 @@ def test_beckner_cauchy_qt_equivalence():
                               "x": list(x), "probe": False}
 
 
+def _assert_entropy_row_matches(f, q, m, t, x):
+    """The entropy row at Phi = v^q against its three integrals by
+    subordination; its energy Phi''(f)|grad f|^2 carries the factor f^{q-2}."""
+    rep = phi_entropy_deficit(f, PhiEntropySpec(q, f.dim - m + 2.0), m, t, x)
+    sq, mean, energy = (_subordinated(g, mm, t, x) for g, mm in (
+        (f.power(q), m), (f, m),
+        (q * (q - 1.0) * f.power(q - 2.0) * grad_norm_squared(f), m - 2.0)))
+    c = t ** 2 / (2.0 * (m - 2.0))
+    _assert_sides_match(
+        rep, sq.value - mean.value ** q,
+        sq.error_bound + q * mean.value ** (q - 1.0) * mean.error_bound,
+        c * energy.value, c * energy.error_bound)
+    return rep
+
+
 def test_phi_entropy_matches_the_subordination_path():
-    # the same check for the entropy row at Phi = v^q, q off 2, whose energy
-    # Phi''(f)|grad f|^2 carries the factor f^{q-2}
+    # the same check for the entropy row at q off 2
     for d, m, _, t, x in _EXTENSION_CASES:
-        f = positive_bump(1.0, [0.3] * d, d)
         n = d - m + 2.0
         q = (4.0 - n) / (2.0 - n) + 0.05   # inside the admissible [(4-n)/(2-n), 2]
-        rep = phi_entropy_deficit(f, PhiEntropySpec(q, n), m, t, x)
-        sq, mean, energy = (_subordinated(g, mm, t, x) for g, mm in (
-            (f.power(q), m), (f, m),
-            (q * (q - 1.0) * f.power(q - 2.0) * grad_norm_squared(f), m - 2.0)))
-        c = t ** 2 / (2.0 * (m - 2.0))
-        _assert_sides_match(
-            rep, sq.value - mean.value ** q,
-            sq.error_bound + q * mean.value ** (q - 1.0) * mean.error_bound,
-            c * energy.value, c * energy.error_bound)
+        _assert_entropy_row_matches(positive_bump(1.0, [0.3] * d, d), q, m, t, x)
 
 
 def test_p_grid_certified_sweep():
@@ -201,16 +206,11 @@ def test_rayleigh_estimate_dominates_coordinate_quotient():
 
 
 def test_phi_entropy_quadratic_profile_matches_variance():
-    # Phi(v) = v^2 turns the entropy inequality into the p = 2 interpolation
-    # inequality (up to the factor p/(p-1) = 2)
-    f = positive_bump(1.0, [0.3], 1)
-    m, d, t = 6.0, 1, 1.0
-    spec = PhiEntropySpec(2.0, d - m + 2.0)
-    ent = phi_entropy_deficit(f, spec, m, t, [0.0])
-    qt = beckner_qt_deficit(f, m, 2.0, t, [0.0])
-    assert ent.lhs.value == pytest.approx(qt.lhs.value / 2.0, abs=1e-9)
-    assert ent.rhs.value == pytest.approx(qt.rhs.value / 2.0, abs=1e-9)
-    assert ent.certified
+    # Phi(v) = v^2 turns the entropy row into the variance form, matched by
+    # the subordination path off centre
+    for d, m, _, t, x in _EXTENSION_CASES:
+        rep = _assert_entropy_row_matches(positive_bump(1.0, [0.3] * d, d), 2.0, m, t, x)
+        assert rep.certified
 
 
 def test_admissible_power_range():

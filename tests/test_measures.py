@@ -210,7 +210,7 @@ def test_per_radius_density_matches_per_point(mu):
         growth = growth_degree(f)
         if isinstance(mu, TKernel):   # the base measure's integral of f(x + t z)
             nu, g = mu.base_measure(), lambda z: f(mu.center + mu.t * z)
-            scale = mu.tail_scale(f, growth, 1.0)
+            scale = mu.tail_scale(f, growth)
         else:
             nu, g, scale = mu, f, 1.0
         try:
