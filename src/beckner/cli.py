@@ -29,7 +29,7 @@ from .qtm import harmonicity_residual, qtm_mc, qtm_subordinated
 from .bessel import BesselSimConfig, dynkin_check
 from .gamma2 import (cd1_residual, phi_conditions, qm_residual,
                      reinforced_cd_residual)
-from .inequalities import (DeficitReport, beckner_cauchy_deficit,
+from .inequalities import (DeficitReport, beckner_cauchy_rows, beckner_deficit,
                            optimal_constant_rayleigh, poincare_cauchy_deficit)
 from .sphere import (SphereBecknerParams, constant_R, constant_R_closed_form,
                      eigenfunction_residuals, log_rho_identities,
@@ -265,11 +265,10 @@ def _suite_cauchy(cfg: SuiteConfig):
         for bb in cfg.b:
             rep = poincare_cauchy_deficit(coordinate(0, dd), bb, dd)
             yield _record("poincare-cauchy", rep.params, rep.lhs, rep.rhs)
+            # the rows of one (d, b), one per p of the range, make one pass
+            ps = [pp for pp in cfg.p if 1.0 + 1.0 / (bb - dd) <= pp <= 2.0]
             f = standard_library(dd)["positive_bump"]
-            for pp in cfg.p:
-                if not (1.0 + 1.0 / (bb - dd) <= pp <= 2.0):
-                    continue
-                rep = beckner_cauchy_deficit(f, bb, pp, dd)
+            for rep in beckner_deficit(beckner_cauchy_rows(f, bb, ps, dd)):
                 yield _record("beckner-cauchy", rep.params, rep.lhs, rep.rhs)
         if dd == 1:
             yield _record("rayleigh-high-b", {"d": 1, "b": 2.0},

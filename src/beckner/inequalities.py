@@ -7,7 +7,10 @@ no more negative than the summed error bounds; saturated iff additionally
 the deficit is within ten error bounds of zero).  Every Beckner and Poincare
 inequality, on the Cauchy measures, the Gaussian or the sphere, is one
 ``BecknerRow`` on one measure, evaluated by the single ``beckner_deficit``;
-an extension row is the Cauchy row of f(x + t .) on nu_{(m+d)/2}.
+an extension row is the Cauchy row of f(x + t .) on nu_{(m+d)/2}.  The rows
+handed to it together that live on one measure share one quadrature pass,
+whose columns are their distinct integrands; a public deficit function
+builds its row and evaluates a list of one.
 """
 from __future__ import annotations
 
@@ -19,9 +22,9 @@ import numpy as np
 from .errors import (AdmissibilityError, DomainError, IllConditioned,
                      ParamError)
 from .fields import (DifferentiableField, affine_precompose, falling_factorial,
-                     grad_norm_squared, growth_degree, make_power_of_rho)
-from .measures import CauchyMeasure, GaussianMeasure, log_norm_const
-from .numerics import Estimate, QuadratureConfig
+                     grad_norm_squared, growth_degree, make_power_of_rho, stacked)
+from .measures import CauchyMeasure, GaussianMeasure, integrate_stack, log_norm_const
+from .numerics import CALL_POINTS, Estimate, QuadratureConfig
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,9 @@ class BecknerRow:
     """One Beckner-type inequality: f^2 (``sq``), ``mid`` and ``energy``, all
     against the one ``measure`` mu.  With ``mid_on_lhs`` the report is
     a [mu(sq) - A mu(mid)^p] <= c mu(energy), else mu(sq) <= A mu(mid)^p + c mu(energy).
+    Rows on one measure are integrated in one pass (``row_integrals``), and
+    an integrand that several rows hold as one object, such as the f^2 and
+    the energy of the rows of one f at several p, is one column of it.
     """
     measure: object
     sq: DifferentiableField
@@ -71,22 +77,58 @@ class BecknerRow:
     params: dict
 
 
-def beckner_deficit(row: BecknerRow, cfg: QuadratureConfig | None = None) -> DeficitReport:
-    """Both sides of a row, each integrand at its own growth degree; the middle
-    term enters through base = |mu(mid)| with error A p base^{p-1} err(mid)."""
+def row_integrals(rows, cfg: QuadratureConfig | None = None):
+    """(mu(sq), mu(mid), mu(energy)) of each row, in order.  The rows of one
+    measure make one ``integrate_stack`` pass whose columns are their distinct
+    integrands, each at its own growth degree, tail and tolerance, evaluated
+    together (``fields.stacked``: f's jet is built once per block).  A call
+    of the pass takes 1/k of ``integrate_rd``'s points for k columns, so its
+    stack keeps the size of one column's."""
     cfg = cfg or QuadratureConfig()
-    sq, mid, energy = (row.measure.integrate(g, cfg, growth=growth_degree(g))
-                       for g in (row.sq, row.mid, row.energy))
-    base = abs(mid.value)
-    mid_val = row.A * base ** row.p
-    mid_err = row.A * (row.p * base ** (row.p - 1.0) * mid.error_bound)
-    grad = Estimate(row.c * energy.value, row.c * energy.error_bound, energy.n_evals)
-    if row.mid_on_lhs:
-        lhs = Estimate(row.a * (sq.value - mid_val), row.a * (sq.error_bound + mid_err),
-                       sq.n_evals + mid.n_evals)
-        return DeficitReport(lhs, grad, row.params)
-    return DeficitReport(sq, Estimate(mid_val + grad.value, mid_err + grad.error_bound,
-                                      mid.n_evals + energy.n_evals), row.params)
+    passes = {}
+    for row in rows:
+        passes.setdefault(row.measure, []).append(row)
+    found = {}
+    for mu, group in passes.items():
+        columns = list({id(g): g for row in group
+                        for g in (row.sq, row.mid, row.energy)}.values())
+        k = len(columns)
+        ests = integrate_stack(stacked(columns), [mu] * k, cfg,
+                               [growth_degree(g) for g in columns], [1.0] * k,
+                               batch=CALL_POINTS // k)
+        found.update(zip(map(id, columns), ests))
+    return [tuple(found[id(g)] for g in (row.sq, row.mid, row.energy)) for row in rows]
+
+
+def power_error(base: float, err: float, p: float) -> float:
+    """The largest |x^p - base^p| over x >= 0 within err of base >= 0, for
+    p >= 1 as in every row (x^p is convex): the upward end
+    (base + err)^p - base^p, as base^p expm1(p log1p(err/base)), and err^p
+    at base = 0."""
+    if base == 0.0:
+        return err ** p
+    return base ** p * math.expm1(p * math.log1p(err / base))
+
+
+def beckner_deficit(rows, cfg: QuadratureConfig | None = None) -> list[DeficitReport]:
+    """The report of each row, from ``row_integrals``; the middle term enters
+    through base = |mu(mid)| with the bar A ``power_error``(base, err(mid), p),
+    the exact worst case of A base^p."""
+    reports = []
+    for row, (sq, mid, energy) in zip(rows, row_integrals(rows, cfg)):
+        base = abs(mid.value)
+        mid_val = row.A * base ** row.p
+        mid_err = row.A * power_error(base, mid.error_bound, row.p)
+        grad = Estimate(row.c * energy.value, row.c * energy.error_bound, energy.n_evals)
+        if row.mid_on_lhs:
+            lhs = Estimate(row.a * (sq.value - mid_val), row.a * (sq.error_bound + mid_err),
+                           sq.n_evals)
+            reports.append(DeficitReport(lhs, grad, row.params))
+        else:
+            reports.append(DeficitReport(sq, Estimate(mid_val + grad.value,
+                                                      mid_err + grad.error_bound,
+                                                      energy.n_evals), row.params))
+    return reports
 
 
 def beckner_qt_deficit(f: DifferentiableField, m: float, p: float, t: float,
@@ -108,36 +150,51 @@ def beckner_qt_deficit(f: DifferentiableField, m: float, p: float, t: float,
                                 "x": x.tolist(), "probe": probe})
 
 
-def beckner_cauchy_deficit(f: DifferentiableField, b: float, p: float, d: int,
-                           cfg: QuadratureConfig | None = None,
-                           probe: bool = False) -> DeficitReport:
-    """Deficit of the Cauchy-measure interpolation inequality.
+def beckner_cauchy_rows(f: DifferentiableField, b: float, ps, d: int,
+                        probe: bool = False) -> list[BecknerRow]:
+    """The rows of the Cauchy-measure interpolation inequality at each p of ``ps``,
 
-    (p/(p-1))[nu(f^2) - nu(f^{2/p})^p] <= (1/(b-1)) nu(|grad f|^2 (1+|y|^2))
-    """
+    (p/(p-1))[nu(f^2) - nu(f^{2/p})^p] <= (1/(b-1)) nu(|grad f|^2 (1+|y|^2)),
+
+    sharing one f^2 and one energy, so that they make one pass of 2 + len(ps)
+    columns."""
     if b < d + 1:
         raise ParamError("need b >= d + 1")
     p_lo = 1.0 + 1.0 / (b - d)
-    if not (p_lo <= p <= 2.0) and not probe:
+    if not probe and any(not (p_lo <= p <= 2.0) for p in ps):
         raise ParamError(f"p must lie in [{p_lo}, 2]; pass probe=True to record anyway")
     if not f.positive:
         raise DomainError("f must be a positive field")
-    return beckner_deficit(BecknerRow(
-        CauchyMeasure(d, b), f.power(2), f.power(2.0 / p),
-        grad_norm_squared(f) * make_power_of_rho(2.0, d), p / (p - 1.0), 1.0, 1.0 / (b - 1.0),
-        p, True, {"check": "beckner-cauchy", "d": d, "b": b, "p": p, "probe": probe}), cfg)
+    mu, sq = CauchyMeasure(d, b), f.power(2)
+    energy = grad_norm_squared(f) * make_power_of_rho(2.0, d)
+    return [BecknerRow(mu, sq, f.power(2.0 / p), energy, p / (p - 1.0), 1.0, 1.0 / (b - 1.0),
+                       p, True, {"check": "beckner-cauchy", "d": d, "b": b, "p": p,
+                                 "probe": probe}) for p in ps]
+
+
+def beckner_cauchy_deficit(f: DifferentiableField, b: float, p: float, d: int,
+                           cfg: QuadratureConfig | None = None,
+                           probe: bool = False) -> DeficitReport:
+    """Deficit of the Cauchy-measure interpolation inequality at one p: the
+    one row of ``beckner_cauchy_rows``."""
+    return beckner_deficit(beckner_cauchy_rows(f, b, [p], d, probe), cfg)[0]
+
+
+def poincare_cauchy_row(f: DifferentiableField, b: float, d: int) -> BecknerRow:
+    """The row of the variance bound Var(f) <= (1/(2(b-1))) nu(|grad f|^2 (1+|y|^2)):
+    the p = 2 row whose middle term is f itself, so nu(f) is the signed mean."""
+    if b < d + 1:
+        raise ParamError("need b >= d + 1")
+    return BecknerRow(
+        CauchyMeasure(d, b), f.power(2), f, grad_norm_squared(f) * make_power_of_rho(2.0, d),
+        1.0, 1.0, 1.0 / (2.0 * (b - 1.0)), 2.0, True,
+        {"check": "poincare-cauchy", "d": d, "b": b})
 
 
 def poincare_cauchy_deficit(f: DifferentiableField, b: float, d: int,
                             cfg: QuadratureConfig | None = None) -> DeficitReport:
-    """Variance bound Var(f) <= (1/(2(b-1))) nu(|grad f|^2 (1+|y|^2)): the
-    p = 2 row whose middle term is f itself, so nu(f) is the signed mean."""
-    if b < d + 1:
-        raise ParamError("need b >= d + 1")
-    return beckner_deficit(BecknerRow(
-        CauchyMeasure(d, b), f.power(2), f, grad_norm_squared(f) * make_power_of_rho(2.0, d),
-        1.0, 1.0, 1.0 / (2.0 * (b - 1.0)), 2.0, True,
-        {"check": "poincare-cauchy", "d": d, "b": b}), cfg)
+    """Deficit of the variance bound: the report of ``poincare_cauchy_row``."""
+    return beckner_deficit([poincare_cauchy_row(f, b, d)], cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -203,11 +260,12 @@ def phi_entropy_deficit(f: DifferentiableField, spec: PhiEntropySpec,
         raise AdmissibilityError(
             f"profile fails admissibility on [{lo:.3g}, {hi:.3g}] (margin {worst:.3g})")
     q, b = spec.q, (m + d) / 2.0
-    return beckner_deficit(BecknerRow(
+    return beckner_deficit([BecknerRow(
         CauchyMeasure(d, b), g.power(q), g,
         q * (q - 1.0) * g.power(q - 2.0) * grad_norm_squared(g) * make_power_of_rho(2.0, d),
         1.0, 1.0, 1.0 / (4.0 * (b - 1.0)), q, True,
-        {"check": "phi-entropy", "d": d, "m": m, "t": t, "x": x.tolist(), "n": spec.n}), cfg)
+        {"check": "phi-entropy", "d": d, "m": m, "t": t, "x": x.tolist(), "n": spec.n})],
+        cfg)[0]
 
 
 RAYLEIGH_BASIS_SIZE = 9    # trial fields in the Rayleigh-quotient span
@@ -282,10 +340,10 @@ def gaussian_beckner_deficit(f: DifferentiableField, p: float,
     """(p/(p-1))[gamma(f^2) - gamma(f^{2/p})^p] <= 2 gamma(|grad f|^2)."""
     if not 1.0 < p <= 2.0:
         raise ParamError("p must lie in (1, 2]")
-    return beckner_deficit(BecknerRow(
+    return beckner_deficit([BecknerRow(
         GaussianMeasure(f.dim), f.power(2), f.power(2.0 / p), grad_norm_squared(f),
         p / (p - 1.0), 1.0, 2.0, p, True,
-        {"check": "beckner-gaussian", "d": f.dim, "p": p}), cfg)
+        {"check": "beckner-gaussian", "d": f.dim, "p": p})], cfg)[0]
 
 
 def gaussian_limit_probe(f: DifferentiableField, b_list, p: float, d: int,

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _GK_WK, _GK_X, Estimate, QuadratureConfig, integrate_rd
+from .numerics import (_GK_WK, _GK_X, CALL_POINTS, Estimate, QuadratureConfig,
+                       integrate_rd)
 
 
 def log_norm_const(m: float, d: int) -> float:
@@ -73,7 +74,7 @@ class Measure:
 
     def integrate(self, f, config: QuadratureConfig, growth: float = 0.0,
                   scale: float = 1.0) -> Estimate:
-        return integrate_stack(f, [self], config, growth, [scale])[0]
+        return integrate_stack(f, [self], config, [growth], [scale])[0]
 
 
 @dataclass(frozen=True)
@@ -116,19 +117,27 @@ class SphereMeasure(CauchyMeasure):
         return radius, heavy_tail_bound(self.d, self.d, radius, scale, growth)
 
 
-def integrate_stack(g, measures, config: QuadratureConfig, growth: float,
-                    scales) -> list[Estimate]:
+def integrate_stack(g, measures, config: QuadratureConfig, growths, scales,
+                    batch: int = CALL_POINTS) -> list[Estimate]:
     """Column j of the (n, k) stack ``g(y)`` (n values for one measure)
     integrated against ``measures[j]``, measures on one R^d, with
-    |column j| <= ``scales[j]`` |y|^growth at infinity: one ``integrate_rd``
-    pass, each column weighted by its own density, out to the largest of the
-    columns' truncation radii.  A tail bound also holds beyond its own
-    radius, so each column's bound adds the tail of its own truncation.
-    Returns one float ``Estimate`` per column; ``n_evals`` counts the pass's
-    points."""
-    cuts = [mu.truncation(config.abs_tol, growth, s) for mu, s in zip(measures, scales)]
-    ests = integrate_rd(g, lambda r2: np.stack([mu.log_density(r2) for mu in measures], axis=1),
-                        measures[0].d, config, cutoff=max(radius for radius, _ in cuts))
+    |column j| <= ``scales[j]`` |y|^``growths[j]`` at infinity: one
+    ``integrate_rd`` pass, out to the largest of the columns' truncation
+    radii.  Each column is weighted by its own density, or all of them by the
+    one density of a pass whose measures are one.  A tail bound also holds
+    beyond its own radius, so each column's bound adds the tail of its own
+    truncation, at its own growth and scale.  ``batch`` caps the points of
+    one call of g (see ``integrate_rd``).  Returns one float ``Estimate`` per
+    column; ``n_evals`` counts the pass's points."""
+    cuts = [mu.truncation(config.abs_tol, growth, s)
+            for mu, growth, s in zip(measures, growths, scales, strict=True)]
+    if all(mu == measures[0] for mu in measures):
+        log_density = measures[0].log_density
+    else:
+        def log_density(r2):
+            return np.stack([mu.log_density(r2) for mu in measures], axis=1)
+    ests = integrate_rd(g, log_density, measures[0].d, config,
+                        cutoff=max(radius for radius, _ in cuts), batch=batch)
     return [Estimate(e.value, e.error_bound + tail, e.n_evals) for e, (_, tail) in zip(ests, cuts)]
 
 

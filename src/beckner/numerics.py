@@ -286,7 +286,7 @@ def angular_rule(d: int, order: int):
 
 
 _FIRST_ORDER, _LAST_ORDER = 8, 128   # the angular orders are 8, 16, 32, 64, 128
-_CALL_POINTS = 1 << 14   # the most points of one call of g, unless one panel needs more
+CALL_POINTS = 1 << 14   # the most points of one call of g, unless one radius needs more
 
 
 class _Pair(NamedTuple):
@@ -322,13 +322,14 @@ class _AngularRule(_PanelRule):
     A new panel starts at its parent's order, or at 8, and evaluates both
     rules of its pair; ``refine`` doubles N, up to 128, evaluating only the
     nodes the panel lacks, and the Q_N it held becomes the half rule's.  The
-    panels built or raised together share one call of g (up to
-    ``_CALL_POINTS`` points); ``points`` counts the points at which g was
-    evaluated.
+    panels built or raised together share one call of g (up to ``batch``
+    points), and a panel larger than that is called a run of its radii at a
+    time; ``points`` counts the points at which g was evaluated.
     """
 
-    def __init__(self, g, log_density, d: int):
-        self.g, self.log_density, self.d, self.points = g, log_density, d, 0
+    def __init__(self, g, log_density, d: int, batch: int):
+        self.g, self.log_density, self.d, self.batch = g, log_density, d, batch
+        self.points = 0
 
     def panels(self, spans):
         out = []
@@ -354,16 +355,26 @@ class _AngularRule(_PanelRule):
         """Bring each new panel, or each panel that holds Q of half the
         order, to its order."""
         pairs = [_pair(self.d, order) for order in orders]
-        jobs = [(p, pair.fresh if p.q is None else pair.lacking)
+        jobs = [(p.r, pair.fresh if p.q is None else pair.lacking)
                 for p, pair in zip(panels, pairs)]
-        for p, order, pair, vals in zip(panels, orders, pairs, self._call(jobs)):
+        # per panel, its angular sums over each run of its radii
+        sums = [[] for _ in panels]
+        for i, vals in self._call(jobs):
+            p, pair = panels[i], pairs[i]
             if p.q is None:
-                q = np.ascontiguousarray(vals[..., :len(pair.w)]) @ pair.w   # (k, radii)
-                half = vals[..., pair.half] @ pair.half_w
-            elif self.d == 2:   # the new angles bisect the held ones
-                q, half = 0.5 * (p.q + vals @ pair.half_w), p.q
+                sums[i].append((np.ascontiguousarray(vals[..., :len(pair.w)]) @ pair.w,
+                                vals[..., pair.half] @ pair.half_w))
+            else:   # at d = 2 the new angles bisect the held ones
+                sums[i].append((vals @ (pair.half_w if self.d == 2 else pair.w),))
+            del vals   # the call's stack goes before the next call of g
+        for p, order, parts in zip(panels, orders, sums):
+            new = [run[0] if len(run) == 1 else np.concatenate(run, axis=1) for run in zip(*parts)]
+            if p.q is None:
+                q, half = new   # (k, radii)
+            elif self.d == 2:
+                q, half = 0.5 * (p.q + new[0]), p.q
             else:
-                q, half = vals @ pair.w, p.q
+                q, half = new[0], p.q
             p.order, p.q = order, q
             y = p.density * q * p.jac
             if not np.isfinite(y).all():
@@ -373,34 +384,52 @@ class _AngularRule(_PanelRule):
             p.terms = [p.h * float(np.dot(_GK_WK, col)) for col in gap]
 
     def _call(self, jobs):
-        """g at r_i nodes_j for each ``(panel, nodes)`` job, r its panel's
-        radii, as one (k, radii, nodes) array per job; consecutive jobs share a
-        call of g while it stays within ``_CALL_POINTS`` points."""
-        out, start = [], 0
-        while start < len(jobs):
-            stop, size = start + 1, 15 * len(jobs[start][1])
-            while stop < len(jobs) and size + 15 * len(jobs[stop][1]) <= _CALL_POINTS:
-                size += 15 * len(jobs[stop][1])
+        """g at r_i nodes_j for each ``(radii, nodes)`` job, as ``(job index,
+        values)`` with values (k, radii, nodes), in order.  Consecutive jobs
+        share a call of g while it stays within ``batch`` points; a larger
+        job is called in runs of its radii of at most ``batch`` points (one
+        radius at the least).  A call is made once the values before it are
+        consumed, so one call's stack is held at a time."""
+        i = 0
+        while i < len(jobs):
+            radii, nodes = jobs[i]
+            if len(radii) * len(nodes) > self.batch:
+                step = max(self.batch // len(nodes), 1)
+                for lo in range(0, len(radii), step):
+                    yield i, self._values([(radii[lo:lo + step], nodes)])[0]
+                i += 1
+                continue
+            stop, size = i + 1, len(radii) * len(nodes)
+            while stop < len(jobs) and size + len(jobs[stop][0]) * len(jobs[stop][1]) <= self.batch:
+                size += len(jobs[stop][0]) * len(jobs[stop][1])
                 stop += 1
-            batch, pts, row = jobs[start:stop], np.empty((size, self.d)), 0
-            for p, nodes in batch:
-                block = pts[row:row + 15 * len(nodes)].reshape(15, len(nodes), self.d)
-                np.multiply(p.r[:, None, None], nodes[None, :, :], out=block)
-                row += 15 * len(nodes)
-            vals = np.asarray(self.g(pts), dtype=float)
-            if not np.isfinite(vals).all():
-                raise DomainError("integrand returned non-finite values")
-            self.points += len(pts)
-            vals = vals.reshape(len(pts), -1)
-            for p, nodes in batch:
-                block, vals = vals[:15 * len(nodes)], vals[15 * len(nodes):]
-                out.append(block.reshape(15, len(nodes), -1).transpose(2, 0, 1))
-            start = stop
+            yield from zip(range(i, stop), self._values(jobs[i:stop]))
+            i = stop
+
+    def _values(self, jobs):
+        """One call of g at r_i nodes_j for every ``(radii, nodes)`` of
+        ``jobs``: one (k, radii, nodes) view of its stack per job."""
+        size = sum(len(radii) * len(nodes) for radii, nodes in jobs)
+        pts, row = np.empty((size, self.d)), 0
+        for radii, nodes in jobs:
+            n = len(radii) * len(nodes)
+            block = pts[row:row + n].reshape(len(radii), len(nodes), self.d)
+            np.multiply(radii[:, None, None], nodes[None, :, :], out=block)
+            row += n
+        vals = np.asarray(self.g(pts), dtype=float)
+        if not np.isfinite(vals).all():
+            raise DomainError("integrand returned non-finite values")
+        self.points += size
+        vals, row, out = vals.reshape(size, -1), 0, []
+        for radii, nodes in jobs:
+            n = len(radii) * len(nodes)
+            out.append(vals[row:row + n].reshape(len(radii), len(nodes), -1).transpose(2, 0, 1))
+            row += n
         return out
 
 
 def integrate_rd(g, log_density, d: int, config: QuadratureConfig,
-                 cutoff: float) -> Columns:
+                 cutoff: float, batch: int = CALL_POINTS) -> Columns:
     """Integral of g(y) exp(log_density(|y|^2)) over the ball of radius ``cutoff``.
 
     ``g`` must accept an (n, d) array of points, ``log_density`` an array of
@@ -423,11 +452,14 @@ def integrate_rd(g, log_density, d: int, config: QuadratureConfig,
 
     ``g`` returns an (n, k) stack or n values, integrated on one shared
     subdivision as in ``integrate_interval``; ``log_density`` returns either
-    one column for every component or one per component, (n_r, k).  Returns
-    one ``Estimate`` per component; ``n_evals`` counts the points at which g
-    was evaluated.
+    one column for every component or one per component, (n_r, k).  One
+    call of g takes the points of several panels, up to ``batch`` of them,
+    and a larger panel a run of its radii at a time; a caller whose g returns
+    k columns passes ``CALL_POINTS // k`` to keep the stack of a call at the
+    size of one column's.  Returns one ``Estimate`` per component;
+    ``n_evals`` counts the points at which g was evaluated.
     """
-    rule = _AngularRule(g, log_density, d)
+    rule = _AngularRule(g, log_density, d, batch)
     ests = integrate_interval(rule, 0.0, _radial_end(cutoff), config)
     return Columns(Estimate(e.value, e.error_bound, rule.points) for e in ests)
 

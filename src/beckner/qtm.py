@@ -292,7 +292,7 @@ def harmonicity_residual(f: DifferentiableField, kernels,
             sum(abs(ck[j]) * sk for (_, _, ck), sk in zip(stencil, point_scales))
             for j in range(n)]
         nus = [kernels[i].base_measure() for i in group]
-        ests = integrate_stack(integrand, nus + nus, cfg, growth, scales)
+        ests = integrate_stack(integrand, nus + nus, cfg, [growth] * (2 * n), scales)
         n_evals = ests[0].n_evals * len(stencil)
         for j, i in enumerate(group):
             out[i] = tuple(Estimate(e.value, e.error_bound, n_evals)

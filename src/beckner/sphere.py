@@ -116,10 +116,10 @@ def sphere_beckner_deficit(f: DifferentiableField, params: SphereBecknerParams,
     if not f.positive:
         raise DomainError("the sphere family is stated for positive fields")
     p = params.p
-    return beckner_deficit(BecknerRow(
+    return beckner_deficit([BecknerRow(
         SphereMeasure(params.d), f.power(2), f.power(2.0 / p), _sphere_energy(f),
         1.0, params.A, params.gradient_constant, p, False,
-        {"check": "sphere-beckner", "d": params.d, "m": params.m, "p": p}), cfg)
+        {"check": "sphere-beckner", "d": params.d, "m": params.m, "p": p})], cfg)[0]
 
 
 def classical_beckner_deficit(f: DifferentiableField, p: float, d: int,
@@ -133,10 +133,10 @@ def classical_beckner_deficit(f: DifferentiableField, p: float, d: int,
     """
     if not 1.0 < p <= 2.0:
         raise DomainError("p must lie in (1, 2]")
-    return beckner_deficit(BecknerRow(
+    return beckner_deficit([BecknerRow(
         SphereMeasure(d), f.power(2), abs_power(f, 2.0 / p), _sphere_energy(f),
         1.0, 1.0, 2.0 * (p - 1.0) / (p * d), p, False,
-        {"check": "sphere-classical-beckner", "d": d, "p": p}), cfg)
+        {"check": "sphere-classical-beckner", "d": d, "p": p})], cfg)[0]
 
 
 def nash_sobolev_probe(family, d: int, cfg: QuadratureConfig | None = None):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath as mp
@@ -5,18 +6,23 @@ import numpy as np
 import pytest
 
 from beckner.errors import (AdmissibilityError, DomainError, ParamError)
+from beckner import inequalities
 from beckner.fields import (constant, coordinate, grad_norm_squared,
-                            make_power_of_rho, positive_bump, quadratic)
-from beckner.inequalities import (DeficitReport, PhiEntropySpec,
+                            make_power_of_rho, positive_bump, quadratic, stacked,
+                            standard_library)
+from beckner.inequalities import (BecknerRow, DeficitReport, PhiEntropySpec,
                                   admissibility_check, beckner_cauchy_deficit,
+                                  beckner_cauchy_rows, beckner_deficit,
                                   beckner_qt_deficit, gaussian_beckner_deficit,
                                   gaussian_limit_probe, growth_degree,
                                   limit_rate, optimal_constant_rayleigh,
                                   p_grid, phi_entropy_deficit,
-                                  poincare_cauchy_deficit, radial_moment)
-from beckner.measures import CauchyMeasure, TKernel
-from beckner.numerics import Estimate, QuadratureConfig, integrate_rd
+                                  poincare_cauchy_deficit, poincare_cauchy_row, power_error,
+                                  radial_moment, row_integrals)
+from beckner.measures import CauchyMeasure, SphereMeasure, TKernel
+from beckner.numerics import CALL_POINTS, Estimate, QuadratureConfig, integrate_rd
 from beckner.qtm import qtm_subordinated
+from beckner.sphere import _sphere_energy
 from oracles import cauchy_mean_mp
 
 
@@ -62,12 +68,11 @@ def test_poincare_saturated_by_coordinate(b, d):
 @pytest.mark.parametrize("b,d", [(2.0, 1), (4.0, 2)])
 def test_poincare_row_uses_the_signed_mean(b, d):
     # the middle term of the Poincare row is f itself: the lhs is
-    # nu(f^2) - nu(f)^2 for a sign-changing f, whatever the sign of its mean
-    nu, cfg = CauchyMeasure(d, b), QuadratureConfig()
+    # nu(f^2) - nu(f)^2 for a sign-changing f, whatever the sign of its mean,
+    # with the integrals of the row's one pass
     for f in (coordinate(0, d), coordinate(0, d) - 0.5):
         rep = poincare_cauchy_deficit(f, b, d)
-        sq = nu.integrate(f.power(2), cfg, growth=2.0)
-        mean = nu.integrate(f, cfg, growth=1.0)
+        sq, mean, _ = row_integrals([poincare_cauchy_row(f, b, d)])[0]
         assert rep.lhs.value == sq.value - mean.value ** 2
         assert rep.lhs.value == pytest.approx(1.0 / (2.0 * b - 2.0 - d), abs=1e-8)
     assert mean.value == pytest.approx(-0.5, abs=1e-9)
@@ -253,23 +258,23 @@ def test_gaussian_beckner_constant_field():
     assert abs(rep.lhs.value) < 1e-9 and abs(rep.rhs.value) < 1e-12
 
 
-def _gaussian_integral_before_the_measure(g, d):
-    """The Gaussian integral as computed before GaussianMeasure: the same
-    integrand, density (applied once per radius) and radius 12, without a
-    tail term."""
-    (est,) = integrate_rd(g, lambda r2: -0.5 * r2 - 0.5 * d * math.log(2.0 * math.pi), d,
-                          QuadratureConfig(), cutoff=12.0)
-    return est
+def _gaussian_integrals_before_the_measure(fields, d):
+    """The Gaussian integrals as computed before GaussianMeasure, in the one
+    pass of a row: the same stacked integrand, density (applied once per
+    radius), call batch and radius 12, without a tail term."""
+    return integrate_rd(stacked(fields), lambda r2: -0.5 * r2 - 0.5 * d * math.log(2.0 * math.pi),
+                        d, QuadratureConfig(), cutoff=12.0, batch=CALL_POINTS // len(fields))
 
 
 @pytest.mark.parametrize("d,p", [(1, 1.5), (2, 1.8)])
 def test_gaussian_row_values_are_unchanged(d, p):
     f = positive_bump(1.0, [0.3] * d, d)
-    sq, frac, energy = (_gaussian_integral_before_the_measure(g, d) for g in (
-        f.power(2), f.power(2.0 / p), grad_norm_squared(f)))
+    sq, frac, energy = _gaussian_integrals_before_the_measure(
+        [f.power(2), f.power(2.0 / p), grad_norm_squared(f)], d)
     c = p / (p - 1.0)
     lhs = c * (sq.value - frac.value ** p)
-    lhs_err = c * (sq.error_bound + p * frac.value ** (p - 1.0) * frac.error_bound)
+    mid_err = frac.value ** p * math.expm1(p * math.log1p(frac.error_bound / frac.value))
+    lhs_err = c * (sq.error_bound + mid_err)
     reps = [gaussian_beckner_deficit(f, p),
             gaussian_limit_probe(f, [10.0, 100.0], p, d)[1]]
     for rep in reps:
@@ -311,17 +316,26 @@ _D1_CASES += [("poincare-cauchy", b, None, name) for b in (3.0, 4.0)
               for name in ("sq", "mid", "energy")]
 
 
-def _d1_integrand(check, p, name):
+def _d1_oracle(check, p, name):
+    """The mpmath function of one integrand of the d = 1 cauchy-suite rows."""
     if check == "poincare-cauchy":
-        f = coordinate(0, 1)
-        return {"sq": (f.power(2), lambda y: y * y), "mid": (f, lambda y: y),
-                "energy": (grad_norm_squared(f) * make_power_of_rho(2.0, 1),
-                           lambda y: 1 + y * y)}[name]
-    f = positive_bump(1.0, [0.3], 1)
-    return {"sq": (f.power(2), lambda y: _bump_mp(y)[0] ** 2),
-            "mid": (f.power(2.0 / p), lambda y: _bump_mp(y)[0] ** (2 / mp.mpf(p))),
-            "energy": (grad_norm_squared(f) * make_power_of_rho(2.0, 1),
-                       lambda y: _bump_mp(y)[1] ** 2 * (1 + y * y))}[name]
+        return {"sq": lambda y: y * y, "mid": lambda y: y, "energy": lambda y: 1 + y * y}[name]
+    return {"sq": lambda y: _bump_mp(y)[0] ** 2,
+            "mid": lambda y: _bump_mp(y)[0] ** (2 / mp.mpf(p)),
+            "energy": lambda y: _bump_mp(y)[1] ** 2 * (1 + y * y)}[name]
+
+
+@functools.lru_cache(maxsize=None)
+def _d1_pass(check, b):
+    """{p: (sq, mid, energy)} of the d = 1 cauchy-suite rows of one (check, b),
+    from the one pass that ``beckner_deficit`` makes of them, as the suite
+    hands them over: every beckner-cauchy p of the default grid together,
+    the poincare-cauchy row (p None) on its own."""
+    if check == "poincare-cauchy":
+        return {None: row_integrals([poincare_cauchy_row(coordinate(0, 1), b, 1)])[0]}
+    ps = (1.5, 2.0)
+    rows = beckner_cauchy_rows(positive_bump(1.0, [0.3], 1), b, ps, 1)
+    return dict(zip(ps, row_integrals(rows)))
 
 
 def _d1_case(case):
@@ -336,9 +350,86 @@ def _d1_case(case):
 
 @pytest.mark.parametrize("check,b,p,name", [_d1_case(c) for c in _D1_CASES])
 def test_cauchy_d1_integrals_within_bound_of_mpmath(check, b, p, name):
-    # each integral of the d = 1 cauchy-suite rows, as beckner_deficit takes
-    # it, against mpmath at 30 digits: the error bound must hold
-    g, h = _d1_integrand(check, p, name)
-    est = CauchyMeasure(1, b).integrate(g, QuadratureConfig(), growth=growth_degree(g))
-    oracle = cauchy_mean_mp(h, b, breaks=(-10.0, 0.3, 10.0))
+    # each integral of the d = 1 cauchy-suite rows, as the stacked pass of
+    # beckner_deficit takes it, against mpmath at 30 digits: the error bound
+    # must hold
+    est = _d1_pass(check, b)[p][("sq", "mid", "energy").index(name)]
+    oracle = cauchy_mean_mp(_d1_oracle(check, p, name), b, breaks=(-10.0, 0.3, 10.0))
     assert abs(est.value - oracle) <= est.error_bound, (est, oracle)
+
+
+# -- one pass per measure -----------------------------------------------------
+
+# the fields whose three integrals are finite against the sphere's nu_d: the
+# squares and energies of the others grow too fast for its |y|^{-2d} density
+_SPHERE_FIELDS = ("one", "gaussian_bump", "positive_bump", "power_of_rho")
+
+
+@pytest.mark.parametrize("mu", [CauchyMeasure(d, d + 3.0) for d in (1, 2, 3)]
+                         + [SphereMeasure(2), SphereMeasure(3)], ids=repr)
+def test_stacked_rows_are_their_separate_integrals(mu):
+    # the rows of one f at p = 1.5 and 2 (or its Poincare row, if f may
+    # change sign) make one pass; each of its integrals agrees with that
+    # integrand's own pass within the summed bars
+    d, cfg = mu.d, QuadratureConfig()
+    sphere = isinstance(mu, SphereMeasure)
+    for name, f in standard_library(d).items():
+        if sphere and name not in _SPHERE_FIELDS:
+            continue
+        sq = f.power(2)
+        energy = (_sphere_energy(f) if sphere
+                  else grad_norm_squared(f) * make_power_of_rho(2.0, d))
+        mids = [(p, f.power(2.0 / p)) for p in (1.5, 2.0)] if f.positive else [(2.0, f)]
+        rows = [BecknerRow(mu, sq, mid, energy, 1.0, 1.0, 1.0, p, True, {}) for p, mid in mids]
+        for row, ests in zip(rows, row_integrals(rows)):
+            assert len({e.n_evals for e in ests}) == 1   # one pass
+            for g, est in zip((row.sq, row.mid, row.energy), ests):
+                alone = mu.integrate(g, cfg, growth=growth_degree(g))
+                assert abs(est.value - alone.value) <= est.error_bound + alone.error_bound, \
+                    (name, est, alone)
+
+
+def test_rows_on_two_measures_make_two_passes(monkeypatch):
+    f = positive_bump(1.0, [0.3], 1)
+    passes = []
+    original = inequalities.integrate_stack
+
+    def counting(g, measures, *args, **kwargs):
+        passes.append(len(measures))
+        return original(g, measures, *args, **kwargs)
+
+    monkeypatch.setattr(inequalities, "integrate_stack", counting)
+    rows = (beckner_cauchy_rows(f, 3.0, [1.5, 2.0], 1) + [poincare_cauchy_row(f, 3.0, 1)]
+            + beckner_cauchy_rows(f, 4.0, [1.5], 1))
+    reports = beckner_deficit(rows)
+    # b = 3: the beckner rows' f^2, energy, f^{4/3} and f^1 (their f^2 and
+    # energy once), and the Poincare row's own three; then b = 4: three
+    assert passes == [7, 3]
+    for rep, row in zip(reports, rows):
+        assert rep.params == row.params
+        if row.params["check"] == "beckner-cauchy":
+            one = beckner_cauchy_deficit(f, row.params["b"], row.p, 1)
+            assert abs(rep.lhs.value - one.lhs.value) <= rep.error_budget + one.error_budget
+
+
+@pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("base,err", [(0.7, 1e-11), (0.7, 0.3), (0.7, 2.0), (2.0, 1e-3),
+                                      (1e-8, 1e-10)])
+def test_power_error_is_the_worst_case(base, err, p):
+    # the largest |x^p - base^p| over x >= 0 with |x - base| <= err, in mpmath
+    b, e = mp.mpf(base), mp.mpf(err)
+    want = max((b + e) ** p - b ** p, b ** p - max(b - e, 0) ** p)
+    assert power_error(base, err, p) == pytest.approx(float(want), rel=1e-13)
+    assert power_error(0.0, err, p) == pytest.approx(err ** p, rel=1e-15)
+
+
+def test_middle_bar_is_exact():
+    # the lhs bar of a row is a (err(sq) + A power_error(|mu(mid)|, err(mid), p))
+    f = positive_bump(1.0, [0.3], 2)
+    row = beckner_cauchy_rows(f, 4.0, [1.5], 2)[0]
+    (sq, mid, _), = row_integrals([row])
+    rep, = beckner_deficit([row])
+    want = row.a * (sq.error_bound + row.A * power_error(abs(mid.value), mid.error_bound, row.p))
+    assert rep.lhs.error_bound == want
+    first_order = row.a * (sq.error_bound + row.p * mid.value ** (row.p - 1) * mid.error_bound)
+    assert want >= first_order

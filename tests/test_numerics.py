@@ -285,6 +285,30 @@ def test_rd_stack_columns_carry_their_own_angular_terms():
     assert abs(trig_column.value - wave.value) <= trig_column.error_bound + wave.error_bound
 
 
+@pytest.mark.parametrize("d,widest", [(2, 128), (3, 128 * 64 + 64 * 32)])
+def test_rd_call_batch_splits_panels_into_runs_of_radii(d, widest):
+    # a call takes at most ``batch`` points, or one radius of a panel's
+    # nodes (at most ``widest``, a new order-128 panel): the same points are
+    # evaluated, and each run's angular sums are those of its radii
+    nu, cfg = CauchyMeasure(d, 2.5), QuadratureConfig()
+
+    def g(p):
+        calls.append(len(p))
+        return np.stack([np.cos(np.sum(p, axis=1)), _radial_bump(p)], axis=1)
+
+    calls = []
+    whole = integrate_rd(g, nu.log_density, d, cfg, 30.0)
+    assert max(calls) > 100
+    calls = []
+    runs = integrate_rd(g, nu.log_density, d, cfg, 30.0, batch=100)
+    assert all(n <= max(100, widest) for n in calls) and min(calls) <= 100
+    for a, b in zip(whole, runs):
+        assert a.n_evals == b.n_evals
+        assert a.value == pytest.approx(b.value, rel=1e-13, abs=1e-15)
+        # (a bound at rounding level moves with the last bits of the sums)
+        assert a.error_bound == pytest.approx(b.error_bound, rel=1e-6, abs=1e-13)
+
+
 @pytest.mark.parametrize("d,b,cutoff", [(2, 3.0, 30.0), (3, 2.5, 20.0),
                                          (2, 2.0, 100.0), (3, 3.0, 100.0)])
 def test_rd_bound_holds_against_the_closed_form_angular_mean(d, b, cutoff):
