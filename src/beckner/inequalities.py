@@ -86,18 +86,22 @@ def row_integrals(rows, cfg: QuadratureConfig | None = None):
     stack keeps the size of one column's."""
     cfg = cfg or QuadratureConfig()
     passes = {}
-    for row in rows:
-        passes.setdefault(row.measure, []).append(row)
-    found = {}
+    for i, row in enumerate(rows):
+        passes.setdefault(row.measure, []).append(i)
+    out = [None] * len(rows)
     for mu, group in passes.items():
-        columns = list({id(g): g for row in group
-                        for g in (row.sq, row.mid, row.energy)}.values())
+        # an integrand held by rows on two measures is a column of each pass,
+        # so the lookup of its estimate is local to the pass
+        terms = [(rows[i].sq, rows[i].mid, rows[i].energy) for i in group]
+        columns = {id(g): g for row in terms for g in row}
         k = len(columns)
-        ests = integrate_stack(stacked(columns), [mu] * k, cfg,
-                               [growth_degree(g) for g in columns], [1.0] * k,
+        ests = integrate_stack(stacked(list(columns.values())), [mu] * k, cfg,
+                               [growth_degree(g) for g in columns.values()], [1.0] * k,
                                batch=CALL_POINTS // k)
-        found.update(zip(map(id, columns), ests))
-    return [tuple(found[id(g)] for g in (row.sq, row.mid, row.energy)) for row in rows]
+        found = dict(zip(columns, ests))
+        for i, row in zip(group, terms):
+            out[i] = tuple(found[id(g)] for g in row)
+    return out
 
 
 def power_error(base: float, err: float, p: float) -> float:

@@ -256,14 +256,13 @@ def _fields(op):
     return positive_bump(1.0, [0.3] * dim, dim), gaussian_bump(0.7, [-0.2] * dim, dim)
 
 
-# the whole value_L_gamma tuple of f; L g (op_L) and Gamma(g) (gamma) of the
-# second field, a bump of another width and centre without the constant; and
-# Gamma(f, g) (carre_du_champ) by polarization
+# L f (op_L), Gamma(f) (gamma) and Gamma(f, g) (carre_du_champ) each read
+# from value_L_gamma, the last by polarization
 @pytest.mark.parametrize("op", _OPS, ids=lambda op: op.tag)
 @pytest.mark.parametrize("call,rtol", [
-    (lambda op, f, g, x: value_L_gamma(op, g, x)[1], 0.0),
+    (lambda op, f, g, x: value_L_gamma(op, f, x)[1], 0.0),
     (lambda op, f, g, x: value_L_gamma(op, f, x), 0.0),
-    (lambda op, f, g, x: value_L_gamma(op, g, x)[2], 0.0),
+    (lambda op, f, g, x: value_L_gamma(op, f, x)[2], 0.0),
     (lambda op, f, g, x: _cross_gamma(op, f, g, x), 0.0),
     (lambda op, f, g, x: gamma2(op, f, x), 0.0),
     (lambda op, f, g, x: cd_residual(op, f, x, 0.5, -2.0), 0.0),

@@ -412,6 +412,19 @@ def test_rows_on_two_measures_make_two_passes(monkeypatch):
             assert abs(rep.lhs.value - one.lhs.value) <= rep.error_budget + one.error_budget
 
 
+def test_one_integrand_on_two_measures_is_integrated_on_each():
+    # poincare_cauchy_row holds f itself as its middle term, so the rows of one
+    # f at b = 3 and b = 4 share that object across two passes
+    f = positive_bump(1.0, [0.3], 1)
+    rows = [poincare_cauchy_row(f, 3.0, 1), poincare_cauchy_row(f, 4.0, 1)]
+    assert rows[0].mid is rows[1].mid
+    for row, terms in zip(rows, row_integrals(rows)):
+        alone = row_integrals([row])[0]
+        assert [t.value for t in terms] == [t.value for t in alone]
+    means = [terms[1].value for terms in row_integrals(rows)]
+    assert means[0] != means[1]
+
+
 @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("base,err", [(0.7, 1e-11), (0.7, 0.3), (0.7, 2.0), (2.0, 1e-3),
                                       (1e-8, 1e-10)])
